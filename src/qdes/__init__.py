@@ -46,7 +46,6 @@ from .supervisory import (
     check_decision_preconditions,
     check_marking_conditions,
     check_nonblocking,
-    closed_loop_eval,
     closed_loop_marked,
     cutpoint_member,
     decide_controllability,

@@ -16,12 +16,27 @@ function equals the direct evaluator on every word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .linalg import dagger, direct_sum, tensor
-from .models import END_MARKER, MmQfa, Qfac, clamp_probability, validate
+from .models import (
+    END_MARKER,
+    Dfa,
+    MmQfa,
+    MoQfa,
+    Qfac,
+    Word,
+    clamp_probability,
+    dfa_accepts,
+    mm_accept_prob,
+    mo_accept_prob,
+    qfac_accept_prob,
+    qfac_from_dfa,
+    qfac_from_mo,
+    validate,
+)
 
 #: Imaginary mass above this is an error for real-valued machines.
 REAL_TOL = 1e-9
@@ -204,3 +219,42 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
 def rblm_probability(b: Rblm, w: Sequence[str]) -> float:
     """Evaluate a compiled machine and clamp to [0, 1] like the direct evaluators."""
     return clamp_probability(blm_eval(b, w), f"(bilinear, word {''.join(w)!r})")
+
+
+def to_rblm(a) -> Rblm:
+    """The bilinear machine of any automaton kind; the one kind-to-machine map.
+
+    Measure-once automata and DFAs go through their one-classical-state
+    and trivial-quantum-part hybrid embeddings.
+    """
+    if isinstance(a, Rblm):
+        return a
+    if isinstance(a, MmQfa):
+        return compile_mm_to_rblm(a)
+    if isinstance(a, MoQfa):
+        a = qfac_from_mo(a)
+    elif isinstance(a, Dfa):
+        a = qfac_from_dfa(a)
+    if isinstance(a, Qfac):
+        return compile_qfac_to_rblm(a)
+    raise TypeError(f"no bilinear form for {type(a).__name__}")
+
+
+def evaluator(a) -> Callable[[Word], float]:
+    """The direct acceptance-probability evaluator of any automaton kind.
+
+    The closures look the evaluators up by module name at call time, so
+    a rebinding of those names (a tracer, a test double) still sees
+    every call.
+    """
+    if isinstance(a, MmQfa):
+        return lambda w: mm_accept_prob(a, w)
+    if isinstance(a, Qfac):
+        return lambda w: qfac_accept_prob(a, w)
+    if isinstance(a, MoQfa):
+        return lambda w: mo_accept_prob(a, w)
+    if isinstance(a, Rblm):
+        return lambda w: rblm_probability(a, w)
+    if isinstance(a, Dfa):
+        return lambda w: 1.0 if dfa_accepts(a, w) else 0.0
+    raise TypeError(f"no evaluator for {type(a).__name__}")

@@ -3,8 +3,9 @@
 Every subcommand reads automaton files, writes one canonical JSON result
 document to standard output, and exits 0 when the query was decided or
 computed, 1 when a checked property fails or a counterexample was found,
-and 2 on input errors.  ``QDES_TOL`` overrides the default tolerance of
-commands that take one.
+and 2 on input errors and on computations it cannot finish (out of
+memory, a value inside an isolation band, a probability outside [0, 1]).
+``QDES_TOL`` overrides the default tolerance of commands that take one.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import sys
 import numpy as np
 
 from . import fixtures, serialize
-from .blm import Rblm, compile_mm_to_rblm, compile_qfac_to_rblm, rblm_probability
+from .blm import Rblm, evaluator, to_rblm
 from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
 from .equivalence import DEFAULT_EQUIV_TOL, equiv_rblm, k_equiv_bruteforce
-from .models import Dfa, MmQfa, MoQfa, Qfac, dfa_accepts, mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_dfa, qfac_from_mo, validate
+from .models import Dfa, MmQfa, MoQfa, Qfac, _mm_accept_prob_products, validate
 from .supervisory import (
     ClosedLoop,
     ControlSpec,
@@ -48,20 +49,6 @@ def _word_str(w) -> str | None:
     return ",".join(w) if any(len(s) != 1 for s in w) else "".join(w)
 
 
-def _as_rblm(automaton) -> Rblm:
-    if isinstance(automaton, Rblm):
-        return automaton
-    if isinstance(automaton, MmQfa):
-        return compile_mm_to_rblm(automaton)
-    if isinstance(automaton, Qfac):
-        return compile_qfac_to_rblm(automaton)
-    if isinstance(automaton, MoQfa):
-        return compile_qfac_to_rblm(qfac_from_mo(automaton))
-    if isinstance(automaton, Dfa):
-        return compile_qfac_to_rblm(qfac_from_dfa(automaton))
-    raise ValueError(f"no bilinear form for {type(automaton).__name__}")
-
-
 def cmd_validate(args) -> int:
     automaton = serialize.load(args.file, check=False)
     problems = [] if isinstance(automaton, Rblm) else validate(automaton)
@@ -72,35 +59,21 @@ def cmd_validate(args) -> int:
 def cmd_prob(args) -> int:
     automaton = serialize.load(args.file)
     word = serialize.parse_word(args.word, automaton.alphabet)
-    doc = {"file": args.file, "word": args.word}
-    if isinstance(automaton, MmQfa):
-        doc["value"] = mm_accept_prob(automaton, word)
-        if args.model_check:
-            from .models import _mm_accept_prob_products
-
-            alt = _mm_accept_prob_products(automaton, word)
-            doc["value_product_form"] = alt
-            doc["forms_agree"] = bool(abs(doc["value"] - alt) <= 1e-12)
-            if not doc["forms_agree"]:
-                _emit(doc)
-                return 1
-    elif isinstance(automaton, MoQfa):
-        doc["value"] = mo_accept_prob(automaton, word)
-    elif isinstance(automaton, Qfac):
-        doc["value"] = qfac_accept_prob(automaton, word)
-    elif isinstance(automaton, Dfa):
-        doc["value"] = 1.0 if dfa_accepts(automaton, word) else 0.0
-    elif isinstance(automaton, Rblm):
-        doc["value"] = rblm_probability(automaton, word)
-    else:
-        raise ValueError("unsupported automaton kind")
+    doc = {"file": args.file, "word": args.word, "value": evaluator(automaton)(word)}
+    if args.model_check and isinstance(automaton, MmQfa):
+        alt = _mm_accept_prob_products(automaton, word)
+        doc["value_product_form"] = alt
+        doc["forms_agree"] = bool(abs(doc["value"] - alt) <= 1e-12)
+        if not doc["forms_agree"]:
+            _emit(doc)
+            return 1
     _emit(doc)
     return 0
 
 
 def cmd_equiv(args) -> int:
-    b1 = _as_rblm(serialize.load(args.file1))
-    b2 = _as_rblm(serialize.load(args.file2))
+    b1 = to_rblm(serialize.load(args.file1))
+    b2 = to_rblm(serialize.load(args.file2))
     if args.brute_k is not None:
         verdict = k_equiv_bruteforce(b1, b2, args.brute_k, args.tol)
     else:
@@ -358,7 +331,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (FileNotFoundError, json.JSONDecodeError, serialize.SerializationError,
-            serialize.ValidationFailedError, ValueError, TypeError, KeyError) as e:
+            serialize.ValidationFailedError, ValueError, TypeError, KeyError,
+            ArithmeticError, MemoryError) as e:
         _emit({"error": f"{type(e).__name__}: {e}"})
         return 2
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm
-from .models import MmQfa, Qfac, Word
+from .blm import Rblm, blm_eval, to_rblm
+from .models import MmQfa, Qfac, Word, words_upto
 
 #: Default decision tolerance; looser than evaluation tolerance because
 #: spanned vectors accumulate error over up to n1+n2 insertions.
@@ -119,30 +118,25 @@ def k_equiv_bruteforce(
     total = sum(len(alphabet) ** i for i in range(k + 1))
     if total > max_words:
         raise ValueError(f"would enumerate {total} words, above the cap {max_words}")
-    for length in range(k + 1):
-        for word in product(alphabet, repeat=length):
-            f1 = blm_eval(b1, word)
-            f2 = blm_eval(b2, word)
-            if abs(f1 - f2) > tol:
-                return EquivalenceVerdict(
-                    equivalent=False,
-                    counterexample=word,
-                    f1=f1,
-                    f2=f2,
-                    word_bound=k,
-                )
+    for word in words_upto(alphabet, k):
+        f1 = blm_eval(b1, word)
+        f2 = blm_eval(b2, word)
+        if abs(f1 - f2) > tol:
+            return EquivalenceVerdict(
+                equivalent=False,
+                counterexample=word,
+                f1=f1,
+                f2=f2,
+                word_bound=k,
+            )
     return EquivalenceVerdict(equivalent=True, word_bound=k)
 
 
 def equiv_mm_qfa(m1: MmQfa, m2: MmQfa, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
     """Equivalence of two measure-many automata via compilation."""
-    if m1.alphabet != m2.alphabet:
-        raise ValueError("equivalence requires identical input alphabets")
-    return equiv_rblm(compile_mm_to_rblm(m1), compile_mm_to_rblm(m2), tol)
+    return equiv_rblm(to_rblm(m1), to_rblm(m2), tol)
 
 
 def equiv_qfac(m1: Qfac, m2: Qfac, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
     """Equivalence of two classical-hybrid automata via compilation."""
-    if m1.alphabet != m2.alphabet:
-        raise ValueError("equivalence requires identical input alphabets")
-    return equiv_rblm(compile_qfac_to_rblm(m1), compile_qfac_to_rblm(m2), tol)
+    return equiv_rblm(to_rblm(m1), to_rblm(m2), tol)

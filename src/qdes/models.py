@@ -15,7 +15,8 @@ validation, so concurrent evaluation is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +40,11 @@ PROB_SANITY_TOL = 1e-9
 
 def as_word(w: Sequence[str]) -> Word:
     return tuple(w)
+
+
+def words_upto(alphabet: Sequence[str], horizon: int) -> Iterator[Word]:
+    """Every word of length <= horizon, shortest first, then in the order of ``alphabet``."""
+    return chain.from_iterable(product(alphabet, repeat=n) for n in range(horizon + 1))
 
 
 def clamp_probability(raw: float, context: str = "") -> float:

@@ -21,23 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Mapping, Sequence
 
-from .blm import Rblm, absorb_symbol, blm_direct_sum, blm_tensor, compile_mm_to_rblm, compile_qfac_to_rblm, rblm_probability
+from .blm import absorb_symbol, blm_direct_sum, blm_tensor, evaluator, to_rblm
 from .equivalence import DEFAULT_EQUIV_TOL, equiv_rblm
-from .models import (
-    Dfa,
-    MmQfa,
-    MoQfa,
-    Qfac,
-    Word,
-    clamp_probability,
-    dfa_accepts,
-    mm_accept_prob,
-    mo_accept_prob,
-    qfac_accept_prob,
-)
+from .models import Word, clamp_probability, words_upto
 
 
 class QuantumLanguage:
@@ -60,17 +48,7 @@ class QuantumLanguage:
 
     @classmethod
     def from_automaton(cls, automaton) -> "QuantumLanguage":
-        if isinstance(automaton, MmQfa):
-            return cls(lambda w: mm_accept_prob(automaton, w), automaton.alphabet, "measure-many")
-        if isinstance(automaton, Qfac):
-            return cls(lambda w: qfac_accept_prob(automaton, w), automaton.alphabet, "classical-hybrid")
-        if isinstance(automaton, MoQfa):
-            return cls(lambda w: mo_accept_prob(automaton, w), automaton.alphabet, "measure-once")
-        if isinstance(automaton, Rblm):
-            return cls(lambda w: rblm_probability(automaton, w), automaton.alphabet, "bilinear")
-        if isinstance(automaton, Dfa):
-            return cls(lambda w: 1.0 if dfa_accepts(automaton, w) else 0.0, automaton.alphabet, "dfa")
-        raise TypeError(f"cannot interpret {type(automaton).__name__} as a quantum language")
+        return cls(evaluator(automaton), automaton.alphabet, type(automaton).__name__)
 
     @classmethod
     def from_table(cls, table: Mapping[Word, float], alphabet: Sequence[str]) -> "QuantumLanguage":
@@ -196,10 +174,6 @@ class ClosedLoop:
         return QuantumLanguage(self.value, self.supervisor.plant.alphabet, "closed-loop")
 
 
-def closed_loop_eval(cl: ClosedLoop, s: Sequence[str]) -> float:
-    return cl.value(s)
-
-
 class CutpointAmbiguityError(ArithmeticError):
     """A value fell inside the numerical ambiguity band around the cut-point."""
 
@@ -248,11 +222,7 @@ def prefix_sup(K: QuantumLanguage, s: Sequence[str], horizon: int) -> float:
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     s = tuple(s)
-    best = K(s)
-    for length in range(1, horizon + 1):
-        for t in product(K.alphabet, repeat=length):
-            best = max(best, K(s + t))
-    return best
+    return max(K(s + t) for t in words_upto(K.alphabet, horizon))
 
 
 @dataclass(frozen=True)
@@ -269,13 +239,12 @@ def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[Admiss
     plant = supervisor.plant
     spec = supervisor.spec
     out = []
-    for length in range(horizon + 1):
-        for s in product(spec.alphabet, repeat=length):
-            for sigma in sorted(spec.uncontrollable):
-                feasible = plant((*s, sigma))
-                enabled = supervisor.enablement(s, sigma)
-                if feasible > enabled + tol:
-                    out.append(AdmissibilityViolation(s, sigma, feasible, enabled))
+    for s in words_upto(spec.alphabet, horizon):
+        for sigma in sorted(spec.uncontrollable):
+            feasible = plant((*s, sigma))
+            enabled = supervisor.enablement(s, sigma)
+            if feasible > enabled + tol:
+                out.append(AdmissibilityViolation(s, sigma, feasible, enabled))
     return out
 
 
@@ -302,22 +271,13 @@ def check_controllability_exhaustive(
     The bounded-horizon oracle for the algebraic decision; shortest
     counterexamples are found first.
     """
-    for length in range(horizon + 1):
-        for s in product(spec.alphabet, repeat=length):
-            for sigma in sorted(spec.uncontrollable):
-                lhs = min(target(s), plant((*s, sigma)))
-                rhs = target((*s, sigma))
-                if lhs > rhs + tol:
-                    return ControllabilityResult(False, s, sigma, lhs, rhs)
+    for s in words_upto(spec.alphabet, horizon):
+        for sigma in sorted(spec.uncontrollable):
+            lhs = min(target(s), plant((*s, sigma)))
+            rhs = target((*s, sigma))
+            if lhs > rhs + tol:
+                return ControllabilityResult(False, s, sigma, lhs, rhs)
     return ControllabilityResult(True)
-
-
-def _compile_plant(automaton) -> Rblm:
-    if isinstance(automaton, MmQfa):
-        return compile_mm_to_rblm(automaton)
-    if isinstance(automaton, Qfac):
-        return compile_qfac_to_rblm(automaton)
-    raise TypeError(f"controllability decision expects a measure-many or hybrid automaton, got {type(automaton).__name__}")
 
 
 def decide_controllability(
@@ -336,9 +296,10 @@ def decide_controllability(
     where X_s folds one trailing occurrence of the event into X's final
     functional.  Each side is built with the bilinear-machine algebra
     and the pair is handed to the span-based equivalence procedure.
+    Target and plant may be of any automaton kind ``blm.to_rblm`` maps.
     """
-    h = _compile_plant(target)
-    m = _compile_plant(plant)
+    h = to_rblm(target)
+    m = to_rblm(plant)
     if h.alphabet != m.alphabet:
         raise ValueError("target and plant must share an alphabet")
     if tuple(sorted(spec.alphabet)) != tuple(sorted(h.alphabet)):
@@ -367,14 +328,13 @@ def check_decision_preconditions(
     reduction silently uses: target(s) >= target(s sigma) and
     plant(s sigma) >= target(s sigma) on uncontrollable events."""
     problems = []
-    for length in range(horizon + 1):
-        for s in product(spec.alphabet, repeat=length):
-            for sigma in sorted(spec.uncontrollable):
-                ext = (*s, sigma)
-                if target(ext) > target(s) + tol:
-                    problems.append(f"target not monotone at {''.join(ext) or 'empty'}")
-                if target(ext) > plant(ext) + tol:
-                    problems.append(f"target exceeds plant at {''.join(ext) or 'empty'}")
+    for s in words_upto(spec.alphabet, horizon):
+        for sigma in sorted(spec.uncontrollable):
+            ext = (*s, sigma)
+            if target(ext) > target(s) + tol:
+                problems.append(f"target not monotone at {''.join(ext) or 'empty'}")
+            if target(ext) > plant(ext) + tol:
+                problems.append(f"target exceeds plant at {''.join(ext) or 'empty'}")
     return problems
 
 
@@ -389,13 +349,11 @@ def check_approximation_preconditions(
     the target never exceeds the plant, and matches it exactly on
     histories inside the prefix closure of the specification."""
     problems = []
-    alphabet = target.alphabet
-    for length in range(horizon + 1):
-        for s in product(alphabet, repeat=length):
-            if target(s) > plant(s) + tol:
-                problems.append(f"target exceeds plant at {''.join(s) or 'empty'}")
-            if in_closure(s) and abs(target(s) - plant(s)) > tol:
-                problems.append(f"target differs from plant inside the closure at {''.join(s) or 'empty'}")
+    for s in words_upto(target.alphabet, horizon):
+        if target(s) > plant(s) + tol:
+            problems.append(f"target exceeds plant at {''.join(s) or 'empty'}")
+        if in_closure(s) and abs(target(s) - plant(s)) > tol:
+            problems.append(f"target differs from plant inside the closure at {''.join(s) or 'empty'}")
     return problems
 
 
@@ -453,20 +411,12 @@ def check_nonblocking(
     """
     marked = closed_loop_marked(cl, cutpoint, radius)
     alphabet = marked.alphabet
-    for length in range(horizon + 1):
-        for s in product(alphabet, repeat=length):
-            lhs = cl.value(s)
-            reached = False
-            for tail_len in range(horizon + 1):
-                for t in product(alphabet, repeat=tail_len):
-                    if marked((*s, *t)) >= lhs - tol:
-                        reached = True
-                        break
-                if reached:
-                    break
-            if not reached:
-                return False
-    return True
+
+    def reached(s: Word) -> bool:
+        lhs = cl.value(s)
+        return any(marked((*s, *t)) >= lhs - tol for t in words_upto(alphabet, horizon))
+
+    return all(reached(s) for s in words_upto(alphabet, horizon))
 
 
 @dataclass(frozen=True)
@@ -503,7 +453,7 @@ def check_marking_conditions(
     )
     marked = marked_language(plant, spec.cutpoint, spec.isolation)
 
-    words = [s for length in range(horizon + 1) for s in product(spec.alphabet, repeat=length)]
+    words = list(words_upto(spec.alphabet, horizon))
     crisp = all(min(K(s), abs(K(s) - 1.0)) <= tol for s in words)
 
     for s in words:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qdes.blm import blm_eval, compile_mm_to_rblm, to_rblm
 from qdes.cli import main
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_spec_variant, dfa_bounded_zeros
 from qdes.serialize import load, save, to_document
@@ -189,6 +190,49 @@ class TestControllabilityCommands:
             "--uncontrollable", "0,1",
         )
         assert code == 0 and doc["marking_holds"] and doc["nonblocking"]
+
+    def test_isolation_violation_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "eg2.json"
+        code, _ = run(capsys, "example", "eg2", "--N", "2", "--lambda", "0.5", "-o", str(path))
+        assert code == 0
+        code, doc = run(
+            capsys, "check-marking", str(path), str(path),
+            "--lambda", "0.5", "--rho", "0.45", "--horizon", "3", "--uncontrollable", "0",
+        )
+        assert code == 2 and "IsolationViolationError" in doc["error"]
+
+
+#: One small automaton per document kind.
+KINDS = {
+    "dfa": lambda: dfa_bounded_zeros(1),
+    "mo-qfa": lambda: random_mo(np.random.default_rng(3), 2),
+    "mm-qfa": lambda: build_eg2(2, 0.5),
+    "qfac": lambda: random_qfac(np.random.default_rng(4), 2, 2),
+    "rblm": lambda: compile_mm_to_rblm(build_eg2(2, 0.5)),
+}
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_prob_equiv_decide(self, capsys, tmp_path, kind):
+        automaton = KINDS[kind]()
+        path = tmp_path / f"{kind}.json"
+        save(automaton, path)
+        assert to_document(automaton)["kind"] == kind
+        sym = automaton.alphabet[0]
+
+        code, doc = run(capsys, "prob", str(path), sym * 2)
+        assert code == 0
+        assert abs(doc["value"] - blm_eval(to_rblm(automaton), (sym, sym))) <= 1e-9
+
+        code, doc = run(capsys, "equiv", str(path), str(path))
+        assert code == 0 and doc["equivalent"]
+
+        code, doc = run(
+            capsys, "decide-controllability", str(path), str(path),
+            "--uncontrollable", sym, "--oracle-horizon", "3",
+        )
+        assert code == 0 and doc["holds"] and doc["oracle_agrees"]
 
 
 class TestExampleCommand:

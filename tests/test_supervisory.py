@@ -17,7 +17,6 @@ from qdes.supervisory import (
     check_decision_preconditions,
     check_marking_conditions,
     check_nonblocking,
-    closed_loop_eval,
     closed_loop_marked,
     cutpoint_member,
     decide_controllability,
@@ -144,7 +143,7 @@ class TestClosedLoop:
     def test_empty_history_is_one(self):
         _, _, plant, target = decay_pair()
         loop = ClosedLoop(synthesize_supervisor(plant, target, spec2()))
-        assert closed_loop_eval(loop, ()) == 1.0
+        assert loop.value(()) == 1.0
 
     def test_single_step_unrolls(self):
         _, _, plant, target = decay_pair()
@@ -152,7 +151,7 @@ class TestClosedLoop:
         loop = ClosedLoop(policy)
         for sym in ("0", "1"):
             expected = min(1.0, plant((sym,)), policy.enablement((), sym))
-            assert closed_loop_eval(loop, (sym,)) == expected
+            assert loop.value((sym,)) == expected
 
     def test_monotone_and_dominated_exactly(self):
         _, _, plant, target = imbalance_pair()
