@@ -29,7 +29,14 @@ from .blm import (
     compile_qfac_to_rblm,
     negate_final,
 )
-from .equivalence import EquivalenceVerdict, equiv_mm_qfa, equiv_qfac, equiv_rblm, k_equiv_bruteforce
+from .equivalence import (
+    EquivalenceVerdict,
+    equiv_mm_qfa,
+    equiv_qfac,
+    equiv_rblm,
+    k_equiv_bruteforce,
+    minimize,
+)
 from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
 from .supervisory import (
     ClosedLoop,

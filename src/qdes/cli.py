@@ -157,6 +157,8 @@ def cmd_decide_controllability(args) -> int:
         "holds": result.holds,
         "symbol": result.symbol,
         "counterexample": _word_str(result.word),
+        "lhs": result.lhs,
+        "rhs": result.rhs,
     }
     if args.oracle_horizon is not None:
         oracle = check_controllability_exhaustive(

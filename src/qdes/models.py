@@ -38,10 +38,6 @@ Word = tuple[str, ...]
 PROB_SANITY_TOL = 1e-9
 
 
-def as_word(w: Sequence[str]) -> Word:
-    return tuple(w)
-
-
 def words_upto(alphabet: Sequence[str], horizon: int) -> Iterator[Word]:
     """Every word of length <= horizon, shortest first, then in the order of ``alphabet``."""
     return chain.from_iterable(product(alphabet, repeat=n) for n in range(horizon + 1))

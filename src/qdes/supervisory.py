@@ -13,8 +13,8 @@ Controllability of a target against a plant -- min(target(s), ...) never
 exceeding the target one step later on uncontrollable events -- is
 checked two ways: an exhaustive horizon-bounded sweep (the oracle) and
 an exact algebraic decision that turns the min-inequality into a
-polynomial identity between two compiled bilinear machines and runs the
-span-based equivalence procedure on them.
+polynomial identity between two product machines over the minimized
+target and plant, and decides it with the span-exploration kernel.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .blm import absorb_symbol, blm_direct_sum, blm_tensor, evaluator, to_rblm
-from .equivalence import DEFAULT_EQUIV_TOL, equiv_rblm
+import numpy as np
+
+from .blm import evaluator, to_rblm
+from .equivalence import DEFAULT_EQUIV_TOL, explore_span, minimize
 from .models import Word, clamp_probability, words_upto
 
 
@@ -294,9 +296,23 @@ def decide_controllability(
         (H  x M_s) + (H_s x H_s)   versus   (H_s x M_s) + (H_s x H)
 
     where X_s folds one trailing occurrence of the event into X's final
-    functional.  Each side is built with the bilinear-machine algebra
-    and the pair is handed to the span-based equivalence procedure.
-    Target and plant may be of any automaton kind ``blm.to_rblm`` maps.
+    functional.  Both sides share their initial vector and matrices, so
+    one state ``(X1, X2) = (h m^T, h h^T)``, with ``h = H(w) pi_H`` and
+    ``m = M(w) pi_M``, serves both; it advances as ``X1 <- H_a X1 M_a^T``
+    and ``X2 <- H_a X2 H_a^T`` (Van Loan's ``(A x B) vec X = vec(A X B^T)``),
+    and the span kernel tests the difference of the two final
+    functionals on it.  Target and plant are first reduced to minimal
+    machines (``equivalence.minimize``), once per decision, and no
+    Kronecker product of machine matrices is ever formed.  The witness
+    is the shortlex-least word with a nonzero gap, for the first failing
+    event in sorted order, whatever the representation.
+
+    On failure ``lhs = min(target(s), plant(s sigma))`` and
+    ``rhs = target(s sigma)`` come from the direct evaluators.  The two
+    sides differ by ``(H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))``,
+    so a witness with ``lhs <= rhs`` means a reduction precondition
+    fails at that word.  Target and plant may be of any automaton kind
+    ``blm.to_rblm`` maps.
     """
     h = to_rblm(target)
     m = to_rblm(plant)
@@ -304,16 +320,26 @@ def decide_controllability(
         raise ValueError("target and plant must share an alphabet")
     if tuple(sorted(spec.alphabet)) != tuple(sorted(h.alphabet)):
         raise ValueError("control spec alphabet does not match the automata")
+    h, m = minimize(h), minimize(m)
+    split = h.n * m.n
+
+    def step(x: np.ndarray, a: str) -> np.ndarray:
+        ha = h.matrices[a]
+        x1 = ha @ x[:split].reshape(h.n, m.n) @ m.matrices[a].T
+        x2 = ha @ x[split:].reshape(h.n, h.n) @ ha.T
+        return np.concatenate([x1.ravel(), x2.ravel()])
+
+    start = np.concatenate([np.outer(h.pi, m.pi).ravel(), np.outer(h.pi, h.pi).ravel()])
+    alphabet = tuple(sorted(h.alphabet))
     for sigma in sorted(spec.uncontrollable):
-        h_s = absorb_symbol(h, sigma, keep_symbol=True)
-        m_s = absorb_symbol(m, sigma, keep_symbol=True)
-        lhs = blm_direct_sum(blm_tensor(h, m_s), blm_tensor(h_s, h_s))
-        rhs = blm_direct_sum(blm_tensor(h_s, m_s), blm_tensor(h_s, h))
-        verdict = equiv_rblm(lhs, rhs, tol)
-        if not verdict.equivalent:
-            return ControllabilityResult(
-                False, verdict.counterexample, sigma, verdict.f1, verdict.f2
-            )
+        eta_h, eta_hs, eta_ms = h.eta, h.eta @ h.matrices[sigma], m.eta @ m.matrices[sigma]
+        # eta_lhs - eta_rhs on (X1, X2), as row-major vec functionals.
+        gap = np.concatenate([np.outer(eta_h - eta_hs, eta_ms).ravel(), np.outer(eta_hs, eta_hs - eta_h).ravel()])
+        _, word = explore_span(start, step, alphabet, tol, gap)
+        if word is not None:
+            f_target, f_plant = evaluator(target), evaluator(plant)
+            ext = (*word, sigma)
+            return ControllabilityResult(False, word, sigma, min(f_target(word), f_plant(ext)), f_target(ext))
     return ControllabilityResult(True)
 
 

@@ -150,6 +150,7 @@ class TestControllabilityCommands:
             "--uncontrollable", "0,1", "--oracle-horizon", "4",
         )
         assert code == 0 and doc["holds"] and doc["oracle_agrees"]
+        assert doc["lhs"] is None and doc["rhs"] is None
 
     def test_decide_violation(self, capsys, tmp_path):
         plant = build_eg2(2, 0.5)
@@ -160,6 +161,7 @@ class TestControllabilityCommands:
             capsys, "decide-controllability", str(pp), str(tp), "--uncontrollable", "1"
         )
         assert code == 1 and not doc["holds"] and doc["symbol"] == "1"
+        assert doc["lhs"] > doc["rhs"] + 1e-9
 
     def test_unknown_event_exit_two(self, capsys, eg1_pair):
         plant, target = eg1_pair

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm
-from qdes.equivalence import EquivalenceVerdict, equiv_mm_qfa, equiv_qfac, equiv_rblm, k_equiv_bruteforce
-from qdes.fixtures import build_eg1, build_eg2, build_spec_variant
+from qdes.blm import Rblm, blm_direct_sum, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, negate_final, to_rblm
+from qdes.equivalence import (
+    EquivalenceVerdict,
+    equiv_mm_qfa,
+    equiv_qfac,
+    equiv_rblm,
+    k_equiv_bruteforce,
+    minimize,
+)
+from qdes.fixtures import build_eg1, build_eg2, build_egadd, build_spec_variant
 from qdes.linalg import Projector
 from qdes.models import MmQfa, qfac_from_mo
 
@@ -101,6 +108,40 @@ class TestSpanProcedure:
     def test_verdict_invariant(self):
         with pytest.raises(ValueError):
             EquivalenceVerdict(equivalent=True, counterexample=("a",))
+
+
+FIXTURE_MACHINES = {
+    "eg1-N2": lambda: to_rblm(build_eg1(2, 0.5, seed=0)),
+    "eg1-N2-variant": lambda: to_rblm(build_spec_variant(build_eg1(2, 0.95, seed=0), "s5")),
+    "egadd-N4": lambda: to_rblm(build_egadd(4, 0.5, seed=0)),
+    "eg2-N2": lambda: to_rblm(build_eg2(2, 0.5)),
+}
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_MACHINES))
+    def test_same_word_function_smaller_and_idempotent(self, name):
+        b = FIXTURE_MACHINES[name]()
+        small = minimize(b)
+        assert k_equiv_bruteforce(b, small, 5).equivalent
+        assert small.n <= b.n
+        assert minimize(small).n == small.n
+
+    def test_random_machines_keep_their_word_function(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            b = padded_with_dead_block(rng, random_rblm(rng, int(rng.integers(1, 4))), 2)
+            small = minimize(b)
+            assert small.n < b.n
+            assert k_equiv_bruteforce(b, small, 6).equivalent
+
+    def test_difference_with_self_reduces_to_nothing(self):
+        for name in sorted(FIXTURE_MACHINES):
+            b = FIXTURE_MACHINES[name]()
+            assert minimize(blm_direct_sum(b, negate_final(b))).n == 0
+
+    def test_shift_register_is_already_minimal(self):
+        assert minimize(shift_register(4)).n == 5
 
 
 class TestBruteForce:

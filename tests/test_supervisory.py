@@ -1,7 +1,12 @@
+import dataclasses
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdes.blm import Rblm, to_rblm
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant
 from qdes.supervisory import (
     ClosedLoop,
@@ -236,7 +241,17 @@ class TestDecideControllability:
         decided = decide_controllability(target_aut, plant_aut, spec)
         oracle = check_controllability_exhaustive(target, plant, spec, horizon=6)
         assert not decided.holds and not oracle.holds
-        assert decided.symbol == "1"
+        assert (decided.word, decided.symbol) == (oracle.word, oracle.symbol) and decided.symbol == "1"
+        # The witness is reported in the terms of the min-inequality.
+        assert decided.lhs > decided.rhs + 1e-9
+        assert decided.lhs == oracle.lhs and decided.rhs == oracle.rhs
+
+    def test_zero_target_holds(self):
+        plant_aut = build_eg2(2, 0.5)
+        zero = to_rblm(plant_aut)
+        zero = Rblm(zero.alphabet, zero.pi, zero.matrices, np.zeros_like(zero.eta))
+        for unc in ("0", "1"):
+            assert decide_controllability(zero, plant_aut, spec2(uncontrollable=(unc,))).holds
 
     def test_spec_alphabet_mismatch(self):
         plant_aut, target_aut, _, _ = decay_pair()
@@ -279,6 +294,47 @@ class TestDecideControllability:
         decided = decide_controllability(target_aut, plant_aut, bad)
         oracle = check_controllability_exhaustive(target, plant, bad, horizon=5)
         assert not decided.holds and not oracle.holds and decided.symbol == "0"
+
+
+def large_pair(family, n_param, eps):
+    build = build_eg1 if family == "eg1" else build_egadd
+    plant_aut = build(n_param, eps, seed=0)
+    return plant_aut, build_spec_variant(plant_aut, plant_aut.classical_states[-1])
+
+
+@pytest.mark.parametrize("family,n_param,eps", [("eg1", 2, 0.5), ("egadd", 4, 0.5), ("eg1", 3, 0.5)])
+class TestFormerlyInfeasibleSizes:
+    """Compiled sizes n = 96, 216 and 288, whose dense products need 5 GB and more per matrix."""
+
+    def test_holds_like_the_oracle(self, family, n_param, eps):
+        plant_aut, target_aut = large_pair(family, n_param, eps)
+        plant, target = QuantumLanguage.from_automaton(plant_aut), QuantumLanguage.from_automaton(target_aut)
+        assert decide_controllability(target_aut, plant_aut, spec3()).holds
+        assert check_controllability_exhaustive(target, plant, spec3(), horizon=4).holds
+
+    def test_cut_transition_gives_the_oracle_witness(self, family, n_param, eps):
+        plant_aut, target_aut = large_pair(family, n_param, eps)
+        dead = plant_aut.classical_states[-1]
+        cut = dataclasses.replace(target_aut, transitions={**target_aut.transitions, ("s1", "0"): dead})
+        decided = decide_controllability(cut, plant_aut, spec3())
+        oracle = check_controllability_exhaustive(
+            QuantumLanguage.from_automaton(cut), QuantumLanguage.from_automaton(plant_aut), spec3(), horizon=4
+        )
+        assert not oracle.holds and not decided.holds
+        assert (decided.word, decided.symbol) == (oracle.word, oracle.symbol)
+
+
+def test_decision_never_materializes_a_product():
+    # A dense product side of eg1 N=3 (n = 288) has 165 888 states, more
+    # than 400 GB per matrix; the minimized operator form needs a few MB.
+    plant_aut, target_aut = large_pair("eg1", 3, 0.5)
+    tracemalloc.start()
+    try:
+        assert decide_controllability(target_aut, plant_aut, spec3()).holds
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class TestApproximateControl:
