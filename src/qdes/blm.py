@@ -24,18 +24,25 @@ from .linalg import dagger, direct_sum, tensor
 from .models import (
     END_MARKER,
     Dfa,
+    Levels,
     MmQfa,
     MoQfa,
     Qfac,
     Word,
+    _check_symbols,
+    check_horizon,
+    clamp_level,
     clamp_probability,
     dfa_accepts,
     mm_accept_prob,
+    mm_levels,
     mo_accept_prob,
     qfac_accept_prob,
     qfac_from_dfa,
     qfac_from_mo,
+    qfac_levels,
     validate,
+    word_at,
 )
 
 #: Imaginary mass above this is an error for real-valued machines.
@@ -74,6 +81,28 @@ def blm_eval(b: Rblm, w: Sequence[str]) -> float:
     if b.real_valued and abs(val.imag) > REAL_TOL:
         raise ArithmeticError(f"machine marked real-valued but f({''.join(w)!r}) = {val!r}")
     return float(val.real)
+
+
+def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
+    """``blm_eval`` of every word up to the horizon, one array per length.
+
+    Advances one state column per word, ``V <- M(a) V`` for every symbol
+    ``a``, and holds only two lengths of columns at a time.
+    """
+    check_horizon(horizon)
+    if horizon:
+        _check_symbols(alphabet, b.alphabet)
+    v = np.asarray(b.pi, dtype=complex)[:, None]
+    eta = np.asarray(b.eta, dtype=complex)
+    for length in range(horizon + 1):
+        if length:
+            v = np.stack([b.matrices[a] @ v for a in alphabet], axis=2).reshape(b.n, -1)
+        vals = eta @ v
+        bad = np.flatnonzero(np.abs(vals.imag) > REAL_TOL) if b.real_valued else ()
+        if len(bad):
+            w = "".join(word_at(alphabet, length, int(bad[0])))
+            raise ArithmeticError(f"machine marked real-valued but f({w!r}) = {complex(vals[bad[0]])!r}")
+        yield vals.real
 
 
 def blm_tensor(b1: Rblm, b2: Rblm) -> Rblm:
@@ -221,6 +250,15 @@ def rblm_probability(b: Rblm, w: Sequence[str]) -> float:
     return clamp_probability(blm_eval(b, w), f"(bilinear, word {''.join(w)!r})")
 
 
+def _as_hybrid(a):
+    """Measure-once automata and DFAs as their hybrid embeddings; other kinds as they are."""
+    if isinstance(a, MoQfa):
+        return qfac_from_mo(a)
+    if isinstance(a, Dfa):
+        return qfac_from_dfa(a)
+    return a
+
+
 def to_rblm(a) -> Rblm:
     """The bilinear machine of any automaton kind; the one kind-to-machine map.
 
@@ -231,13 +269,38 @@ def to_rblm(a) -> Rblm:
         return a
     if isinstance(a, MmQfa):
         return compile_mm_to_rblm(a)
-    if isinstance(a, MoQfa):
-        a = qfac_from_mo(a)
-    elif isinstance(a, Dfa):
-        a = qfac_from_dfa(a)
+    a = _as_hybrid(a)
     if isinstance(a, Qfac):
         return compile_qfac_to_rblm(a)
     raise TypeError(f"no bilinear form for {type(a).__name__}")
+
+
+def levels(a, alphabet: Sequence[str], horizon: int) -> Levels:
+    """The acceptance probability of every word up to the horizon, one
+    array per word length: the batched counterpart of ``evaluator``.
+
+    The words of each length come in ``models.words_upto(alphabet,
+    horizon)`` order, so the children of the word at index i sit at
+    indices i * len(alphabet) ... i * len(alphabet) + len(alphabet) - 1
+    of the next length.  A DFA accepting the words that end in 1:
+
+    >>> from qdes.models import Dfa
+    >>> ends_in_1 = Dfa(("x", "y"), ("0", "1"), {(q, a): "y" if a == "1" else "x"
+    ...                 for q in ("x", "y") for a in ("0", "1")}, "x", frozenset({"y"}))
+    >>> [v.tolist() for v in levels(ends_in_1, ("0", "1"), 2)]  # 0 1 | 00 01 10 11
+    [[0.0], [0.0, 1.0], [0.0, 1.0, 0.0, 1.0]]
+
+    Measure-once automata and DFAs go through their hybrid embeddings.
+    """
+    check_horizon(horizon)
+    if isinstance(a, MmQfa):
+        return mm_levels(a, alphabet, horizon)
+    if isinstance(a, Rblm):
+        return (clamp_level(v, alphabet, n, "bilinear") for n, v in enumerate(blm_levels(a, alphabet, horizon)))
+    a = _as_hybrid(a)
+    if isinstance(a, Qfac):
+        return qfac_levels(a, alphabet, horizon)
+    raise TypeError(f"no level evaluator for {type(a).__name__}")
 
 
 def evaluator(a) -> Callable[[Word], float]:

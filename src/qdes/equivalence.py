@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blm import Rblm, blm_eval, to_rblm
-from .models import MmQfa, Qfac, Word, words_upto
+from .blm import Rblm, blm_eval, blm_levels, to_rblm
+from .models import MmQfa, Qfac, Word, word_at
 
 #: Default decision tolerance; looser than evaluation tolerance because
 #: spanned vectors accumulate error over up to n1+n2 insertions.
@@ -192,7 +192,10 @@ def k_equiv_bruteforce(
 
     This is the independent oracle for the span procedure; it guards
     against combinatorial blowup with a configurable cap on the number
-    of enumerated words.
+    of enumerated words.  Both machines advance one frontier of state
+    columns per word length (``blm_levels``); the counterexample is the
+    shortlex-least word whose values differ by more than ``tol``, and
+    ``f1``/``f2`` are ``blm_eval`` at it.
     """
     if b1.alphabet != b2.alphabet:
         raise ValueError("equivalence requires identical alphabets")
@@ -200,17 +203,11 @@ def k_equiv_bruteforce(
     total = sum(len(alphabet) ** i for i in range(k + 1))
     if total > max_words:
         raise ValueError(f"would enumerate {total} words, above the cap {max_words}")
-    for word in words_upto(alphabet, k):
-        f1 = blm_eval(b1, word)
-        f2 = blm_eval(b2, word)
-        if abs(f1 - f2) > tol:
-            return EquivalenceVerdict(
-                equivalent=False,
-                counterexample=word,
-                f1=f1,
-                f2=f2,
-                word_bound=k,
-            )
+    for length, (f1, f2) in enumerate(zip(blm_levels(b1, alphabet, k), blm_levels(b2, alphabet, k))):
+        far = np.flatnonzero(np.abs(f1 - f2) > tol)
+        if far.size:
+            word = word_at(alphabet, length, int(far[0]))
+            return EquivalenceVerdict(False, word, blm_eval(b1, word), blm_eval(b2, word), word_bound=k)
     return EquivalenceVerdict(equivalent=True, word_bound=k)
 
 

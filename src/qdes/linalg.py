@@ -160,6 +160,14 @@ def projected_norm_sq(p: Projector, v) -> float:
     return float(np.real(np.vdot(chunk, chunk)))
 
 
+def projected_norms_sq(p: Projector, vs: np.ndarray) -> np.ndarray:
+    """``projected_norm_sq`` of every column of the matrix ``vs``."""
+    if vs.shape[0] != p.dim:
+        raise ValueError(f"dimension mismatch: projector dim {p.dim}, vector dim {vs.shape[0]}")
+    chunk = vs[p._idx]
+    return np.einsum("ij,ij->j", chunk.conj(), chunk).real
+
+
 def norm(v) -> float:
     return float(np.linalg.norm(as_vector(v)))
 

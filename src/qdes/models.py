@@ -27,6 +27,7 @@ from .linalg import (
     is_unit_vector,
     is_unitary,
     projected_norm_sq,
+    projected_norms_sq,
 )
 
 #: End-of-input marker used internally by measure-many automata.
@@ -37,10 +38,49 @@ Word = tuple[str, ...]
 #: Slack allowed before a computed probability is considered corrupt.
 PROB_SANITY_TOL = 1e-9
 
+#: One value array per word length, in ``words_upto`` order.
+Levels = Iterator[np.ndarray]
+
+
+def check_horizon(horizon: int) -> None:
+    """Refuse a negative horizon, over which every sweep would hold vacuously."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
+
 
 def words_upto(alphabet: Sequence[str], horizon: int) -> Iterator[Word]:
-    """Every word of length <= horizon, shortest first, then in the order of ``alphabet``."""
+    """Every word of length <= horizon, shortest first, then in the order of ``alphabet``.
+
+    Among the words of one length, the word at index i extends by the
+    j-th symbol of ``alphabet`` to the word at index i * len(alphabet) + j
+    of the next length; the level evaluators keep the same order.
+    """
+    check_horizon(horizon)
     return chain.from_iterable(product(alphabet, repeat=n) for n in range(horizon + 1))
+
+
+def word_at(alphabet: Sequence[str], length: int, index: int) -> Word:
+    """The word at ``index`` among the words of one length, in ``words_upto`` order."""
+    out = []
+    for _ in range(length):
+        index, j = divmod(index, len(alphabet))
+        out.append(alphabet[j])
+    return tuple(reversed(out))
+
+
+def prefix_maxima(levels: list[np.ndarray], depth: int, symbols: int) -> list[np.ndarray]:
+    """Max of the values over each word's extensions of length <= depth.
+
+    ``levels`` holds values up to length L, in ``words_upto`` order over
+    ``symbols`` symbols; the result holds lengths 0 .. L - depth.  With
+    sup_0 = f, sup_j(s) = max(f(s), max_a sup_{j-1}(s a)); each of the
+    ``depth`` rounds lifts every level one step and drops the longest.
+    """
+    sups = levels
+    for _ in range(depth):
+        sups = [np.maximum(f, s.reshape(f.size, symbols).max(axis=1, initial=-np.inf))
+                for f, s in zip(levels, sups[1:])]
+    return sups
 
 
 def clamp_probability(raw: float, context: str = "") -> float:
@@ -52,6 +92,15 @@ def clamp_probability(raw: float, context: str = "") -> float:
     if not (-PROB_SANITY_TOL <= raw <= 1.0 + PROB_SANITY_TOL):
         raise ArithmeticError(f"probability {raw!r} outside [0,1] sanity band {context}")
     return min(1.0, max(0.0, raw))
+
+
+def clamp_level(raw: np.ndarray, alphabet: Sequence[str], length: int, what: str) -> np.ndarray:
+    """``clamp_probability`` on the values of one level; the first corrupt word is named."""
+    bad = np.flatnonzero(~((raw >= -PROB_SANITY_TOL) & (raw <= 1.0 + PROB_SANITY_TOL)))
+    if bad.size:
+        w = word_at(alphabet, length, int(bad[0]))
+        clamp_probability(float(raw[bad[0]]), f"({what}, word {''.join(w)!r})")
+    return np.clip(raw, 0.0, 1.0)
 
 
 def _check_symbols(w: Sequence[str], alphabet: Iterable[str], forbid: str | None = None):
@@ -152,6 +201,29 @@ def mm_accept_prob(m: MmQfa, w: Sequence[str], cross_check: bool = False) -> flo
     return clamp_probability(total, f"(measure-many, word {''.join(w)!r})")
 
 
+def mm_levels(m: MmQfa, alphabet: Sequence[str], horizon: int) -> Levels:
+    """``mm_accept_prob`` of every word up to the horizon, one array per length.
+
+    Carries one surviving "go" column per word of the current length and
+    the accept mass each word has gathered; only two lengths of columns
+    are held at a time.
+    """
+    check_horizon(horizon)
+    if horizon:
+        _check_symbols(alphabet, m.alphabet, forbid=END_MARKER)
+    go_mask = np.zeros((m.dim, 1))
+    go_mask[list(m.going.indices)] = 1.0
+    going = np.asarray(m.initial, dtype=complex)[:, None]
+    mass = np.zeros(1)
+    for length in range(horizon + 1):
+        if length:
+            steps = [m.unitaries[a] @ going for a in alphabet]
+            mass = np.stack([mass + projected_norms_sq(m.accepting, v) for v in steps], axis=1).ravel()
+            going = np.stack([go_mask * v for v in steps], axis=2).reshape(m.dim, -1)
+        final = projected_norms_sq(m.accepting, m.unitaries[END_MARKER] @ going)
+        yield clamp_level(mass + final, alphabet, length, "measure-many")
+
+
 def _mm_accept_prob_products(m: MmQfa, w: Sequence[str]) -> float:
     """Sum over halting steps, each term rebuilt as an explicit operator product."""
     syms = (*w, END_MARKER)
@@ -206,6 +278,39 @@ def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
     return clamp_probability(
         projected_norm_sq(m.accepting[s], v), f"(classical-hybrid, word {''.join(x)!r})"
     )
+
+
+def qfac_levels(m: Qfac, alphabet: Sequence[str], horizon: int) -> Levels:
+    """``qfac_accept_prob`` of every word up to the horizon, one array per length.
+
+    Carries one quantum column per word of the current length, grouped by
+    classical state, so a level costs one ``U[(s, a)] @ V[:, cols_s]``
+    per classical state and symbol; only two lengths of columns are held
+    at a time.
+    """
+    check_horizon(horizon)
+    if horizon:
+        _check_symbols(alphabet, m.alphabet)
+    index = {s: i for i, s in enumerate(m.classical_states)}
+    v = np.asarray(m.initial_quantum, dtype=complex)[:, None]
+    cls = np.array([index[m.initial_classical]])
+    for length in range(horizon + 1):
+        groups = [(s, np.flatnonzero(cls == i)) for s, i in index.items()]
+        groups = [(s, cols) for s, cols in groups if cols.size]
+        values = np.empty(cls.size)
+        for s, cols in groups:
+            values[cols] = projected_norms_sq(m.accepting[s], v[:, cols])
+        yield clamp_level(values, alphabet, length, "classical-hybrid")
+        if length == horizon:
+            return
+        nv = np.empty((m.dim, cls.size, len(alphabet)), dtype=complex)
+        ncls = np.empty((cls.size, len(alphabet)), dtype=cls.dtype)
+        for s, cols in groups:
+            block = v[:, cols]
+            for j, a in enumerate(alphabet):
+                nv[:, cols, j] = m.unitaries[(s, a)] @ block
+                ncls[cols, j] = index[m.transitions[(s, a)]]
+        v, cls = nv.reshape(m.dim, -1), ncls.ravel()
 
 
 def qfac_from_mo(m: MoQfa, state_name: str = "s0") -> Qfac:

@@ -15,29 +15,44 @@ checked two ways: an exhaustive horizon-bounded sweep (the oracle) and
 an exact algebraic decision that turns the min-inequality into a
 polynomial identity between two product machines over the minimized
 target and plant, and decides it with the span-exploration kernel.
+
+The horizon sweeps read ``QuantumLanguage.levels``, one value array per
+word length: a few matrix products per length for an automaton, one call
+per word otherwise.  To horizon h they read |Sigma|^(h+1) values per
+length-(h+1) level; the marking conditions read K to length 2h+1 and
+take pr(K) from its levels by a row-max recursion.  ``check_nonblocking``
+and ``check_admissible`` still evaluate word by word.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from itertools import pairwise, product
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .blm import evaluator, to_rblm
+from .blm import evaluator, levels, to_rblm
 from .equivalence import DEFAULT_EQUIV_TOL, explore_span, minimize
-from .models import Word, clamp_probability, words_upto
+from .models import Levels, Word, check_horizon, clamp_probability, prefix_maxima, word_at, words_upto
 
 
 class QuantumLanguage:
-    """Total map from words to [0, 1], memoized, clamped at the boundary."""
+    """Total map from words to [0, 1], memoized, clamped at the boundary.
 
-    def __init__(self, fn: Callable[[Word], float], alphabet: Sequence[str], description: str = ""):
+    ``level_fn``, if given, is a batched evaluator with the contract of
+    ``blm.levels``; without it ``levels`` calls the language per word.
+    """
+
+    def __init__(self, fn: Callable[[Word], float], alphabet: Sequence[str], description: str = "",
+                 level_fn: Callable[[Sequence[str], int], Levels] | None = None):
         self._fn = fn
         self.alphabet = tuple(alphabet)
         self.description = description
         self._cache: dict[Word, float] = {}
+        self._level_fn = level_fn
 
     def __call__(self, w: Sequence[str]) -> float:
         key = tuple(w)
@@ -45,12 +60,19 @@ class QuantumLanguage:
             self._cache[key] = clamp_probability(float(self._fn(key)), self.description)
         return self._cache[key]
 
+    def levels(self, alphabet: Sequence[str], horizon: int) -> Levels:
+        """Every word's value up to the horizon, one array per length, in ``words_upto`` order."""
+        check_horizon(horizon)
+        if self._level_fn is not None:
+            return self._level_fn(alphabet, horizon)
+        return (np.array([self(w) for w in product(alphabet, repeat=n)]) for n in range(horizon + 1))
+
     def __repr__(self):
         return f"QuantumLanguage({self.description or 'anonymous'})"
 
     @classmethod
     def from_automaton(cls, automaton) -> "QuantumLanguage":
-        return cls(evaluator(automaton), automaton.alphabet, type(automaton).__name__)
+        return cls(evaluator(automaton), automaton.alphabet, type(automaton).__name__, partial(levels, automaton))
 
     @classmethod
     def from_table(cls, table: Mapping[Word, float], alphabet: Sequence[str]) -> "QuantumLanguage":
@@ -81,6 +103,9 @@ class ControlSpec:
     upper_cutpoint: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError(f"alphabet symbols must be distinct, got {self.alphabet}")
         object.__setattr__(self, "controllable", frozenset(self.controllable))
         object.__setattr__(self, "uncontrollable", frozenset(self.uncontrollable))
         if self.controllable & self.uncontrollable:
@@ -221,8 +246,6 @@ def prefix_sup(K: QuantumLanguage, s: Sequence[str], horizon: int) -> float:
     unboundedly long extensions; exact whenever K is monotone
     non-increasing (every stock fixture is).
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
     s = tuple(s)
     return max(K(s + t) for t in words_upto(K.alphabet, horizon))
 
@@ -237,7 +260,11 @@ class AdmissibilityViolation:
 
 def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[AdmissibilityViolation]:
     """List the (history, event) pairs where an uncontrollable event is
-    enabled below the plant's feasibility."""
+    enabled below the plant's feasibility.
+
+    Evaluates word by word: the enablement comes from the supervisor's
+    callable, which has no level form.
+    """
     plant = supervisor.plant
     spec = supervisor.spec
     out = []
@@ -261,25 +288,43 @@ class ControllabilityResult:
     rhs: float | None = None
 
 
-def check_controllability_exhaustive(
-    target: QuantumLanguage,
-    plant: QuantumLanguage,
-    spec: ControlSpec,
-    horizon: int,
-    tol: float = 1e-9,
-) -> ControllabilityResult:
+def check_controllability_exhaustive(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,
+                                     horizon: int, tol: float = 1e-9) -> ControllabilityResult:
     """Sweep min(target(s), plant(s sigma)) <= target(s sigma) over the horizon.
 
     The bounded-horizon oracle for the algebraic decision; shortest
-    counterexamples are found first.
+    counterexamples are found first.  The witness's ``lhs`` and ``rhs``
+    come from the per-word evaluators.
     """
-    for s in words_upto(spec.alphabet, horizon):
-        for sigma in sorted(spec.uncontrollable):
-            lhs = min(target(s), plant((*s, sigma)))
-            rhs = target((*s, sigma))
-            if lhs > rhs + tol:
-                return ControllabilityResult(False, s, sigma, lhs, rhs)
-    return ControllabilityResult(True)
+    check_horizon(horizon)
+    hit = _first_gap(target.levels(spec.alphabet, horizon + 1), plant.levels(spec.alphabet, horizon + 1), spec, tol)
+    if hit is None:
+        return ControllabilityResult(True)
+    s, sigma = hit
+    ext = (*s, sigma)
+    return ControllabilityResult(False, s, sigma, min(target(s), plant(ext)), target(ext))
+
+
+def _extensions(upper: Levels, plant: Levels, spec: ControlSpec) -> Iterator[tuple]:
+    """``(L, upper(s), upper(s sigma), plant(s sigma))`` per history length L
+    while ``upper`` has a next level; ``upper(s)`` as a column, the others
+    as (history x uncontrollable event, sorted) arrays."""
+    k = len(spec.alphabet)
+    cols = [spec.alphabet.index(e) for e in sorted(spec.uncontrollable)]
+    next(plant)
+    for length, ((u, u_next), p_next) in enumerate(zip(pairwise(upper), plant)):
+        yield length, u[:, None], u_next.reshape(u.size, k)[:, cols], p_next.reshape(u.size, k)[:, cols]
+
+
+def _first_gap(upper: Levels, plant: Levels, spec: ControlSpec, tol: float) -> tuple[Word, str] | None:
+    """First (s, sigma) in sweep order with min(upper(s), plant(s sigma)) > upper(s sigma) + tol."""
+    events = sorted(spec.uncontrollable)
+    for length, u, u_ext, p_ext in _extensions(upper, plant, spec):
+        gap = np.minimum(u, p_ext) > u_ext + tol
+        if gap.any():
+            i, e = divmod(int(np.argmax(gap)), len(events))
+            return word_at(spec.alphabet, length, i), events[e]
+    return None
 
 
 def decide_controllability(
@@ -343,43 +388,41 @@ def decide_controllability(
     return ControllabilityResult(True)
 
 
-def check_decision_preconditions(
-    target: QuantumLanguage,
-    plant: QuantumLanguage,
-    spec: ControlSpec,
-    horizon: int,
-    tol: float = 1e-9,
-) -> list[str]:
+def check_decision_preconditions(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,
+                                 horizon: int, tol: float = 1e-9) -> list[str]:
     """Horizon-bounded check of the two inequalities the algebraic
     reduction silently uses: target(s) >= target(s sigma) and
     plant(s sigma) >= target(s sigma) on uncontrollable events."""
+    check_horizon(horizon)
+    events = sorted(spec.uncontrollable)
     problems = []
-    for s in words_upto(spec.alphabet, horizon):
-        for sigma in sorted(spec.uncontrollable):
-            ext = (*s, sigma)
-            if target(ext) > target(s) + tol:
-                problems.append(f"target not monotone at {''.join(ext) or 'empty'}")
-            if target(ext) > plant(ext) + tol:
-                problems.append(f"target exceeds plant at {''.join(ext) or 'empty'}")
+    sweep = _extensions(target.levels(spec.alphabet, horizon + 1), plant.levels(spec.alphabet, horizon + 1), spec)
+    for length, t, t_ext, p_ext in sweep:
+        rising, above = t_ext > t + tol, t_ext > p_ext + tol
+        for i, e in np.argwhere(rising | above):
+            at = "".join((*word_at(spec.alphabet, length, int(i)), events[e]))
+            if rising[i, e]:
+                problems.append(f"target not monotone at {at}")
+            if above[i, e]:
+                problems.append(f"target exceeds plant at {at}")
     return problems
 
 
-def check_approximation_preconditions(
-    target: QuantumLanguage,
-    plant: QuantumLanguage,
-    in_closure: Callable[[Word], bool],
-    horizon: int,
-    tol: float = 1e-9,
-) -> list[str]:
+def check_approximation_preconditions(target: QuantumLanguage, plant: QuantumLanguage,
+                                      in_closure: Callable[[Word], bool], horizon: int, tol: float = 1e-9) -> list[str]:
     """Horizon-bounded hypotheses of the approximate-control guarantee:
     the target never exceeds the plant, and matches it exactly on
     histories inside the prefix closure of the specification."""
+    alphabet = target.alphabet
     problems = []
-    for s in words_upto(target.alphabet, horizon):
-        if target(s) > plant(s) + tol:
-            problems.append(f"target exceeds plant at {''.join(s) or 'empty'}")
-        if in_closure(s) and abs(target(s) - plant(s)) > tol:
-            problems.append(f"target differs from plant inside the closure at {''.join(s) or 'empty'}")
+    for length, (t, p) in enumerate(zip(target.levels(alphabet, horizon), plant.levels(alphabet, horizon))):
+        above, differ = t > p + tol, np.abs(t - p) > tol
+        for i in np.flatnonzero(above | differ):
+            s = word_at(alphabet, length, int(i))
+            if above[i]:
+                problems.append(f"target exceeds plant at {''.join(s) or 'empty'}")
+            if differ[i] and in_closure(s):
+                problems.append(f"target differs from plant inside the closure at {''.join(s) or 'empty'}")
     return problems
 
 
@@ -433,7 +476,7 @@ def check_nonblocking(
     value of the history (both facts are exact consequences of the
     min-recursion), so the two-sided comparison collapses to finding one
     extension whose marked value comes within tol of the history's
-    closed-loop value.
+    closed-loop value.  Word by word, since that search stops early.
     """
     marked = closed_loop_marked(cl, cutpoint, radius)
     alphabet = marked.alphabet
@@ -455,14 +498,8 @@ class MarkingResult:
     symbol: str | None = None
 
 
-def check_marking_conditions(
-    K: QuantumLanguage,
-    plant: QuantumLanguage,
-    spec: ControlSpec,
-    horizon: int,
-    tol: float = 1e-9,
-    pr_K: QuantumLanguage | None = None,
-) -> MarkingResult:
+def check_marking_conditions(K: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec, horizon: int,
+                             tol: float = 1e-9, pr_K: QuantumLanguage | None = None) -> MarkingResult:
     """Check the two marked-control conditions over the horizon.
 
     Condition 1 is the controllability inequality for the prefix closure
@@ -470,31 +507,42 @@ def check_marking_conditions(
     over the horizon, condition 2 is checked in its crisp set form
     (K = pr(K) intersected with the isolated language); otherwise the
     quantum form K(s) = min(pr(K)(s), marked(s)) is used.  ``pr_K``
-    defaults to the horizon-bounded prefix supremum of K.
+    defaults to ``prefix_sup`` at every history, which reads K up to
+    length 2 * horizon + 1.  The first history whose plant value falls
+    inside the isolation band raises ``IsolationViolationError``; the
+    crisp form reads the band only where pr(K) > 0.5.
     """
     if spec.isolation is None:
         raise ValueError("marking conditions need an isolation radius in the control spec")
-    prk = pr_K if pr_K is not None else QuantumLanguage(
-        lambda s: prefix_sup(K, s, horizon), K.alphabet, "prefix-sup"
-    )
-    marked = marked_language(plant, spec.cutpoint, spec.isolation)
+    check_horizon(horizon)
+    alphabet, lo, hi = spec.alphabet, spec.cutpoint - spec.isolation, spec.cutpoint + spec.isolation
+    if pr_K is None:
+        k_levels = list(K.levels(alphabet, 2 * horizon + 1))
+        prk = prefix_maxima(k_levels, horizon, len(alphabet))
+        k_levels = k_levels[: horizon + 1]
+    else:
+        k_levels = list(K.levels(alphabet, horizon))
+        prk = list(pr_K.levels(alphabet, horizon + 1))
+    p_levels = list(plant.levels(alphabet, horizon + 1))
 
-    words = list(words_upto(spec.alphabet, horizon))
-    crisp = all(min(K(s), abs(K(s) - 1.0)) <= tol for s in words)
+    hit = _first_gap(iter(prk), iter(p_levels), spec, tol)
+    if hit is not None:
+        return MarkingResult(False, 1, *hit)
 
-    for s in words:
-        for sigma in sorted(spec.uncontrollable):
-            ext = (*s, sigma)
-            if min(prk(s), plant(ext)) > prk(ext) + tol:
-                return MarkingResult(False, 1, s, sigma)
-
-    for s in words:
+    crisp = all((np.minimum(k, np.abs(k - 1.0)) <= tol).all() for k in k_levels)
+    for length, (k, pr, p) in enumerate(zip(k_levels, prk, p_levels)):
+        marked = np.where(p >= hi, p, 0.0)
+        band = (p < hi) & (p > lo)
         if crisp:
-            member = K(s) > 0.5
-            relative = prk(s) > 0.5 and marked(s) > tol
-            if member != relative:
-                return MarkingResult(False, 2, s)
+            band &= pr > 0.5
+            wrong = (k > 0.5) != ((pr > 0.5) & (marked > tol))
         else:
-            if abs(K(s) - min(prk(s), marked(s))) > tol:
-                return MarkingResult(False, 2, s)
+            wrong = np.abs(k - np.minimum(pr, marked)) > tol
+        stop = np.flatnonzero(band | wrong)
+        if stop.size:
+            i = int(stop[0])
+            s = word_at(alphabet, length, i)
+            if band[i]:
+                _isolation_gate(float(p[i]), spec.cutpoint, spec.isolation, "".join(s) or "empty")
+            return MarkingResult(False, 2, s)
     return MarkingResult(True)

@@ -10,9 +10,11 @@ from itertools import product
 
 import numpy as np
 
-from qdes.blm import Rblm
+from qdes.blm import Rblm, blm_eval
+from qdes.equivalence import EquivalenceVerdict
 from qdes.linalg import Projector
 from qdes.models import MmQfa, MoQfa, Qfac
+from qdes.supervisory import ControllabilityResult, MarkingResult, QuantumLanguage, marked_language, prefix_sup
 
 
 def words_up_to(alphabet, max_len):
@@ -129,3 +131,71 @@ def naive_kron(a, b):
                 for l in range(b.shape[1]):
                     out[i * b.shape[0] + k, j * b.shape[1] + l] = a[i, j] * b[k, l]
     return out
+
+
+# --------------------------------------------------------------------------
+# Word-by-word references for the level sweeps: the loops the sweeps
+# replaced, one language evaluation per word.
+
+
+def ref_controllability_exhaustive(target, plant, spec, horizon, tol=1e-9):
+    for s in words_up_to(spec.alphabet, horizon):
+        for sigma in sorted(spec.uncontrollable):
+            lhs = min(target(s), plant((*s, sigma)))
+            rhs = target((*s, sigma))
+            if lhs > rhs + tol:
+                return ControllabilityResult(False, s, sigma, lhs, rhs)
+    return ControllabilityResult(True)
+
+
+def ref_decision_preconditions(target, plant, spec, horizon, tol=1e-9):
+    problems = []
+    for s in words_up_to(spec.alphabet, horizon):
+        for sigma in sorted(spec.uncontrollable):
+            ext = (*s, sigma)
+            if target(ext) > target(s) + tol:
+                problems.append(f"target not monotone at {''.join(ext) or 'empty'}")
+            if target(ext) > plant(ext) + tol:
+                problems.append(f"target exceeds plant at {''.join(ext) or 'empty'}")
+    return problems
+
+
+def ref_approximation_preconditions(target, plant, in_closure, horizon, tol=1e-9):
+    problems = []
+    for s in words_up_to(target.alphabet, horizon):
+        if target(s) > plant(s) + tol:
+            problems.append(f"target exceeds plant at {''.join(s) or 'empty'}")
+        if in_closure(s) and abs(target(s) - plant(s)) > tol:
+            problems.append(f"target differs from plant inside the closure at {''.join(s) or 'empty'}")
+    return problems
+
+
+def ref_marking_conditions(K, plant, spec, horizon, tol=1e-9, pr_K=None):
+    prk = pr_K if pr_K is not None else QuantumLanguage(
+        lambda s: prefix_sup(K, s, horizon), K.alphabet, "prefix-sup"
+    )
+    marked = marked_language(plant, spec.cutpoint, spec.isolation)
+    words = list(words_up_to(spec.alphabet, horizon))
+    crisp = all(min(K(s), abs(K(s) - 1.0)) <= tol for s in words)
+    for s in words:
+        for sigma in sorted(spec.uncontrollable):
+            ext = (*s, sigma)
+            if min(prk(s), plant(ext)) > prk(ext) + tol:
+                return MarkingResult(False, 1, s, sigma)
+    for s in words:
+        if crisp:
+            member = K(s) > 0.5
+            relative = prk(s) > 0.5 and marked(s) > tol
+            if member != relative:
+                return MarkingResult(False, 2, s)
+        elif abs(K(s) - min(prk(s), marked(s))) > tol:
+            return MarkingResult(False, 2, s)
+    return MarkingResult(True)
+
+
+def ref_k_equiv(b1, b2, k, tol=1e-7):
+    for word in words_up_to(tuple(sorted(b1.alphabet)), k):
+        f1, f2 = blm_eval(b1, word), blm_eval(b2, word)
+        if abs(f1 - f2) > tol:
+            return EquivalenceVerdict(False, word, f1, f2, word_bound=k)
+    return EquivalenceVerdict(True, word_bound=k)

@@ -1,0 +1,302 @@
+"""Level evaluators and the sweeps built on them, against the word-by-word references."""
+
+import numpy as np
+import pytest
+
+from qdes.blm import Rblm, blm_eval, blm_levels, evaluator, levels, to_rblm
+from qdes.cli import main
+from qdes.equivalence import k_equiv_bruteforce
+from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant, dfa_bounded_zeros
+from qdes.models import Qfac, prefix_maxima, qfac_accept_prob, word_at, words_upto
+from qdes.serialize import save
+from qdes.supervisory import (
+    ClosedLoop,
+    ControlSpec,
+    IsolationViolationError,
+    QuantumLanguage,
+    check_admissible,
+    check_approximation_preconditions,
+    check_controllability_exhaustive,
+    check_decision_preconditions,
+    check_marking_conditions,
+    check_nonblocking,
+    prefix_sup,
+    synthesize_supervisor,
+)
+
+from helpers import (
+    random_mm,
+    random_mo,
+    random_qfac,
+    random_rblm,
+    ref_approximation_preconditions,
+    ref_controllability_exhaustive,
+    ref_decision_preconditions,
+    ref_k_equiv,
+    ref_marking_conditions,
+    words_up_to,
+)
+
+A3 = ("0", "1", "2")
+lang = QuantumLanguage.from_automaton
+
+
+def spec_for(alphabet, uncontrollable, **kw):
+    unc = frozenset(uncontrollable)
+    return ControlSpec(alphabet, frozenset(alphabet) - unc, unc, **kw)
+
+
+def five_kinds(rng):
+    return {
+        "dfa": dfa_bounded_zeros(2),
+        "mo-qfa": random_mo(rng, 3),
+        "mm-qfa": random_mm(rng, 3),
+        "qfac": random_qfac(rng, 3, 2),
+        "rblm": to_rblm(random_qfac(rng, 2, 2)),
+    }
+
+
+def retarget(target, state, symbol):
+    """Copy of a hybrid automaton with one transition sent to its last (dead) state."""
+    transitions = dict(target.transitions)
+    transitions[(state, symbol)] = target.classical_states[-1]
+    return Qfac(target.classical_states, target.alphabet, target.initial_classical, target.initial_quantum,
+                transitions, target.unitaries, target.accepting)
+
+
+class TestLevelValues:
+    @pytest.mark.parametrize("kind", ["dfa", "mo-qfa", "mm-qfa", "qfac", "rblm"])
+    def test_frontier_matches_direct_evaluator(self, kind):
+        automaton = five_kinds(np.random.default_rng(11))[kind]
+        f = evaluator(automaton)
+        for alphabet in (tuple(automaton.alphabet), tuple(reversed(automaton.alphabet))):
+            got = list(levels(automaton, alphabet, 6))
+            assert [v.size for v in got] == [len(alphabet) ** n for n in range(7)]
+            expected = np.array([f(w) for w in words_upto(alphabet, 6)])
+            assert np.max(np.abs(np.concatenate(got) - expected)) <= 1e-12
+
+    def test_raw_bilinear_values(self):
+        b = random_rblm(np.random.default_rng(5), 4)
+        got = np.concatenate(list(blm_levels(b, b.alphabet, 6)))
+        assert np.max(np.abs(got - [blm_eval(b, w) for w in words_upto(b.alphabet, 6)])) <= 1e-12
+
+    def test_word_at_inverts_the_enumeration(self):
+        for n in range(4):
+            words = [w for w in words_upto(A3, n) if len(w) == n]
+            assert [word_at(A3, n, i) for i in range(len(words))] == words
+
+    @pytest.mark.parametrize("kind", ["dfa", "mo-qfa", "mm-qfa", "qfac", "rblm"])
+    def test_symbol_outside_alphabet(self, kind):
+        automaton = five_kinds(np.random.default_rng(2))[kind]
+        alphabet = (*automaton.alphabet, "z")
+        assert len(next(levels(automaton, alphabet, 0))) == 1  # the empty word reads no symbol
+        with pytest.raises(ValueError):
+            list(levels(automaton, alphabet, 1))
+
+    def test_corrupt_probability_names_the_word(self):
+        b = Rblm(("a",), np.array([1.0 + 0j]), {"a": np.array([[2.0 + 0j]])}, np.array([0.5 + 0j]))
+        with pytest.raises(ArithmeticError, match="'aa'"):
+            list(levels(b, ("a",), 3))
+
+    def test_imaginary_value_rejected(self):
+        b = Rblm(("a",), np.array([1.0 + 0j]), {"a": np.array([[1j]])}, np.array([0.5 + 0j]))
+        with pytest.raises(ArithmeticError, match="real-valued"):
+            list(blm_levels(b, ("a",), 1))
+
+    def test_language_fallback_is_per_word(self):
+        L = QuantumLanguage(lambda w: 0.5 ** len(w), ("a", "b"))
+        assert [v.tolist() for v in L.levels(("b", "a"), 2)] == [[1.0], [0.5, 0.5], [0.25] * 4]
+
+    def test_automaton_language_uses_the_frontier(self, monkeypatch):
+        plant = build_eg1(2, 0.95, seed=0)
+        L = lang(plant)
+        monkeypatch.setattr("qdes.blm.qfac_accept_prob", lambda *a: pytest.fail("per-word evaluator called"))
+        assert len(np.concatenate(list(L.levels(A3, 3)))) == 40
+
+
+def controllability_cases():
+    """(name, target, plant, spec) on fixture, cut, swapped and random instances; many fail."""
+    spec3, spec2 = spec_for(A3, "01"), spec_for(("0", "1"), "0")
+    cases = []
+    for seed in (1, 2):
+        for name, plant in (("eg1", build_eg1(2, 0.95, seed=seed)), ("egadd", build_egadd(4, 0.98, seed=seed))):
+            target = build_spec_variant(plant, plant.classical_states[-1])
+            cases += [(f"{name}-s{seed}", target, plant, spec3), (f"{name}-s{seed}-swapped", plant, target, spec3)]
+            cases += [(f"{name}-s{seed}-cut{k}", retarget(target, f"s{k}", "0"), plant, spec3) for k in range(3)]
+    for n_param in (1, 2):
+        plant = build_eg2(n_param, 0.5)
+        cases += [(f"eg2-N{n_param}", build_eg2_spec(plant), plant, spec2),
+                  (f"eg2-N{n_param}-swapped", plant, build_eg2_spec(plant), spec2)]
+    rng = np.random.default_rng(7)
+    for i in range(6):
+        t, p = random_qfac(rng, 2, 2, A3), random_qfac(rng, 3, 2, A3)
+        cases.append((f"random-qfac{i}", t, p, spec_for(A3, "02" if i % 2 else "1")))
+        cases.append((f"random-mm{i}", random_mm(rng, 2, A3), random_mm(rng, 3, A3), spec_for(A3, "1")))
+    return cases
+
+
+CASES = controllability_cases()
+
+
+class TestSweepsMatchReferences:
+    @pytest.mark.parametrize("name,target,plant,spec", CASES, ids=[c[0] for c in CASES])
+    def test_exhaustive_same_witness(self, name, target, plant, spec):
+        got = check_controllability_exhaustive(lang(target), lang(plant), spec, 5)
+        assert got == ref_controllability_exhaustive(lang(target), lang(plant), spec, 5)
+
+    @pytest.mark.parametrize("name,target,plant,spec", CASES, ids=[c[0] for c in CASES])
+    def test_same_precondition_list(self, name, target, plant, spec):
+        got = check_decision_preconditions(lang(target), lang(plant), spec, 4)
+        assert got == ref_decision_preconditions(lang(target), lang(plant), spec, 4)
+
+    def test_failing_cases_are_covered(self):
+        verdicts = [check_controllability_exhaustive(lang(t), lang(p), s, 5) for _, t, p, s in CASES]
+        assert sum(not v.holds for v in verdicts) >= 10 and sum(v.holds for v in verdicts) >= 4
+        assert len({len(v.word) for v in verdicts if not v.holds}) >= 3
+        assert sum(bool(check_decision_preconditions(lang(t), lang(p), s, 4)) for _, t, p, s in CASES) >= 10
+
+    @pytest.mark.parametrize("name,target,plant,spec", CASES[::3], ids=[c[0] for c in CASES[::3]])
+    def test_same_approximation_problems(self, name, target, plant, spec):
+        def in_closure(s):
+            return s.count("1") <= 1
+
+        T, P = lang(target), lang(plant)
+        assert check_approximation_preconditions(T, P, in_closure, 4) == ref_approximation_preconditions(
+            T, P, in_closure, 4)
+
+    def test_k_equiv_same_counterexample(self):
+        rng = np.random.default_rng(3)
+        b1 = to_rblm(random_qfac(rng, 2, 2))
+        b2 = to_rblm(retarget(random_qfac(rng, 2, 2), "s0", "b"))
+        for x, y in ((b1, b1), (b1, b2), (b2, b1)):
+            assert k_equiv_bruteforce(x, y, 5) == ref_k_equiv(x, y, 5)
+        assert not k_equiv_bruteforce(b1, b2, 5).equivalent
+
+
+def marking_outcome(fn, *args, **kw):
+    """The result, or the history named by an isolation violation."""
+    try:
+        return fn(*args, **kw)
+    except IsolationViolationError as e:
+        return ("isolation", str(e).rsplit(" at ", 1)[1])
+
+
+def crisp_target(n_param):
+    def member(w):
+        if "2" in w:
+            return 0.0
+        return 1.0 if len(w) < n_param or (len(w) == n_param and w.count("0") != n_param // 2) else 0.0
+
+    return QuantumLanguage(member, A3, "crisp imbalance target")
+
+
+def marking_cases():
+    """(name, K, plant, spec, pr_K) covering every outcome: holds, conditions 1 and 2, isolation."""
+    plant = build_egadd(4, 0.98, seed=0)
+    P = lang(plant)
+    values = [qfac_accept_prob(plant, tuple("0" * z + "1" * (4 - z))) for z in range(5)]
+    smallest = min(v for v in values if v > 1e-9)
+    wide = spec_for(A3, "01", cutpoint=smallest / 2, isolation=0.45 * smallest)
+    narrow = spec_for(A3, "01", cutpoint=0.13, isolation=0.12)
+    target = lang(build_spec_variant(plant, plant.classical_states[-1]))
+    dented = QuantumLanguage(lambda w: 0.0 if w == ("0",) else crisp_target(4)(w), A3)
+    escape = QuantumLanguage(lambda w: 1.0 if not w or w[0] != "0" and "2" not in w else 0.0, A3)
+    cases = [
+        ("fractional-K", target, P, wide, None),
+        ("crisp-K", crisp_target(4), P, narrow, crisp_target(4)),
+        ("crisp-K-own-closure", crisp_target(4), P, narrow, None),
+        ("dented", dented, P, narrow, crisp_target(4)),
+        ("escape", escape, P, narrow, escape),
+        ("band-on-plant", target, P, narrow, None),
+    ]
+    rng = np.random.default_rng(4)
+    for i in range(8):
+        K, plant_r = lang(random_qfac(rng, 2, 2, A3)), lang(random_qfac(rng, 2, 2, A3))
+        cut = float(rng.uniform(0.1, 0.6))
+        spec = spec_for(A3, "1", cutpoint=cut, isolation=float(rng.uniform(0.01, 0.3)) * min(cut, 1 - cut))
+        cases.append((f"random{i}", K, plant_r, spec, None))
+    return cases
+
+
+MARKING = marking_cases()
+
+
+class TestMarkingMatchesReference:
+    @pytest.mark.parametrize("name,K,plant,spec,pr_K", MARKING, ids=[c[0] for c in MARKING])
+    def test_same_condition_word_or_isolation(self, name, K, plant, spec, pr_K):
+        for horizon in (0, 1, 2):
+            got = marking_outcome(check_marking_conditions, K, plant, spec, horizon, pr_K=pr_K)
+            assert got == marking_outcome(ref_marking_conditions, K, plant, spec, horizon, pr_K=pr_K)
+
+    def test_every_outcome_is_covered(self):
+        outcomes = set()
+        for _, K, plant, spec, pr_K in MARKING:
+            got = marking_outcome(check_marking_conditions, K, plant, spec, 2, pr_K=pr_K)
+            outcomes.add("isolation" if isinstance(got, tuple) else got.condition)
+        assert outcomes == {None, 1, 2, "isolation"}
+
+    def test_prefix_sups_equal_prefix_sup(self):
+        rng = np.random.default_rng(9)
+        for K in (lang(random_qfac(rng, 2, 2, A3)), crisp_target(3), lang(build_eg2(2, 0.5))):
+            alphabet = K.alphabet
+            for horizon in (0, 1, 2, 3):
+                sups = prefix_maxima(list(K.levels(alphabet, 2 * horizon + 1)), horizon, len(alphabet))
+                assert len(sups) == horizon + 2
+                expected = [prefix_sup(K, s, horizon) for s in words_up_to(alphabet, horizon + 1)]
+                assert np.max(np.abs(np.concatenate(sups) - expected)) <= 1e-12
+
+
+NEGATIVE = {
+    "words_upto": lambda: words_upto(A3, -1),
+    "levels": lambda: levels(dfa_bounded_zeros(1), ("0", "1"), -1),
+    "language-levels": lambda: QuantumLanguage(lambda w: 1.0, A3).levels(A3, -1),
+    "prefix_sup": lambda: prefix_sup(QuantumLanguage(lambda w: 1.0, A3), (), -1),
+    "exhaustive": lambda: check_controllability_exhaustive(*egadd_langs(), spec_for(A3, "01"), -1),
+    "preconditions": lambda: check_decision_preconditions(*egadd_langs(), spec_for(A3, "01"), -1),
+    "approximation": lambda: check_approximation_preconditions(*egadd_langs(), lambda s: True, -1),
+    "marking": lambda: check_marking_conditions(*egadd_langs(), spec_for(A3, "01", cutpoint=0.1, isolation=0.05), -1),
+    "nonblocking": lambda: check_nonblocking(egadd_loop(), 0.1, 0.05, -1),
+    "admissible": lambda: check_admissible(egadd_loop().supervisor, -1),
+    "k_equiv": lambda: k_equiv_bruteforce(*[to_rblm(build_eg2(1, 0.5))] * 2, -1),
+}
+
+
+def egadd_langs():
+    plant = build_egadd(4, 0.98, seed=0)
+    return lang(build_spec_variant(plant, plant.classical_states[-1])), lang(plant)
+
+
+def egadd_loop():
+    target, plant = egadd_langs()
+    return ClosedLoop(synthesize_supervisor(plant, target, spec_for(A3, "01")))
+
+
+class TestNegativeHorizon:
+    @pytest.mark.parametrize("entry", sorted(NEGATIVE))
+    def test_refused(self, entry):
+        with pytest.raises(ValueError, match="non-negative"):
+            NEGATIVE[entry]()
+
+    @pytest.mark.parametrize("argv", [
+        ["check-marking", "{plant}", "{target}", "--lambda", "0.13", "--rho", "0.12", "--horizon", "-1",
+         "--uncontrollable", "0,1"],
+        ["decide-controllability", "{plant}", "{target}", "--uncontrollable", "0,1", "--oracle-horizon", "-1"],
+        ["equiv", "{plant}", "{target}", "--brute-k", "-1"],
+    ], ids=["check-marking", "decide-controllability", "equiv"])
+    def test_cli_exit_two(self, capsys, tmp_path, argv):
+        plant = build_egadd(4, 0.98, seed=0)
+        paths = {"plant": tmp_path / "plant.json", "target": tmp_path / "target.json"}
+        save(plant, paths["plant"])
+        save(build_spec_variant(plant, plant.classical_states[-1]), paths["target"])
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert "non-negative" in capsys.readouterr().out
+
+
+class TestControlSpecAlphabet:
+    def test_duplicate_symbols_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ControlSpec(("0", "0", "1"), frozenset({"1"}), frozenset({"0"}))
+
+    def test_alphabet_stored_as_tuple(self):
+        spec = ControlSpec(["0", "1"], frozenset({"1"}), frozenset({"0"}))
+        assert spec.alphabet == ("0", "1")
