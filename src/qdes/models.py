@@ -184,21 +184,34 @@ def mm_accept_prob(m: MmQfa, w: Sequence[str], cross_check: bool = False) -> flo
     and accumulates accept mass after every symbol and after the end
     marker.  With ``cross_check`` the per-step product form is evaluated
     as well and both strategies must agree to 1e-12.
+
+    Each step reads the accept mass off the accepting indices and keeps
+    the go part by a 0/1 mask, both built once per call: the same floats
+    as ``projected_norm_sq`` and ``Projector.apply`` without their
+    per-step coercion and checks.
     """
     _check_symbols(w, m.alphabet, forbid=END_MARKER)
+    dim = m.going.dim
+    if m.accepting.dim != dim:
+        raise ValueError(f"dimension mismatch: projector dim {m.accepting.dim}, vector dim {dim}")
+    acc, go = m.accepting._idx, np.zeros(dim, dtype=complex)
+    go[m.going._idx] = 1.0
     total = 0.0
     going = np.asarray(m.initial, dtype=complex)
     for sym in (*w, END_MARKER):
         v = m.unitaries[sym] @ going
-        total += projected_norm_sq(m.accepting, v)
-        going = m.going.apply(v)
+        if v.shape != (dim,):
+            raise ValueError(f"dimension mismatch: projector dim {dim}, vector shape {v.shape}")
+        c = v[acc]
+        total += np.vdot(c, c).real
+        going = v * go
     if cross_check:
         alt = _mm_accept_prob_products(m, w)
         if abs(total - alt) > 1e-12:
             raise ArithmeticError(
                 f"measure-many evaluation strategies disagree: {total!r} vs {alt!r}"
             )
-    return clamp_probability(total, f"(measure-many, word {''.join(w)!r})")
+    return clamp_probability(float(total), f"(measure-many, word {''.join(w)!r})")
 
 
 def mm_levels(m: MmQfa, alphabet: Sequence[str], horizon: int) -> Levels:

@@ -194,6 +194,13 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _items(value, where: str):
+    """The items of a field that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise SerializationError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value.items()
+
+
 def from_document(doc: dict):
     """Reconstruct an automaton from its document (no validation here)."""
     if not isinstance(doc, dict):
@@ -202,8 +209,8 @@ def from_document(doc: dict):
     if kind == "dfa":
         states = tuple(_need(doc, "states", "dfa"))
         transitions = {}
-        for q, row in _need(doc, "transitions", "dfa").items():
-            for a, nxt in row.items():
+        for q, row in _items(_need(doc, "transitions", "dfa"), "dfa transitions"):
+            for a, nxt in _items(row, f"dfa transitions {q}"):
                 transitions[(q, a)] = nxt
         return Dfa(
             states=states,
@@ -217,7 +224,8 @@ def from_document(doc: dict):
         return MoQfa(
             alphabet=tuple(_need(doc, "alphabet", "mo-qfa")),
             unitaries={
-                a: _parse_cmat(u, f"unitary {a}") for a, u in _need(doc, "unitaries", "mo-qfa").items()
+                a: _parse_cmat(u, f"unitary {a}")
+                for a, u in _items(_need(doc, "unitaries", "mo-qfa"), "mo-qfa unitaries")
             },
             initial=_parse_cvec(_need(doc, "initial", "mo-qfa"), "initial"),
             accepting=Projector(frozenset(_need(doc, "accepting", "mo-qfa")), dim),
@@ -228,7 +236,8 @@ def from_document(doc: dict):
         return MmQfa(
             alphabet=tuple(_need(doc, "alphabet", "mm-qfa")),
             unitaries={
-                a: _parse_cmat(u, f"unitary {a}") for a, u in _need(doc, "unitaries", "mm-qfa").items()
+                a: _parse_cmat(u, f"unitary {a}")
+                for a, u in _items(_need(doc, "unitaries", "mm-qfa"), "mm-qfa unitaries")
             },
             initial=_parse_cvec(_need(doc, "initial", "mm-qfa"), "initial"),
             accepting=Projector(frozenset(_need(doc, "accepting", "mm-qfa")), dim),
@@ -238,12 +247,12 @@ def from_document(doc: dict):
     if kind == "qfac":
         dim = int(_need(doc, "dim", "qfac"))
         transitions = {}
-        for s, row in _need(doc, "transitions", "qfac").items():
-            for a, nxt in row.items():
+        for s, row in _items(_need(doc, "transitions", "qfac"), "qfac transitions"):
+            for a, nxt in _items(row, f"qfac transitions {s}"):
                 transitions[(s, a)] = nxt
         unitaries = {}
-        for s, row in _need(doc, "unitaries", "qfac").items():
-            for a, u in row.items():
+        for s, row in _items(_need(doc, "unitaries", "qfac"), "qfac unitaries"):
+            for a, u in _items(row, f"qfac unitaries {s}"):
                 unitaries[(s, a)] = _parse_cmat(u, f"unitary ({s},{a})")
         return Qfac(
             classical_states=tuple(_need(doc, "classical_states", "qfac")),
@@ -254,7 +263,7 @@ def from_document(doc: dict):
             unitaries=unitaries,
             accepting={
                 s: Projector(frozenset(idx), dim)
-                for s, idx in _need(doc, "accepting", "qfac").items()
+                for s, idx in _items(_need(doc, "accepting", "qfac"), "qfac accepting")
             },
         )
     if kind == "rblm":
@@ -262,7 +271,7 @@ def from_document(doc: dict):
             alphabet=tuple(_need(doc, "alphabet", "rblm")),
             pi=_parse_cvec(_need(doc, "pi", "rblm"), "pi"),
             matrices={
-                a: _parse_cmat(m, f"matrix {a}") for a, m in _need(doc, "matrices", "rblm").items()
+                a: _parse_cmat(m, f"matrix {a}") for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
             },
             eta=_parse_cvec(_need(doc, "eta", "rblm"), "eta"),
             real_valued=bool(doc.get("real_valued", True)),

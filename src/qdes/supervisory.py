@@ -20,8 +20,11 @@ The horizon sweeps read ``QuantumLanguage.levels``, one value array per
 word length: a few matrix products per length for an automaton, one call
 per word otherwise.  To horizon h they read |Sigma|^(h+1) values per
 length-(h+1) level; the marking conditions read K to length 2h+1 and
-take pr(K) from its levels by a row-max recursion.  ``check_nonblocking``
-and ``check_admissible`` still evaluate word by word.
+take pr(K) from its levels by a row-max recursion.  A supervisor's
+``enablement_levels`` and ``ClosedLoop.levels`` put the closed loop on
+the same frontier, so ``check_admissible`` and ``check_nonblocking``
+compare whole levels too, and fall back to per-word evaluation only at
+the few histories the levels do not settle with a margin.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from itertools import pairwise, product
+from itertools import accumulate, islice, pairwise, product
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +40,12 @@ import numpy as np
 from .blm import evaluator, levels, to_rblm
 from .equivalence import DEFAULT_EQUIV_TOL, explore_span, minimize
 from .models import Levels, Word, check_horizon, clamp_probability, prefix_maxima, word_at, words_upto
+
+
+#: Margin by which a level comparison must clear its threshold before the
+#: closed-loop sweeps accept it without the per-word evaluators; far above
+#: the rounding gap between level and per-word values.
+LEVEL_MARGIN = 1e-10
 
 
 class QuantumLanguage:
@@ -144,6 +153,18 @@ class SupervisorPolicy:
             return self.target(w)
         raise ValueError(f"event {sigma!r} outside the alphabet")
 
+    def enablement_levels(self, alphabet: Sequence[str], horizon: int) -> Levels:
+        """``enablement`` after every history up to the horizon: per length L an
+        |Sigma|^L x |Sigma| array whose column j holds ``alphabet[j]``'s
+        enablement after each history, in ``words_upto`` order."""
+        check_horizon(horizon)
+        _check_events(alphabet, self.spec)
+        k = len(alphabet)
+        plant_side = np.array([a in self.spec.uncontrollable for a in alphabet])
+        plant, target = self.plant.levels(alphabet, horizon + 1), self.target.levels(alphabet, horizon + 1)
+        next(plant), next(target)
+        return (np.where(plant_side, p.reshape(-1, k), t.reshape(-1, k)) for p, t in zip(plant, target))
+
 
 @dataclass
 class CustomSupervisor:
@@ -157,6 +178,19 @@ class CustomSupervisor:
         if sigma not in self.spec.alphabet:
             raise ValueError(f"event {sigma!r} outside the alphabet")
         return float(self.fn(tuple(s), sigma))
+
+    def enablement_levels(self, alphabet: Sequence[str], horizon: int) -> Levels:
+        """As ``SupervisorPolicy.enablement_levels``, one ``enablement`` call per entry."""
+        check_horizon(horizon)
+        _check_events(alphabet, self.spec)
+        return (np.array([[self.enablement(s, a) for a in alphabet] for s in product(alphabet, repeat=n)])
+                for n in range(horizon + 1))
+
+
+def _check_events(alphabet: Sequence[str], spec: ControlSpec) -> None:
+    for a in alphabet:
+        if a not in spec.alphabet:
+            raise ValueError(f"event {a!r} outside the alphabet")
 
 
 def synthesize_supervisor(
@@ -196,6 +230,33 @@ class ClosedLoop:
             )
             self._memo[prefix] = acc
         return acc
+
+    def levels(self, horizon: int) -> Levels:
+        """``value`` of every history up to the horizon, one array per length,
+        in ``words_upto`` order over the plant's alphabet.
+
+        The min-recursion on whole levels: cl_0 = [1] and cl_(L+1) =
+        min(cl_L(s), plant(s a), enablement(s, a)) for every history s and
+        event a, row s and column a of a |Sigma|^L x |Sigma| array.
+
+        >>> plant = QuantumLanguage.from_table(
+        ...     {(): 1.0, ("a",): 0.9, ("b",): 0.6, ("a", "a"): 0.8, ("a", "b"): 0.2,
+        ...      ("b", "a"): 0.5, ("b", "b"): 0.6}, ("a", "b"))
+        >>> spec = ControlSpec(("a", "b"), frozenset({"b"}), frozenset({"a"}))
+        >>> loop = ClosedLoop(CustomSupervisor(plant, spec, lambda s, e: 0.7 if e == "a" else 0.4))
+        >>> [level.tolist() for level in loop.levels(2)]
+        [[1.0], [0.7, 0.4], [0.7, 0.2, 0.4, 0.4]]
+        """
+        check_horizon(horizon)
+        alphabet = self.supervisor.plant.alphabet
+        steps = zip(islice(self.supervisor.plant.levels(alphabet, horizon), 1, None),
+                    self.supervisor.enablement_levels(alphabet, max(horizon - 1, 0)))
+
+        def step(cl: np.ndarray, pe: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+            p, en = pe
+            return np.minimum(np.minimum(cl[:, None], p.reshape(cl.size, -1)), en).ravel()
+
+        return accumulate(steps, step, initial=np.ones(1))
 
     def language(self) -> QuantumLanguage:
         return QuantumLanguage(self.value, self.supervisor.plant.alphabet, "closed-loop")
@@ -260,20 +321,28 @@ class AdmissibilityViolation:
 
 def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[AdmissibilityViolation]:
     """List the (history, event) pairs where an uncontrollable event is
-    enabled below the plant's feasibility.
+    enabled below the plant's feasibility, in history order, then in
+    sorted event order.
 
-    Evaluates word by word: the enablement comes from the supervisor's
-    callable, which has no level form.
+    Compares plant level L+1 with the supervisor's enablement level L.
+    Pairs within ``LEVEL_MARGIN`` of failing are re-decided, and every
+    violation's ``feasible`` and ``enabled`` recomputed, with the
+    per-word calls.
     """
-    plant = supervisor.plant
-    spec = supervisor.spec
+    check_horizon(horizon)
+    plant, spec = supervisor.plant, supervisor.spec
+    alphabet, k = spec.alphabet, len(spec.alphabet)
+    events = sorted(spec.uncontrollable)
+    cols = [alphabet.index(e) for e in events]
+    feasible = islice(plant.levels(alphabet, horizon + 1), 1, None)
     out = []
-    for s in words_upto(spec.alphabet, horizon):
-        for sigma in sorted(spec.uncontrollable):
-            feasible = plant((*s, sigma))
-            enabled = supervisor.enablement(s, sigma)
-            if feasible > enabled + tol:
-                out.append(AdmissibilityViolation(s, sigma, feasible, enabled))
+    for length, (p, en) in enumerate(zip(feasible, supervisor.enablement_levels(alphabet, horizon))):
+        near = p.reshape(-1, k)[:, cols] > en[:, cols] + tol - LEVEL_MARGIN
+        for i, e in np.argwhere(near):
+            s = word_at(alphabet, length, int(i))
+            f, g = plant((*s, events[e])), supervisor.enablement(s, events[e])
+            if f > g + tol:
+                out.append(AdmissibilityViolation(s, events[e], f, g))
     return out
 
 
@@ -476,16 +545,31 @@ def check_nonblocking(
     value of the history (both facts are exact consequences of the
     min-recursion), so the two-sided comparison collapses to finding one
     extension whose marked value comes within tol of the history's
-    closed-loop value.  Word by word, since that search stops early.
+    closed-loop value.
+
+    The closed-loop and plant levels settle, at the empty extension,
+    every history whose plant value lies outside the isolation band and
+    whose marked value clears the test, both by ``LEVEL_MARGIN``.  Only
+    the other histories are searched word by word over their extensions,
+    in ``words_upto`` order, so the verdict and the first
+    ``IsolationViolationError`` are those of the full word-by-word search.
     """
     marked = closed_loop_marked(cl, cutpoint, radius)
+    check_horizon(horizon)
     alphabet = marked.alphabet
+    lo, hi = cutpoint - radius, cutpoint + radius
 
     def reached(s: Word) -> bool:
         lhs = cl.value(s)
         return any(marked((*s, *t)) >= lhs - tol for t in words_upto(alphabet, horizon))
 
-    return all(reached(s) for s in words_upto(alphabet, horizon))
+    def unsettled(length: int, c: np.ndarray, p: np.ndarray) -> Iterator[Word]:
+        outside = (p >= hi + LEVEL_MARGIN) | (p <= lo - LEVEL_MARGIN)
+        settled = outside & (np.where(p >= hi, np.minimum(p, c), 0.0) >= c - tol + LEVEL_MARGIN)
+        return (word_at(alphabet, length, int(i)) for i in np.flatnonzero(~settled))
+
+    frontier = enumerate(zip(cl.levels(horizon), cl.supervisor.plant.levels(alphabet, horizon)))
+    return all(reached(s) for length, (c, p) in frontier for s in unsettled(length, c, p))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,17 @@ import numpy as np
 
 from qdes.blm import Rblm, blm_eval
 from qdes.equivalence import EquivalenceVerdict
-from qdes.linalg import Projector
-from qdes.models import MmQfa, MoQfa, Qfac
-from qdes.supervisory import ControllabilityResult, MarkingResult, QuantumLanguage, marked_language, prefix_sup
+from qdes.linalg import Projector, projected_norm_sq
+from qdes.models import END_MARKER, MmQfa, MoQfa, Qfac, _check_symbols, clamp_probability
+from qdes.supervisory import (
+    AdmissibilityViolation,
+    ControllabilityResult,
+    MarkingResult,
+    QuantumLanguage,
+    closed_loop_marked,
+    marked_language,
+    prefix_sup,
+)
 
 
 def words_up_to(alphabet, max_len):
@@ -199,3 +207,36 @@ def ref_k_equiv(b1, b2, k, tol=1e-7):
         if abs(f1 - f2) > tol:
             return EquivalenceVerdict(False, word, f1, f2, word_bound=k)
     return EquivalenceVerdict(True, word_bound=k)
+
+
+def ref_admissible(supervisor, horizon, tol=1e-9):
+    out = []
+    for s in words_up_to(supervisor.spec.alphabet, horizon):
+        for sigma in sorted(supervisor.spec.uncontrollable):
+            feasible = supervisor.plant((*s, sigma))
+            enabled = supervisor.enablement(s, sigma)
+            if feasible > enabled + tol:
+                out.append(AdmissibilityViolation(s, sigma, feasible, enabled))
+    return out
+
+
+def ref_nonblocking(cl, cutpoint, radius, horizon, tol=1e-9):
+    marked = closed_loop_marked(cl, cutpoint, radius)
+
+    def reached(s):
+        lhs = cl.value(s)
+        return any(marked((*s, *t)) >= lhs - tol for t in words_up_to(marked.alphabet, horizon))
+
+    return all(reached(s) for s in words_up_to(marked.alphabet, horizon))
+
+
+def ref_mm_accept_prob(m, w):
+    """The measure-many forward pass through ``Projector.apply`` and ``projected_norm_sq``."""
+    _check_symbols(w, m.alphabet, forbid=END_MARKER)
+    total = 0.0
+    going = np.asarray(m.initial, dtype=complex)
+    for sym in (*w, END_MARKER):
+        v = m.unitaries[sym] @ going
+        total += projected_norm_sq(m.accepting, v)
+        going = m.going.apply(v)
+    return clamp_probability(total)

@@ -237,6 +237,35 @@ class TestEveryKind:
         assert code == 0 and doc["holds"] and doc["oracle_agrees"]
 
 
+#: A mapping field of each kind's document, by its path, replaced by a JSON list.
+LIST_FOR_OBJECT = [
+    ("dfa", ("transitions",)),
+    ("dfa", ("transitions", "z0")),
+    ("mo-qfa", ("unitaries",)),
+    ("mm-qfa", ("unitaries",)),
+    ("qfac", ("transitions",)),
+    ("qfac", ("unitaries", "s0")),
+    ("qfac", ("accepting",)),
+    ("rblm", ("matrices",)),
+]
+
+
+class TestListWhereObjectExpected:
+    @pytest.mark.parametrize("kind,field", LIST_FOR_OBJECT, ids=["/".join((k, *f)) for k, f in LIST_FOR_OBJECT])
+    def test_validate_and_prob_exit_two(self, capsys, tmp_path, kind, field):
+        doc = to_document(KINDS[kind]())
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        assert isinstance(parent[field[-1]], dict)
+        parent[field[-1]] = [1, 2]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["prob", str(path), ""]):
+            code, out = run(capsys, *argv)
+            assert code == 2 and "expected a JSON object" in out["error"]
+
+
 class TestExampleCommand:
     @pytest.mark.parametrize(
         "name,args",

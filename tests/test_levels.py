@@ -12,6 +12,7 @@ from qdes.serialize import save
 from qdes.supervisory import (
     ClosedLoop,
     ControlSpec,
+    CustomSupervisor,
     IsolationViolationError,
     QuantumLanguage,
     check_admissible,
@@ -29,11 +30,13 @@ from helpers import (
     random_mo,
     random_qfac,
     random_rblm,
+    ref_admissible,
     ref_approximation_preconditions,
     ref_controllability_exhaustive,
     ref_decision_preconditions,
     ref_k_equiv,
     ref_marking_conditions,
+    ref_nonblocking,
     words_up_to,
 )
 
@@ -246,6 +249,109 @@ class TestMarkingMatchesReference:
                 assert np.max(np.abs(np.concatenate(sups) - expected)) <= 1e-12
 
 
+def closed_loop_outcome(fn, *args):
+    """The result, or the message of an isolation violation."""
+    try:
+        return fn(*args)
+    except IsolationViolationError as e:
+        return ("isolation", str(e))
+
+
+def band_spec(plant, uncontrollable="01"):
+    """Isolation band centred at half the plant's smallest nonzero value on N-long 0/1 words."""
+    n_param = len(plant.classical_states) - 2
+    values = [qfac_accept_prob(plant, tuple("0" * z + "1" * (n_param - z))) for z in range(n_param + 1)]
+    smallest = min(v for v in values if v > 1e-9)
+    return spec_for(A3, uncontrollable, cutpoint=smallest / 2, isolation=0.45 * smallest)
+
+
+def closed_loop_cases():
+    """(name, supervisor factory, cutpoint, radius) on fixtures, lambda plants and custom supervisors."""
+    cases = []
+    for seed in (0, 1, 2):
+        plant = build_egadd(4, 0.98, seed=seed)
+        target = build_spec_variant(plant, plant.classical_states[-1])
+        for band, spec in (("band", band_spec(plant)), ("narrow", spec_for(A3, "01", cutpoint=0.13, isolation=0.12))):
+            cases.append((f"egadd-s{seed}-{band}", lambda p=plant, t=target, s=spec: synthesize_supervisor(
+                lang(p), lang(t), s), spec.cutpoint, spec.isolation))
+        spec = band_spec(plant, "1")
+        cases.append((f"egadd-s{seed}-custom", lambda p=plant, s=spec: CustomSupervisor(
+            lang(p), s, lambda h, e: 0.0 if e == "1" and len(h) >= 2 else 1.0), spec.cutpoint, spec.isolation))
+    single = ControlSpec(("a",), frozenset(), frozenset({"a"}))
+    for name, fn, cut, rho in (
+        ("depth-one-block", lambda w: 1.0 if not w else 0.2, 0.4, 0.1),
+        ("all-marked", lambda w: 1.0, 0.4, 0.2),
+        ("decay", lambda w: 0.7 ** len(w), 0.3, 0.05),
+        ("band-at-depth-two", lambda w: (1.0, 0.2, 0.38, 0.1)[min(len(w), 3)], 0.4, 0.1),
+    ):
+        cases.append((f"lambda-{name}", lambda fn=fn: synthesize_supervisor(
+            QuantumLanguage(fn, ("a",)), QuantumLanguage(fn, ("a",)), single), cut, rho))
+    decay = QuantumLanguage(lambda w: 0.9 ** len(w), ("a",))
+    for name, below in (("custom-near-tol", 0.95e-9), ("custom-beyond-tol", 1.05e-9)):
+        cases.append((f"lambda-{name}", lambda below=below: CustomSupervisor(
+            decay, single, lambda h, e: decay((*h, e)) - below), 0.5, 0.1))
+    closed = ControlSpec(("a",), frozenset({"a"}), frozenset())
+    cases.append(("lambda-band-behind-disabled", lambda: synthesize_supervisor(
+        QuantumLanguage(lambda w: 0.4 if w else 1.0, ("a",)), QuantumLanguage(lambda w: 0.0 if w else 1.0, ("a",)),
+        closed), 0.35, 0.1))
+    two = spec_for(("a", "b"), "a")
+    plant = QuantumLanguage(lambda w: 0.9 ** w.count("a") * (0.0 if w[-2:] == ("b", "b") else 1.0), ("a", "b"))
+    cases.append(("lambda-two-symbols", lambda: synthesize_supervisor(
+        plant, QuantumLanguage(lambda w: 0.5 ** len(w), ("a", "b")), two), 0.3, 0.1))
+    rng = np.random.default_rng(13)
+    for i in range(3):
+        p, t = random_qfac(rng, 2, 2, ("b", "a")), random_qfac(rng, 2, 2, ("a", "b"))
+        cases.append((f"unsorted-plant{i}", lambda p=p, t=t: CustomSupervisor(
+            lang(p), two, lambda h, e, t=lang(t): t((*h, e))), 0.5, 0.05))
+        cases.append((f"unsorted-policy{i}", lambda p=p, t=t: synthesize_supervisor(lang(p), lang(t), two), 0.5, 0.05))
+    return cases
+
+
+LOOPS = closed_loop_cases()
+
+
+class TestClosedLoopMatchesReference:
+    @pytest.mark.parametrize("name,make,cut,rho", LOOPS, ids=[c[0] for c in LOOPS])
+    def test_levels_are_the_min_recursion(self, name, make, cut, rho):
+        loop = ClosedLoop(make())
+        alphabet = loop.supervisor.plant.alphabet
+        got = list(loop.levels(4))
+        assert [v.size for v in got] == [len(alphabet) ** n for n in range(5)]
+        expected = [loop.value(w) for w in words_upto(alphabet, 4)]
+        assert np.max(np.abs(np.concatenate(got) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("name,make,cut,rho", LOOPS, ids=[c[0] for c in LOOPS])
+    def test_same_nonblocking_verdict_or_isolation_error(self, name, make, cut, rho):
+        for horizon in range(6 if name.startswith("egadd") else 4):
+            got = closed_loop_outcome(check_nonblocking, ClosedLoop(make()), cut, rho, horizon)
+            assert got == closed_loop_outcome(ref_nonblocking, ClosedLoop(make()), cut, rho, horizon)
+
+    @pytest.mark.parametrize("name,make,cut,rho", LOOPS, ids=[c[0] for c in LOOPS])
+    def test_same_violation_list(self, name, make, cut, rho):
+        for horizon in range(5):
+            assert check_admissible(make(), horizon) == ref_admissible(make(), horizon)
+
+    def test_every_outcome_is_covered(self):
+        outcomes = {name: closed_loop_outcome(check_nonblocking, ClosedLoop(make()), cut, rho, 3)
+                    for name, make, cut, rho in LOOPS}
+        assert {o if isinstance(o, bool) else o[0] for o in outcomes.values()} == {True, False, "isolation"}
+        band = "plant value {} inside the isolation band at {}"
+        assert outcomes["lambda-band-at-depth-two"] == ("isolation", band.format(0.38, "aa"))
+        assert outcomes["lambda-band-behind-disabled"] == ("isolation", band.format(0.4, "a"))
+        violations = {name: check_admissible(make(), 3) for name, make, _, _ in LOOPS}
+        custom = {name for name in violations if "custom" in name or "unsorted-plant" in name}
+        assert sum(bool(violations[name]) for name in custom) >= 4
+        assert not any(violations[name] for name in violations.keys() - custom)
+        assert not violations["lambda-custom-near-tol"] and len(violations["lambda-custom-beyond-tol"]) == 4
+
+    def test_unsorted_plant_alphabet_order(self):
+        make = {name: make for name, make, *_ in LOOPS}["unsorted-policy0"]
+        loop = ClosedLoop(make())
+        assert loop.supervisor.plant.alphabet == ("b", "a")
+        _, first = loop.levels(1)
+        assert first.tolist() == [loop.value(("b",)), loop.value(("a",))]
+
+
 NEGATIVE = {
     "words_upto": lambda: words_upto(A3, -1),
     "levels": lambda: levels(dfa_bounded_zeros(1), ("0", "1"), -1),
@@ -257,6 +363,8 @@ NEGATIVE = {
     "marking": lambda: check_marking_conditions(*egadd_langs(), spec_for(A3, "01", cutpoint=0.1, isolation=0.05), -1),
     "nonblocking": lambda: check_nonblocking(egadd_loop(), 0.1, 0.05, -1),
     "admissible": lambda: check_admissible(egadd_loop().supervisor, -1),
+    "closed-loop-levels": lambda: egadd_loop().levels(-1),
+    "enablement-levels": lambda: egadd_loop().supervisor.enablement_levels(A3, -1),
     "k_equiv": lambda: k_equiv_bruteforce(*[to_rblm(build_eg2(1, 0.5))] * 2, -1),
 }
 

@@ -19,7 +19,7 @@ from qdes.models import (
 )
 from qdes.models import _mm_accept_prob_products
 
-from helpers import random_mm, random_mo, random_qfac, words_up_to
+from helpers import random_mm, random_mo, random_qfac, ref_mm_accept_prob, words_up_to
 
 
 def rotation_mo(theta):
@@ -116,6 +116,34 @@ class TestMeasureMany:
         assert mm_accept_prob(m, tuple("0101"), cross_check=True) == pytest.approx(
             (1 - eg2_rate(3, 0.5)) ** 2, abs=1e-12
         )
+
+    @pytest.mark.parametrize("n_param", [1, 2, 3, 4, 5])
+    def test_equals_the_projector_loop_on_fixtures(self, n_param):
+        m = build_eg2(n_param, 0.5)
+        assert all(mm_accept_prob(m, w) == ref_mm_accept_prob(m, w) for w in words_up_to(m.alphabet, 10))
+
+    def test_equals_the_projector_loop_on_random_machines(self):
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            m = random_mm(rng, int(rng.integers(2, 6)))
+            assert all(mm_accept_prob(m, w) == ref_mm_accept_prob(m, w) for w in words_up_to(m.alphabet, 6))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 3), (2, 3)], ids=["square", "tall", "short"])
+    def test_wrong_unitary_size_unvalidated(self, shape):
+        m = build_eg2(2, 0.5)
+        bad = MmQfa(m.alphabet, {**m.unitaries, "1": np.eye(*shape, dtype=complex)}, m.initial, m.accepting,
+                    m.rejecting, m.going)
+        assert mm_accept_prob(bad, ("0",)) == ref_mm_accept_prob(bad, ("0",))
+        for evaluate in (mm_accept_prob, ref_mm_accept_prob):
+            with pytest.raises(ValueError):
+                evaluate(bad, ("0", "1"))
+
+    def test_projector_dimension_mismatch(self):
+        m = build_eg2(2, 0.5)
+        bad = MmQfa(m.alphabet, m.unitaries, m.initial, Projector(m.accepting.subset, 4), m.rejecting, m.going)
+        for evaluate in (mm_accept_prob, ref_mm_accept_prob):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                evaluate(bad, ())
 
     def test_cumulative_halting_mass_bounded(self):
         rng = np.random.default_rng(29)
