@@ -11,6 +11,11 @@ by tracking the vectorized unnormalized density matrix of the surviving
 state, which makes the otherwise quadratic acceptance probability linear
 in the machine state.  Both compilers are exact: the compiled word
 function equals the direct evaluator on every word.
+
+``linear_form`` gives every automaton kind the same word function as a
+step ``apply(a, X)`` instead of matrices; for a hybrid automaton the step
+conjugates each classical block by its own unitary, so the decisions run
+without the dense k * d^2 square compiled matrices.
 """
 
 from __future__ import annotations
@@ -68,15 +73,42 @@ class Rblm:
     def n(self) -> int:
         return int(self.pi.shape[0])
 
+    def apply(self, a: str, x: np.ndarray) -> np.ndarray:
+        """``M(a) @ x``, for one state vector or an (n, r) block of columns."""
+        return self.matrices[a] @ x
 
-def blm_eval(b: Rblm, w: Sequence[str]) -> float:
-    """Word function value ``eta @ M(w_m) ... M(w_1) @ pi``."""
+
+@dataclass(frozen=True, eq=False)
+class LinearForm:
+    """A word function ``eta @ apply(w_m, ... apply(w_1, pi))`` given by its step.
+
+    ``apply(a, X)`` acts on one state vector or on an (n, r) block of
+    columns, linearly, as a matrix ``M(a)`` would; the matrix itself is
+    never formed.  An ``Rblm`` has the same fields and is its own form.
+    """
+
+    alphabet: tuple[str, ...]
+    pi: np.ndarray
+    apply: Callable[[str, np.ndarray], np.ndarray]
+    eta: np.ndarray
+    real_valued: bool = True
+
+    @property
+    def n(self) -> int:
+        return int(self.pi.shape[0])
+
+
+def blm_eval(b: Rblm | LinearForm, w: Sequence[str]) -> float:
+    """Word function value ``eta @ M(w_m) ... M(w_1) @ pi``, of a machine or a linear form."""
     allowed = set(b.alphabet)
+    # A machine's matrices are read directly, so the per-word scans over
+    # compiled machines pay no method call per symbol.
+    matrices = b.matrices if isinstance(b, Rblm) else None
     v = np.asarray(b.pi, dtype=complex)
     for sym in w:
         if sym not in allowed:
             raise ValueError(f"symbol {sym!r} not in alphabet {sorted(allowed)}")
-        v = b.matrices[sym] @ v
+        v = b.apply(sym, v) if matrices is None else matrices[sym] @ v
     val = complex(np.asarray(b.eta, dtype=complex) @ v)
     if b.real_valued and abs(val.imag) > REAL_TOL:
         raise ArithmeticError(f"machine marked real-valued but f({''.join(w)!r}) = {val!r}")
@@ -204,6 +236,42 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
     return absorb_symbol(working, END_MARKER)
 
 
+def _qfac_form(m: Qfac) -> LinearForm:
+    """The operator form of ``compile_qfac_to_rblm``: the same vectors, and a
+    step that conjugates each classical block by its own unitary.
+
+    A block of r columns is read as k x r density matrices; reading a
+    symbol maps rho_s to U(s, a) rho_s U(s, a)^dagger, in one batched
+    product per side, and sums the results into the blocks of their
+    successor states with a k x k 0/1 routing matrix.  A step costs
+    O(k d^3 + k^2 d^2) per column instead of the compiled O(k^2 d^4).
+    """
+    problems = validate(m)
+    if problems:
+        raise ValueError("invalid automaton: " + "; ".join(problems))
+    d, states = m.dim, m.classical_states
+    k = len(states)
+    index = {s: i for i, s in enumerate(states)}
+    steps = {}
+    for a in m.alphabet:
+        u = np.array([m.unitaries[(s, a)] for s in states], dtype=complex)
+        route = np.zeros((k, k), dtype=complex)
+        route[[index[m.transitions[(s, a)]] for s in states], range(k)] = 1.0
+        steps[a] = u[:, None], np.conj(u).transpose(0, 2, 1)[:, None], route
+
+    def apply(a: str, x: np.ndarray) -> np.ndarray:
+        u, uh, route = steps[a]
+        rho = x.reshape(k, d, d, -1).transpose(0, 3, 1, 2)
+        moved = (u @ rho @ uh).transpose(0, 2, 3, 1).reshape(k, -1)
+        return (route @ moved).reshape(x.shape)
+
+    psi = np.asarray(m.initial_quantum, dtype=complex)
+    pi = np.zeros((k, d * d), dtype=complex)
+    pi[index[m.initial_classical]] = _vec(np.outer(psi, np.conj(psi)))
+    eta = np.array([_trace_functional(m.accepting[s].as_matrix()) for s in states]).ravel()
+    return LinearForm(m.alphabet, pi.ravel(), apply, eta)
+
+
 def compile_qfac_to_rblm(m: Qfac) -> Rblm:
     """Compile a classical-hybrid automaton to a bilinear machine.
 
@@ -213,36 +281,20 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
     conjugation by its state's unitary into the successor state's block.
     The final functional sums tr(P(s, acc) rho_s) over classical states.
     """
-    problems = validate(m)
-    if problems:
-        raise ValueError("invalid automaton: " + "; ".join(problems))
-    n = m.dim
-    nn = n * n
-    states = m.classical_states
-    pos = {s: i * nn for i, s in enumerate(states)}
-    dim = len(states) * nn
-
+    form = _qfac_form(m)
+    nn = m.dim * m.dim
+    pos = {s: i * nn for i, s in enumerate(m.classical_states)}
     matrices: dict[str, np.ndarray] = {}
     for sym in m.alphabet:
-        t = np.zeros((dim, dim), dtype=complex)
-        for s in states:
+        t = np.zeros((form.n, form.n), dtype=complex)
+        for s in m.classical_states:
             src = pos[s]
             dst = pos[m.transitions[(s, sym)]]
             t[dst: dst + nn, src: src + nn] += _conjugation_map(
                 np.asarray(m.unitaries[(s, sym)], dtype=complex)
             )
         matrices[sym] = t
-
-    psi = np.asarray(m.initial_quantum, dtype=complex)
-    pi = np.zeros(dim, dtype=complex)
-    start = pos[m.initial_classical]
-    pi[start: start + nn] = _vec(np.outer(psi, np.conj(psi)))
-
-    eta = np.zeros(dim, dtype=complex)
-    for s in states:
-        eta[pos[s]: pos[s] + nn] = _trace_functional(m.accepting[s].as_matrix())
-
-    return Rblm(m.alphabet, pi, matrices, eta)
+    return Rblm(m.alphabet, form.pi, matrices, form.eta)
 
 
 def rblm_probability(b: Rblm, w: Sequence[str]) -> float:
@@ -260,7 +312,7 @@ def _as_hybrid(a):
 
 
 def to_rblm(a) -> Rblm:
-    """The bilinear machine of any automaton kind; the one kind-to-machine map.
+    """The dense bilinear machine of any automaton kind; the one kind-to-machine map.
 
     Measure-once automata and DFAs go through their one-classical-state
     and trivial-quantum-part hybrid embeddings.
@@ -272,6 +324,24 @@ def to_rblm(a) -> Rblm:
     a = _as_hybrid(a)
     if isinstance(a, Qfac):
         return compile_qfac_to_rblm(a)
+    raise TypeError(f"no bilinear form for {type(a).__name__}")
+
+
+def linear_form(a) -> Rblm | LinearForm:
+    """The word function of any automaton kind as a step, for the decisions.
+
+    A bilinear machine is its own form, and a measure-many automaton the
+    machine ``compile_mm_to_rblm`` gives (its n^2 + 1 states carry no
+    classical blow-up); a hybrid automaton, and measure-once automata
+    and DFAs through their hybrid embeddings, step in operator form and
+    never form a compiled matrix.  Validation, ``pi`` and ``eta`` are
+    those of the compilers.
+    """
+    if isinstance(a, (Rblm, MmQfa)):
+        return to_rblm(a)
+    a = _as_hybrid(a)
+    if isinstance(a, Qfac):
+        return _qfac_form(a)
     raise TypeError(f"no bilinear form for {type(a).__name__}")
 
 

@@ -1,20 +1,23 @@
-"""Span exploration: equivalence decisions and minimization of bilinear machines.
+"""Span exploration: equivalence decisions and minimization of automata.
 
 ``explore_span`` is the one kernel.  It explores words breadth-first
 and keeps an orthonormal basis of the vectors they reach; a word is
 expanded only if its vector leaves the span of the vectors seen so far,
 so at most ``dim`` expansions happen and termination is guaranteed.
 
-Two machines are equivalent when their word functions agree on every
-word.  ``equiv_rblm`` runs the kernel on the joint vectors
-``(M1(x) pi1) ⊕ (M2(x) pi2)``; a pair fails the moment some reached
-vector has a nonzero image under the difference functional
-``eta1 ⊕ -eta2``, and the offending word is returned as a counterexample
-(shortest first, lexicographically least among equals, because the
-queue is strict FIFO over length-then-lex order).  ``minimize`` runs it
-forward from ``pi`` and backward from ``eta`` and projects the machine
-onto the two spans; the controllability decision in ``supervisory``
-runs it on a product state of the minimized machines.
+Every decision runs on the linear forms of ``blm.linear_form``: an
+initial vector, a final functional and a step ``apply(a, X)``, so a
+hybrid automaton is explored in operator form and never compiled to
+dense matrices.  Two automata are equivalent when their word functions
+agree on every word.  The equivalence kernel explores the joint vectors
+``x1(w) ⊕ x2(w)``; a pair fails the moment some reached vector has a
+nonzero image under the difference functional ``eta1 ⊕ -eta2``, and the
+offending word is returned as a counterexample (shortest first,
+lexicographically least among equals, because the queue is strict FIFO
+over length-then-lex order).  ``minimize`` explores forward from ``pi``
+with the step, projects onto that span, and reduces the small dense
+machine backward from ``eta``; the controllability decision in
+``supervisory`` explores a product state of two minimized machines.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blm import Rblm, blm_eval, blm_levels, to_rblm
+from .blm import LinearForm, Rblm, blm_eval, blm_levels, linear_form
 from .models import MmQfa, Qfac, Word, word_at
 
 #: Default decision tolerance; looser than evaluation tolerance because
@@ -87,7 +90,10 @@ def explore_span(
     would be square in the state dimension.
     """
     n = start.shape[0]
+    # The basis rows and their conjugates, which project a vector onto the
+    # span with one product: conj(q @ conj(x)) == conj(q) @ x.
     basis = np.empty((min(n, 8), n), dtype=complex)
+    conj = np.empty_like(basis)
     k = 0
     # A queued word holds its parent's vector and its last symbol; the
     # child is computed when popped, so the queue keeps no extra vectors.
@@ -99,65 +105,66 @@ def explore_span(
             return basis[:k], word
         # Block classical Gram-Schmidt, applied twice to restore the
         # orthogonality lost to cancellation.
-        q = basis[:k]
-        residual = x - np.conj(q @ np.conj(x)) @ q
-        residual = residual - np.conj(q @ np.conj(residual)) @ q
-        rnorm = float(np.linalg.norm(residual))
-        if rnorm > tol * max(1.0, float(np.linalg.norm(x))):
+        q, qc = basis[:k], conj[:k]
+        residual = x - (qc @ x) @ q
+        residual = residual - (qc @ residual) @ q
+        rnorm = np.sqrt(np.vdot(residual, residual).real)
+        if rnorm > tol * max(1.0, np.sqrt(np.vdot(x, x).real)):
             if k == basis.shape[0]:
-                grown = np.empty((min(n, 2 * k), n), dtype=complex)
-                grown[:k] = basis
-                basis = grown
+                grow = np.empty((min(n, 2 * k) - k, n), dtype=complex)
+                basis, conj = np.concatenate([basis, grow]), np.concatenate([conj, grow])
             basis[k] = residual / rnorm
+            conj[k] = np.conj(basis[k])
             k += 1
             queue.extend(((*word, a), x, a) for a in alphabet)
     return basis[:k], None
 
 
-def equiv_rblm(b1: Rblm, b2: Rblm, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
-    """Decide equivalence by span exploration of the joint vectors.
+def _equivalent(f1: Rblm | LinearForm, f2: Rblm | LinearForm, tol: float) -> EquivalenceVerdict:
+    """Decide equivalence of two linear forms by span exploration of the joint vectors.
 
-    Counterexamples are certified: re-evaluating both machines on the
+    Counterexamples are certified: re-evaluating both forms on the
     returned word reproduces a gap above ``tol``.
     """
-    if b1.alphabet != b2.alphabet:
+    if set(f1.alphabet) != set(f2.alphabet):
         raise ValueError("equivalence requires identical alphabets")
-    alphabet = tuple(sorted(b1.alphabet))  # expansion order fixes the tie-break
-    n1, n2 = b1.n, b2.n
-    bound = n1 + n2 - 1
-
-    eta_diff = np.concatenate([np.asarray(b1.eta, dtype=complex), -np.asarray(b2.eta, dtype=complex)])
-    start = np.concatenate([np.asarray(b1.pi, dtype=complex), np.asarray(b2.pi, dtype=complex)])
+    alphabet = tuple(sorted(f1.alphabet))  # expansion order fixes the tie-break
+    n1, n2 = f1.n, f2.n
+    eta_diff = np.concatenate([np.asarray(f1.eta, dtype=complex), -np.asarray(f2.eta, dtype=complex)])
+    start = np.concatenate([np.asarray(f1.pi, dtype=complex), np.asarray(f2.pi, dtype=complex)])
 
     def step(x: np.ndarray, a: str) -> np.ndarray:
-        return np.concatenate([b1.matrices[a] @ x[:n1], b2.matrices[a] @ x[n1:]])
+        return np.concatenate([f1.apply(a, x[:n1]), f2.apply(a, x[n1:])])
 
     basis, word = explore_span(start, step, alphabet, tol, eta_diff)
-    if word is None:
-        return EquivalenceVerdict(equivalent=True, visited_dim=len(basis), word_bound=bound)
     return EquivalenceVerdict(
-        equivalent=False,
+        equivalent=word is None,
         counterexample=word,
-        f1=blm_eval(b1, word) if b1.real_valued else None,
-        f2=blm_eval(b2, word) if b2.real_valued else None,
+        f1=blm_eval(f1, word) if word is not None and f1.real_valued else None,
+        f2=blm_eval(f2, word) if word is not None and f2.real_valued else None,
         visited_dim=len(basis),
-        word_bound=bound,
+        word_bound=n1 + n2 - 1,
     )
 
 
-def _reachable_part(b: Rblm) -> Rblm:
-    """Forward reduction: restrict the machine to span{M(w) pi}.
+def equiv_rblm(b1: Rblm, b2: Rblm, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
+    """Decide equivalence of two bilinear machines by span exploration."""
+    return _equivalent(b1, b2, tol)
+
+
+def _reachable_part(f: Rblm | LinearForm) -> Rblm:
+    """Forward reduction: restrict the form to span{x(w)}.
 
     With Q the orthonormal basis of that span as columns, the machine
-    (Q^H pi, Q^H M(a) Q, eta Q) has the same word function, because the
-    span is invariant under every M(a) and Q Q^H fixes it.
+    (Q^H pi, Q^H apply(a, Q), eta Q) has the same word function, because
+    the span is invariant under every step and Q Q^H fixes it.
     """
     rows, _ = explore_span(
-        np.asarray(b.pi, dtype=complex), lambda x, a: b.matrices[a] @ x, tuple(sorted(b.alphabet)), MINIMIZE_TOL
+        np.asarray(f.pi, dtype=complex), lambda x, a: f.apply(a, x), tuple(sorted(f.alphabet)), MINIMIZE_TOL
     )
     q, qh = rows.T, np.conj(rows)
     return Rblm(
-        b.alphabet, qh @ b.pi, {a: qh @ m @ q for a, m in b.matrices.items()}, np.asarray(b.eta) @ q, b.real_valued
+        f.alphabet, qh @ f.pi, {a: qh @ f.apply(a, q) for a in f.alphabet}, np.asarray(f.eta) @ q, f.real_valued
     )
 
 
@@ -166,19 +173,20 @@ def _transpose(b: Rblm) -> Rblm:
     return Rblm(b.alphabet, np.asarray(b.eta), {a: m.T for a, m in b.matrices.items()}, np.asarray(b.pi), b.real_valued)
 
 
-def minimize(b: Rblm) -> Rblm:
-    """A minimal bilinear machine with the same word function.
+def minimize(a) -> Rblm:
+    """A minimal bilinear machine with the word function of any automaton kind.
 
     Schützenberger's reduction (Berstel and Reutenauer, *Noncommutative
-    Rational Series*), in Tzeng's polynomial-time form: restrict to the
-    forward-reachable span{M(w) pi}, then to the backward-reachable
-    span{eta M(w)}, the latter as the forward reduction of the
-    transposed machine.  Both restrictions are isometric projections,
-    which keeps the result numerically tame (Kiefer, Murawski, Ouaknine,
-    Wachter and Worrell, CAV 2011).  A machine whose word function is
-    identically zero reduces to ``n = 0``.
+    Rational Series*), in Tzeng's polynomial-time form: restrict the
+    linear form of ``blm.linear_form`` to the forward-reachable
+    span{x(w)}, with one block step per symbol, then the small dense
+    machine to its backward-reachable span{eta M(w)}, the latter as the
+    forward reduction of the transposed machine.  Both restrictions are
+    isometric projections, which keeps the result numerically tame
+    (Kiefer, Murawski, Ouaknine, Wachter and Worrell, CAV 2011).  A
+    word function that is identically zero reduces to ``n = 0``.
     """
-    return _transpose(_reachable_part(_transpose(_reachable_part(b))))
+    return _transpose(_reachable_part(_transpose(_reachable_part(linear_form(a)))))
 
 
 def k_equiv_bruteforce(
@@ -197,7 +205,7 @@ def k_equiv_bruteforce(
     shortlex-least word whose values differ by more than ``tol``, and
     ``f1``/``f2`` are ``blm_eval`` at it.
     """
-    if b1.alphabet != b2.alphabet:
+    if set(b1.alphabet) != set(b2.alphabet):
         raise ValueError("equivalence requires identical alphabets")
     alphabet = tuple(sorted(b1.alphabet))
     total = sum(len(alphabet) ** i for i in range(k + 1))
@@ -212,10 +220,10 @@ def k_equiv_bruteforce(
 
 
 def equiv_mm_qfa(m1: MmQfa, m2: MmQfa, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
-    """Equivalence of two measure-many automata via compilation."""
-    return equiv_rblm(to_rblm(m1), to_rblm(m2), tol)
+    """Equivalence of two measure-many automata on their compiled machines."""
+    return _equivalent(linear_form(m1), linear_form(m2), tol)
 
 
 def equiv_qfac(m1: Qfac, m2: Qfac, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
-    """Equivalence of two classical-hybrid automata via compilation."""
-    return equiv_rblm(to_rblm(m1), to_rblm(m2), tol)
+    """Equivalence of two classical-hybrid automata, in operator form."""
+    return _equivalent(linear_form(m1), linear_form(m2), tol)

@@ -25,7 +25,6 @@ from .linalg import (
     Projector,
     all_finite,
     is_unit_vector,
-    is_unitary,
     projected_norm_sq,
     projected_norms_sq,
 )
@@ -361,17 +360,29 @@ def qfac_from_dfa(d: Dfa) -> Qfac:
 
 
 def _validate_unitaries(pairs, dim, tol, violations, what):
-    for name, u in pairs:
-        u = np.asarray(u)
-        if u.shape != (dim, dim):
+    """One message per bad unitary, in the order of ``pairs``: a wrong shape,
+    else non-finite entries, else max|U U^dagger - I| above ``tol``.
+
+    The well-shaped unitaries are checked in one batched pass, and the
+    deviation is computed for the finite ones only.
+    """
+    pairs = [(name, np.asarray(u)) for name, u in pairs]
+    shaped = [u.shape == (dim, dim) for _, u in pairs]
+    stack = np.array([u for (_, u), ok in zip(pairs, shaped) if ok], dtype=complex).reshape(sum(shaped), dim, dim)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    good = stack[finite]
+    dev = np.full(len(stack), np.nan)
+    dev[finite] = np.abs(good @ np.conj(good).transpose(0, 2, 1) - np.eye(dim)).max(axis=(1, 2), initial=0.0)
+    checked = iter(zip(finite, dev))
+    for (name, u), ok in zip(pairs, shaped):
+        if not ok:
             violations.append(f"{what} {name}: shape {u.shape} does not match dimension {dim}")
             continue
-        if not all_finite(u):
+        is_finite, d = next(checked)
+        if not is_finite:
             violations.append(f"{what} {name}: non-finite entries")
-            continue
-        if not is_unitary(u, tol):
-            dev = float(np.max(np.abs(u @ np.conj(u).T - np.eye(dim))))
-            violations.append(f"{what} {name}: non-unitary (max deviation {dev:.3e})")
+        elif not d <= tol:
+            violations.append(f"{what} {name}: non-unitary (max deviation {d:.3e})")
 
 
 def _validate_initial(v, dim, tol, violations):

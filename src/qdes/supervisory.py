@@ -32,12 +32,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, islice, pairwise, product
+from itertools import accumulate, islice, pairwise, product, tee
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .blm import evaluator, levels, to_rblm
+from .blm import evaluator, levels
 from .equivalence import DEFAULT_EQUIV_TOL, explore_span, minimize
 from .models import Levels, Word, check_horizon, clamp_probability, prefix_maxima, word_at, words_upto
 
@@ -153,15 +153,20 @@ class SupervisorPolicy:
             return self.target(w)
         raise ValueError(f"event {sigma!r} outside the alphabet")
 
-    def enablement_levels(self, alphabet: Sequence[str], horizon: int) -> Levels:
+    def enablement_levels(self, alphabet: Sequence[str], horizon: int, plant: Levels | None = None) -> Levels:
         """``enablement`` after every history up to the horizon: per length L an
         |Sigma|^L x |Sigma| array whose column j holds ``alphabet[j]``'s
-        enablement after each history, in ``words_upto`` order."""
+        enablement after each history, in ``words_upto`` order.
+
+        ``plant``, if given, is a pass of the plant's levels over
+        ``alphabet`` from length 0 to horizon + 1, read instead of a new one."""
         check_horizon(horizon)
         _check_events(alphabet, self.spec)
         k = len(alphabet)
         plant_side = np.array([a in self.spec.uncontrollable for a in alphabet])
-        plant, target = self.plant.levels(alphabet, horizon + 1), self.target.levels(alphabet, horizon + 1)
+        if plant is None:
+            plant = self.plant.levels(alphabet, horizon + 1)
+        target = self.target.levels(alphabet, horizon + 1)
         next(plant), next(target)
         return (np.where(plant_side, p.reshape(-1, k), t.reshape(-1, k)) for p, t in zip(plant, target))
 
@@ -179,8 +184,9 @@ class CustomSupervisor:
             raise ValueError(f"event {sigma!r} outside the alphabet")
         return float(self.fn(tuple(s), sigma))
 
-    def enablement_levels(self, alphabet: Sequence[str], horizon: int) -> Levels:
-        """As ``SupervisorPolicy.enablement_levels``, one ``enablement`` call per entry."""
+    def enablement_levels(self, alphabet: Sequence[str], horizon: int, plant: Levels | None = None) -> Levels:
+        """As ``SupervisorPolicy.enablement_levels``, one ``enablement`` call per
+        entry; ``plant`` is not read."""
         check_horizon(horizon)
         _check_events(alphabet, self.spec)
         return (np.array([[self.enablement(s, a) for a in alphabet] for s in product(alphabet, repeat=n)])
@@ -231,13 +237,15 @@ class ClosedLoop:
             self._memo[prefix] = acc
         return acc
 
-    def levels(self, horizon: int) -> Levels:
+    def levels(self, horizon: int, plant: Levels | None = None) -> Levels:
         """``value`` of every history up to the horizon, one array per length,
         in ``words_upto`` order over the plant's alphabet.
 
         The min-recursion on whole levels: cl_0 = [1] and cl_(L+1) =
         min(cl_L(s), plant(s a), enablement(s, a)) for every history s and
-        event a, row s and column a of a |Sigma|^L x |Sigma| array.
+        event a, row s and column a of a |Sigma|^L x |Sigma| array.  One
+        pass of the plant's levels, ``plant`` if given, serves the
+        recursion and the enablement.
 
         >>> plant = QuantumLanguage.from_table(
         ...     {(): 1.0, ("a",): 0.9, ("b",): 0.6, ("a", "a"): 0.8, ("a", "b"): 0.2,
@@ -249,8 +257,8 @@ class ClosedLoop:
         """
         check_horizon(horizon)
         alphabet = self.supervisor.plant.alphabet
-        steps = zip(islice(self.supervisor.plant.levels(alphabet, horizon), 1, None),
-                    self.supervisor.enablement_levels(alphabet, max(horizon - 1, 0)))
+        own, shared = tee(self.supervisor.plant.levels(alphabet, horizon) if plant is None else plant)
+        steps = zip(islice(own, 1, None), self.supervisor.enablement_levels(alphabet, max(horizon - 1, 0), shared))
 
         def step(cl: np.ndarray, pe: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
             p, en = pe
@@ -324,19 +332,20 @@ def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[Admiss
     enabled below the plant's feasibility, in history order, then in
     sorted event order.
 
-    Compares plant level L+1 with the supervisor's enablement level L.
-    Pairs within ``LEVEL_MARGIN`` of failing are re-decided, and every
-    violation's ``feasible`` and ``enabled`` recomputed, with the
-    per-word calls.
+    Compares plant level L+1 with the supervisor's enablement level L,
+    both from one pass of the plant's levels.  Pairs within
+    ``LEVEL_MARGIN`` of failing are re-decided, and every violation's
+    ``feasible`` and ``enabled`` recomputed, with the per-word calls.
     """
     check_horizon(horizon)
     plant, spec = supervisor.plant, supervisor.spec
     alphabet, k = spec.alphabet, len(spec.alphabet)
     events = sorted(spec.uncontrollable)
     cols = [alphabet.index(e) for e in events]
-    feasible = islice(plant.levels(alphabet, horizon + 1), 1, None)
+    feasible, shared = tee(plant.levels(alphabet, horizon + 1))
     out = []
-    for length, (p, en) in enumerate(zip(feasible, supervisor.enablement_levels(alphabet, horizon))):
+    frontier = zip(islice(feasible, 1, None), supervisor.enablement_levels(alphabet, horizon, shared))
+    for length, (p, en) in enumerate(frontier):
         near = p.reshape(-1, k)[:, cols] > en[:, cols] + tol - LEVEL_MARGIN
         for i, e in np.argwhere(near):
             s = word_at(alphabet, length, int(i))
@@ -426,15 +435,15 @@ def decide_controllability(
     sides differ by ``(H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))``,
     so a witness with ``lhs <= rhs`` means a reduction precondition
     fails at that word.  Target and plant may be of any automaton kind
-    ``blm.to_rblm`` maps.
+    ``blm.linear_form`` maps, each with its alphabet in any order; a
+    hybrid automaton is minimized in operator form, without its dense
+    compiled machine.
     """
-    h = to_rblm(target)
-    m = to_rblm(plant)
-    if h.alphabet != m.alphabet:
+    h, m = minimize(target), minimize(plant)
+    if set(h.alphabet) != set(m.alphabet):
         raise ValueError("target and plant must share an alphabet")
-    if tuple(sorted(spec.alphabet)) != tuple(sorted(h.alphabet)):
+    if set(spec.alphabet) != set(h.alphabet):
         raise ValueError("control spec alphabet does not match the automata")
-    h, m = minimize(h), minimize(m)
     split = h.n * m.n
 
     def step(x: np.ndarray, a: str) -> np.ndarray:
@@ -547,12 +556,13 @@ def check_nonblocking(
     extension whose marked value comes within tol of the history's
     closed-loop value.
 
-    The closed-loop and plant levels settle, at the empty extension,
-    every history whose plant value lies outside the isolation band and
-    whose marked value clears the test, both by ``LEVEL_MARGIN``.  Only
-    the other histories are searched word by word over their extensions,
-    in ``words_upto`` order, so the verdict and the first
-    ``IsolationViolationError`` are those of the full word-by-word search.
+    The closed-loop and plant levels, from one pass of the plant's
+    levels, settle at the empty extension every history whose plant
+    value lies outside the isolation band and whose marked value clears
+    the test, both by ``LEVEL_MARGIN``.  Only the other histories are
+    searched word by word over their extensions, in ``words_upto``
+    order, so the verdict and the first ``IsolationViolationError`` are
+    those of the full word-by-word search.
     """
     marked = closed_loop_marked(cl, cutpoint, radius)
     check_horizon(horizon)
@@ -568,7 +578,8 @@ def check_nonblocking(
         settled = outside & (np.where(p >= hi, np.minimum(p, c), 0.0) >= c - tol + LEVEL_MARGIN)
         return (word_at(alphabet, length, int(i)) for i in np.flatnonzero(~settled))
 
-    frontier = enumerate(zip(cl.levels(horizon), cl.supervisor.plant.levels(alphabet, horizon)))
+    loop_pass, band_pass = tee(cl.supervisor.plant.levels(alphabet, horizon))
+    frontier = enumerate(zip(cl.levels(horizon, loop_pass), band_pass))
     return all(reached(s) for length, (c, p) in frontier for s in unsettled(length, c, p))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from qdes.blm import Rblm, blm_eval
 from qdes.equivalence import EquivalenceVerdict
-from qdes.linalg import Projector, projected_norm_sq
+from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq
 from qdes.models import END_MARKER, MmQfa, MoQfa, Qfac, _check_symbols, clamp_probability
 from qdes.supervisory import (
     AdmissibilityViolation,
@@ -240,3 +240,20 @@ def ref_mm_accept_prob(m, w):
         total += projected_norm_sq(m.accepting, v)
         going = m.going.apply(v)
     return clamp_probability(total)
+
+
+def ref_validate_unitaries(pairs, dim, tol, what="unitary"):
+    """The one-unitary-at-a-time check that ``models._validate_unitaries`` batches."""
+    violations = []
+    for name, u in pairs:
+        u = np.asarray(u)
+        if u.shape != (dim, dim):
+            violations.append(f"{what} {name}: shape {u.shape} does not match dimension {dim}")
+            continue
+        if not all_finite(u):
+            violations.append(f"{what} {name}: non-finite entries")
+            continue
+        if not is_unitary(u, tol):
+            dev = float(np.max(np.abs(u @ np.conj(u).T - np.eye(dim))))
+            violations.append(f"{what} {name}: non-unitary (max deviation {dev:.3e})")
+    return violations

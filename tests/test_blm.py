@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdes.blm import (
+    LinearForm,
     Rblm,
     absorb_symbol,
     blm_direct_sum,
@@ -9,9 +10,12 @@ from qdes.blm import (
     blm_tensor,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
+    linear_form,
     negate_final,
+    to_rblm,
 )
-from qdes.fixtures import build_eg1, build_eg2, eg2_rate
+from qdes.composition import parallel_qfac
+from qdes.fixtures import build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
 from qdes.linalg import projected_norm_sq
 from qdes.models import mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
 
@@ -222,3 +226,61 @@ class TestCompileHybrid:
             b = compile_qfac_to_rblm(m)
             for w in words_up_to(m.alphabet, 5):
                 assert abs(blm_eval(b, w) - qfac_accept_prob(m, w)) <= 1e-9
+
+
+HYBRIDS = {
+    **{f"eg1-N{n}": (lambda n=n: build_eg1(n, 0.5, seed=0)) for n in (1, 2, 3)},
+    **{f"egadd-N{n}": (lambda n=n: build_egadd(n, 0.5, seed=0)) for n in (4, 6)},
+    "eg1xegadd": lambda: parallel_qfac(build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0)),
+    "mo-qfa": lambda: random_mo(np.random.default_rng(47), 3),
+    "dfa": lambda: dfa_bounded_zeros(2),
+}
+
+
+class TestLinearForm:
+    @pytest.mark.parametrize("name", HYBRIDS)
+    def test_operator_step_is_the_compiled_matrix(self, name):
+        a = HYBRIDS[name]()
+        form, b = linear_form(a), to_rblm(a)
+        assert isinstance(form, LinearForm) and form.n == b.n
+        assert np.array_equal(form.pi, b.pi) and np.array_equal(form.eta, b.eta)
+        for sym in b.alphabet:
+            assert np.array_equal(form.apply(sym, np.eye(b.n, dtype=complex)), b.matrices[sym])
+
+    @pytest.mark.parametrize("name", ["eg1-N2", "mo-qfa", "dfa"])
+    def test_one_vector_and_a_block(self, name):
+        a = HYBRIDS[name]()
+        form, b = linear_form(a), to_rblm(a)
+        rng = np.random.default_rng(53)
+        x = rng.normal(size=b.n) + 1j * rng.normal(size=b.n)
+        block = rng.normal(size=(b.n, 3)) + 1j * rng.normal(size=(b.n, 3))
+        for sym in b.alphabet:
+            assert form.apply(sym, x).shape == (b.n,)
+            assert np.allclose(form.apply(sym, x), b.matrices[sym] @ x, atol=1e-12)
+            assert np.allclose(form.apply(sym, block), b.matrices[sym] @ block, atol=1e-12)
+        for w in words_up_to(b.alphabet, 3):
+            assert abs(blm_eval(form, w) - blm_eval(b, w)) <= 1e-12
+
+    def test_machines_are_their_own_form(self):
+        b = random_rblm(np.random.default_rng(59), 3)
+        assert linear_form(b) is b
+        m = build_eg2(2, 0.5)
+        dense = linear_form(m)
+        assert isinstance(dense, Rblm)
+        assert all(np.array_equal(dense.matrices[a], compile_mm_to_rblm(m).matrices[a]) for a in m.alphabet)
+
+    def test_invalid_automaton_refused_as_by_the_compiler(self):
+        m = build_eg1(1, 0.95, seed=0)
+        unitaries = {**m.unitaries, ("s0", "0"): np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex)}
+        bad = m.__class__(m.classical_states, m.alphabet, m.initial_classical, m.initial_quantum, m.transitions,
+                          unitaries, m.accepting)
+        with pytest.raises(ValueError) as compiled_error:
+            compile_qfac_to_rblm(bad)
+        with pytest.raises(ValueError) as form_error:
+            linear_form(bad)
+        assert str(form_error.value) == str(compiled_error.value)
+        assert str(form_error.value).startswith("invalid automaton: ")
+
+    def test_unknown_kind(self):
+        with pytest.raises(TypeError):
+            linear_form("not an automaton")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -86,6 +87,16 @@ class TestEquivCommand:
     def test_brute_force_mode(self, capsys, eg2_file):
         code, doc = run(capsys, "equiv", eg2_file, eg2_file, "--brute-k", "3")
         assert code == 0 and doc["equivalent"] and doc["word_bound"] == 3
+
+    def test_alphabet_in_another_order(self, capsys, tmp_path):
+        m = build_eg1(1, 0.95, seed=0)
+        first, second = tmp_path / "m.json", tmp_path / "reordered.json"
+        save(m, first)
+        save(dataclasses.replace(m, alphabet=("2", "1", "0")), second)
+        assert load(second).alphabet == ("2", "1", "0")
+        code, doc = run(capsys, "equiv", str(second), str(first))
+        assert code == 0 and doc["equivalent"]
+        assert doc == run(capsys, "equiv", str(first), str(first))[1]
 
     def test_mixed_kinds_via_compilation(self, capsys, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,7 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qdes import blm
 from qdes.blm import Rblm, blm_direct_sum, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, negate_final, to_rblm
+from qdes.composition import parallel_qfac
 from qdes.equivalence import (
     EquivalenceVerdict,
     equiv_mm_qfa,
@@ -13,6 +18,7 @@ from qdes.equivalence import (
 from qdes.fixtures import build_eg1, build_eg2, build_egadd, build_spec_variant
 from qdes.linalg import Projector
 from qdes.models import MmQfa, qfac_from_mo
+from qdes.supervisory import ControlSpec, QuantumLanguage, check_controllability_exhaustive, decide_controllability
 
 from helpers import (
     padded_with_dead_block,
@@ -286,3 +292,89 @@ class TestCompiledPairsAgainstBruteForce:
                 for w in words_up_to(m1.alphabet, 6)
             )
             assert fast.equivalent == slow_equal
+
+
+def reordered(a, alphabet):
+    """The same automaton with its alphabet listed in another order."""
+    assert sorted(alphabet) == sorted(a.alphabet)
+    return dataclasses.replace(a, alphabet=tuple(alphabet))
+
+
+class TestAlphabetOrder:
+    """An alphabet listed in another order is the same alphabet; the
+    exploration order stays sorted, so verdicts and witnesses do not move."""
+
+    def test_rblm(self):
+        b = to_rblm(build_eg1(1, 0.95, seed=0))
+        v = equiv_rblm(b, reordered(b, ("2", "1", "0")))
+        assert v == equiv_rblm(b, b)
+
+    def test_qfac(self):
+        m = build_eg1(1, 0.95, seed=0)
+        assert equiv_qfac(m, reordered(m, ("2", "1", "0"))) == equiv_qfac(m, m)
+        variant = build_spec_variant(m, m.classical_states[-1])
+        got = equiv_qfac(reordered(m, ("2", "1", "0")), variant)
+        expected = equiv_qfac(m, variant)
+        assert not got.equivalent
+        assert (got.counterexample, got.visited_dim, got.word_bound) == (
+            expected.counterexample, expected.visited_dim, expected.word_bound)
+
+    def test_mm_qfa(self):
+        m = build_eg2(2, 0.5)
+        assert equiv_mm_qfa(reordered(m, ("1", "0")), m) == equiv_mm_qfa(m, m)
+        other = build_eg2(3, 0.5)
+        assert equiv_mm_qfa(reordered(m, ("1", "0")), other) == equiv_mm_qfa(m, other)
+
+    def test_bruteforce(self):
+        b = to_rblm(build_eg1(1, 0.95, seed=0))
+        assert k_equiv_bruteforce(reordered(b, ("1", "2", "0")), b, 3) == k_equiv_bruteforce(b, b, 3)
+
+    def test_decision(self):
+        plant = build_eg1(1, 0.95, seed=0)
+        target = reordered(plant, ("2", "1", "0"))
+        spec = ControlSpec(("0", "1", "2"), frozenset({"2"}), frozenset({"0", "1"}))
+        oracle = check_controllability_exhaustive(
+            QuantumLanguage.from_automaton(target), QuantumLanguage.from_automaton(plant), spec, 5)
+        assert oracle.holds and decide_controllability(target, plant, spec).holds
+        cut = reordered(build_spec_variant(plant, plant.classical_states[-1]), ("1", "0", "2"))
+        spec2 = ControlSpec(("0", "1", "2"), frozenset({"0", "1"}), frozenset({"2"}))
+        assert decide_controllability(cut, plant, spec2) == decide_controllability(
+            build_spec_variant(plant, plant.classical_states[-1]), plant, spec2)
+
+
+def refuse_to_compile(*args):
+    raise AssertionError("the dense compiler was called")
+
+
+class TestOperatorForm:
+    """The decisions on hybrid automata never form the dense compiled machine."""
+
+    def test_no_compile_on_the_decision_paths(self, monkeypatch):
+        plant = build_eg1(2, 0.5, seed=0)
+        target = build_spec_variant(plant, plant.classical_states[-1])
+        expected = (minimize(plant).n, equiv_qfac(plant, target), equiv_qfac(plant, plant))
+        spec = ControlSpec(("0", "1", "2"), frozenset({"2"}), frozenset({"0", "1"}))
+        decided = decide_controllability(target, plant, spec)
+        monkeypatch.setattr(blm, "compile_qfac_to_rblm", refuse_to_compile)
+        assert minimize(plant).n == expected[0] == 10
+        assert (equiv_qfac(plant, target), equiv_qfac(plant, plant)) == expected[1:]
+        assert decide_controllability(target, plant, spec) == decided and decided.holds
+
+    def test_minimal_sizes(self):
+        sizes = [minimize(build_eg1(n, 0.5, seed=0)).n for n in (1, 2, 3)]
+        sizes += [minimize(build_egadd(n, 0.5, seed=0)).n for n in (4, 6)]
+        assert sizes == [4, 10, 22, 9, 16]
+
+    def test_composition_pair_peak_below_one_dense_matrix(self):
+        eg1, egadd = build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0)
+        left, right = parallel_qfac(eg1, egadd), parallel_qfac(egadd, eg1)
+        n = len(left.classical_states) * left.dim ** 2
+        assert n == 576
+        tracemalloc.start()
+        try:
+            verdict = equiv_qfac(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.equivalent
+        assert peak < n * n * np.dtype(complex).itemsize

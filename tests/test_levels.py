@@ -1,5 +1,7 @@
 """Level evaluators and the sweeps built on them, against the word-by-word references."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, bui
 from qdes.models import Qfac, prefix_maxima, qfac_accept_prob, word_at, words_upto
 from qdes.serialize import save
 from qdes.supervisory import (
+    LEVEL_MARGIN,
     ClosedLoop,
     ControlSpec,
     CustomSupervisor,
@@ -350,6 +353,31 @@ class TestClosedLoopMatchesReference:
         assert loop.supervisor.plant.alphabet == ("b", "a")
         _, first = loop.levels(1)
         assert first.tolist() == [loop.value(("b",)), loop.value(("a",))]
+
+
+class TestLevelMargin:
+    """A level value may sit a rounding gap below its per-word value, so a
+    pair whose level value falls short of the threshold by less than
+    ``LEVEL_MARGIN`` is still re-decided word by word."""
+
+    def test_admissible_pair_just_below_the_threshold(self):
+        two, tol, enabled = ("a", "b"), 1e-9, 0.5
+        feasible = enabled + tol + 2e-11  # per word, a violation
+
+        def value(w):
+            return feasible if w else 1.0
+
+        def low_levels(alphabet, horizon):  # 5e-11 below every per-word value
+            return (np.full(len(alphabet) ** n, value((None,) * n) - 5e-11) for n in range(horizon + 1))
+
+        plant = QuantumLanguage(value, two, "just above", low_levels)
+        supervisor = CustomSupervisor(plant, spec_for(two, "a"), lambda s, e: enabled)
+        for p in islice(plant.levels(two, 3), 1, None):
+            assert (p <= enabled + tol).all() and (p > enabled + tol - LEVEL_MARGIN).all()
+        got = check_admissible(supervisor, 2, tol)
+        assert got == ref_admissible(supervisor, 2, tol)
+        assert [(v.word, v.symbol, v.feasible) for v in got] == [
+            (s, "a", feasible) for s in words_upto(two, 2)]
 
 
 NEGATIVE = {

@@ -17,9 +17,9 @@ from qdes.models import (
     qfac_from_mo,
     validate,
 )
-from qdes.models import _mm_accept_prob_products
+from qdes.models import _mm_accept_prob_products, _validate_unitaries
 
-from helpers import random_mm, random_mo, random_qfac, ref_mm_accept_prob, words_up_to
+from helpers import random_mm, random_mo, random_qfac, ref_mm_accept_prob, ref_validate_unitaries, words_up_to
 
 
 def rotation_mo(theta):
@@ -254,3 +254,45 @@ class TestValidate:
     def test_dfa_missing_transition(self):
         d = Dfa(("a", "b"), ("x",), {("a", "x"): "b"}, "a", frozenset({"a"}))
         assert any("missing" in p for p in validate(d))
+
+
+class TestBatchedUnitaryCheck:
+    """``_validate_unitaries`` checks the well-shaped unitaries in one batch;
+    it gives the messages, in the order, of the one-at-a-time loop."""
+
+    GOOD = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
+
+    CASES = {
+        "wrong-shape": [("a", np.eye(3)), ("b", np.eye(2, 3)), ("c", np.ones(2))],
+        "nan": [("a", [[np.nan, 0.0], [0.0, 1.0]]), ("b", [[1.0, 0.0], [0.0, complex(0.0, np.nan)]])],
+        "inf": [("a", [[np.inf, 0.0], [0.0, 1.0]]), ("b", [[1.0, -np.inf], [0.0, 1.0]]),
+                ("c", [[1.0, 0.0], [complex(0.0, np.inf), 1.0]])],
+        "non-unitary": [("a", np.diag([1.0, 2.0])), ("b", [[1.0, 1e-6], [0.0, 1.0]])],
+        "mix": [("a", GOOD), ("b", np.eye(3)), ("c", [[np.nan, 0.0], [0.0, 1.0]]), ("d", np.diag([1.0, 2.0])),
+                ("e", GOOD.T), ("f", [[-np.inf, 0.0], [0.0, 1.0]]), ("g", np.ones((2, 1))), ("h", 3 * GOOD)],
+        "clean": [("a", GOOD), ("b", np.eye(2))],
+        "none": [],
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_violations_as_the_loop(self, case):
+        got = []
+        _validate_unitaries(self.CASES[case], 2, 1e-9, got, "unitary")
+        assert got == ref_validate_unitaries(self.CASES[case], 2, 1e-9)
+        assert bool(got) == (case not in ("clean", "none"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hybrid_with_every_fault(self):
+        rng = np.random.default_rng(3)
+        m = random_qfac(rng, 3, 2)
+        unitaries = dict(m.unitaries)
+        unitaries[("s0", "a")] = np.full((2, 2), np.nan)
+        unitaries[("s1", "b")] = np.diag([1.0, 3.0])
+        unitaries[("s2", "a")] = np.eye(4)
+        bad = m.__class__(m.classical_states, m.alphabet, m.initial_classical, m.initial_quantum, m.transitions,
+                          unitaries, m.accepting)
+        expected = ref_validate_unitaries(sorted((f"({s},{a})", u) for (s, a), u in unitaries.items()), 2,
+                                          1e-9 * 2)
+        assert [p for p in validate(bad) if p.startswith("unitary")] == expected
+        assert len(expected) == 3
