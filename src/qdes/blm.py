@@ -101,14 +101,11 @@ class LinearForm:
 def blm_eval(b: Rblm | LinearForm, w: Sequence[str]) -> float:
     """Word function value ``eta @ M(w_m) ... M(w_1) @ pi``, of a machine or a linear form."""
     allowed = set(b.alphabet)
-    # A machine's matrices are read directly, so the per-word scans over
-    # compiled machines pay no method call per symbol.
-    matrices = b.matrices if isinstance(b, Rblm) else None
     v = np.asarray(b.pi, dtype=complex)
     for sym in w:
         if sym not in allowed:
             raise ValueError(f"symbol {sym!r} not in alphabet {sorted(allowed)}")
-        v = b.apply(sym, v) if matrices is None else matrices[sym] @ v
+        v = b.apply(sym, v)
     val = complex(np.asarray(b.eta, dtype=complex) @ v)
     if b.real_valued and abs(val.imag) > REAL_TOL:
         raise ArithmeticError(f"machine marked real-valued but f({''.join(w)!r}) = {val!r}")
@@ -236,6 +233,19 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
     return absorb_symbol(working, END_MARKER)
 
 
+def _qfac_vectors(m: Qfac) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a hybrid automaton and give its machine's ``pi`` and ``eta``,
+    one vec(rho) block per classical state."""
+    problems = validate(m)
+    if problems:
+        raise ValueError("invalid automaton: " + "; ".join(problems))
+    psi = np.asarray(m.initial_quantum, dtype=complex)
+    pi = np.zeros((len(m.classical_states), m.dim * m.dim), dtype=complex)
+    pi[m.classical_states.index(m.initial_classical)] = _vec(np.outer(psi, np.conj(psi)))
+    eta = np.array([_trace_functional(m.accepting[s].as_matrix()) for s in m.classical_states]).ravel()
+    return pi.ravel(), eta
+
+
 def _qfac_form(m: Qfac) -> LinearForm:
     """The operator form of ``compile_qfac_to_rblm``: the same vectors, and a
     step that conjugates each classical block by its own unitary.
@@ -246,9 +256,7 @@ def _qfac_form(m: Qfac) -> LinearForm:
     successor states with a k x k 0/1 routing matrix.  A step costs
     O(k d^3 + k^2 d^2) per column instead of the compiled O(k^2 d^4).
     """
-    problems = validate(m)
-    if problems:
-        raise ValueError("invalid automaton: " + "; ".join(problems))
+    pi, eta = _qfac_vectors(m)
     d, states = m.dim, m.classical_states
     k = len(states)
     index = {s: i for i, s in enumerate(states)}
@@ -265,11 +273,7 @@ def _qfac_form(m: Qfac) -> LinearForm:
         moved = (u @ rho @ uh).transpose(0, 2, 3, 1).reshape(k, -1)
         return (route @ moved).reshape(x.shape)
 
-    psi = np.asarray(m.initial_quantum, dtype=complex)
-    pi = np.zeros((k, d * d), dtype=complex)
-    pi[index[m.initial_classical]] = _vec(np.outer(psi, np.conj(psi)))
-    eta = np.array([_trace_functional(m.accepting[s].as_matrix()) for s in states]).ravel()
-    return LinearForm(m.alphabet, pi.ravel(), apply, eta)
+    return LinearForm(m.alphabet, pi, apply, eta)
 
 
 def compile_qfac_to_rblm(m: Qfac) -> Rblm:
@@ -280,13 +284,15 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
     all others are zero.  Reading a symbol routes each block through the
     conjugation by its state's unitary into the successor state's block.
     The final functional sums tr(P(s, acc) rho_s) over classical states.
+    Assembled from Kronecker blocks rather than from ``_qfac_form``'s
+    step on the identity, which takes several times longer.
     """
-    form = _qfac_form(m)
+    pi, eta = _qfac_vectors(m)
     nn = m.dim * m.dim
     pos = {s: i * nn for i, s in enumerate(m.classical_states)}
     matrices: dict[str, np.ndarray] = {}
     for sym in m.alphabet:
-        t = np.zeros((form.n, form.n), dtype=complex)
+        t = np.zeros((pi.size, pi.size), dtype=complex)
         for s in m.classical_states:
             src = pos[s]
             dst = pos[m.transitions[(s, sym)]]
@@ -294,7 +300,7 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
                 np.asarray(m.unitaries[(s, sym)], dtype=complex)
             )
         matrices[sym] = t
-    return Rblm(m.alphabet, form.pi, matrices, form.eta)
+    return Rblm(m.alphabet, pi, matrices, eta)
 
 
 def rblm_probability(b: Rblm, w: Sequence[str]) -> float:

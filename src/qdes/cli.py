@@ -20,7 +20,7 @@ import numpy as np
 from . import fixtures, serialize
 from .blm import Rblm, evaluator, linear_form, to_rblm
 from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
-from .equivalence import DEFAULT_EQUIV_TOL, _equivalent, k_equiv_bruteforce
+from .equivalence import DEFAULT_EQUIV_TOL, equiv_rblm, k_equiv_bruteforce
 from .models import Dfa, MmQfa, MoQfa, Qfac, _mm_accept_prob_products, validate
 from .supervisory import (
     ClosedLoop,
@@ -76,7 +76,7 @@ def cmd_equiv(args) -> int:
     if args.brute_k is not None:
         verdict = k_equiv_bruteforce(to_rblm(a1), to_rblm(a2), args.brute_k, args.tol)
     else:
-        verdict = _equivalent(linear_form(a1), linear_form(a2), args.tol)
+        verdict = equiv_rblm(linear_form(a1), linear_form(a2), args.tol)
     doc = {
         "equivalent": verdict.equivalent,
         "counterexample": _word_str(verdict.counterexample),

@@ -120,36 +120,32 @@ def explore_span(
     return basis[:k], None
 
 
-def _equivalent(f1: Rblm | LinearForm, f2: Rblm | LinearForm, tol: float) -> EquivalenceVerdict:
-    """Decide equivalence of two linear forms by span exploration of the joint vectors.
+def equiv_rblm(b1: Rblm | LinearForm, b2: Rblm | LinearForm, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
+    """Decide equivalence of two bilinear machines, or linear forms, by span
+    exploration of the joint vectors.
 
     Counterexamples are certified: re-evaluating both forms on the
     returned word reproduces a gap above ``tol``.
     """
-    if set(f1.alphabet) != set(f2.alphabet):
+    if set(b1.alphabet) != set(b2.alphabet):
         raise ValueError("equivalence requires identical alphabets")
-    alphabet = tuple(sorted(f1.alphabet))  # expansion order fixes the tie-break
-    n1, n2 = f1.n, f2.n
-    eta_diff = np.concatenate([np.asarray(f1.eta, dtype=complex), -np.asarray(f2.eta, dtype=complex)])
-    start = np.concatenate([np.asarray(f1.pi, dtype=complex), np.asarray(f2.pi, dtype=complex)])
+    alphabet = tuple(sorted(b1.alphabet))  # expansion order fixes the tie-break
+    n1, n2 = b1.n, b2.n
+    eta_diff = np.concatenate([np.asarray(b1.eta, dtype=complex), -np.asarray(b2.eta, dtype=complex)])
+    start = np.concatenate([np.asarray(b1.pi, dtype=complex), np.asarray(b2.pi, dtype=complex)])
 
     def step(x: np.ndarray, a: str) -> np.ndarray:
-        return np.concatenate([f1.apply(a, x[:n1]), f2.apply(a, x[n1:])])
+        return np.concatenate([b1.apply(a, x[:n1]), b2.apply(a, x[n1:])])
 
     basis, word = explore_span(start, step, alphabet, tol, eta_diff)
     return EquivalenceVerdict(
         equivalent=word is None,
         counterexample=word,
-        f1=blm_eval(f1, word) if word is not None and f1.real_valued else None,
-        f2=blm_eval(f2, word) if word is not None and f2.real_valued else None,
+        f1=blm_eval(b1, word) if word is not None and b1.real_valued else None,
+        f2=blm_eval(b2, word) if word is not None and b2.real_valued else None,
         visited_dim=len(basis),
         word_bound=n1 + n2 - 1,
     )
-
-
-def equiv_rblm(b1: Rblm, b2: Rblm, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
-    """Decide equivalence of two bilinear machines by span exploration."""
-    return _equivalent(b1, b2, tol)
 
 
 def _reachable_part(f: Rblm | LinearForm) -> Rblm:
@@ -221,9 +217,9 @@ def k_equiv_bruteforce(
 
 def equiv_mm_qfa(m1: MmQfa, m2: MmQfa, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
     """Equivalence of two measure-many automata on their compiled machines."""
-    return _equivalent(linear_form(m1), linear_form(m2), tol)
+    return equiv_rblm(linear_form(m1), linear_form(m2), tol)
 
 
 def equiv_qfac(m1: Qfac, m2: Qfac, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
     """Equivalence of two classical-hybrid automata, in operator form."""
-    return _equivalent(linear_form(m1), linear_form(m2), tol)
+    return equiv_rblm(linear_form(m1), linear_form(m2), tol)

@@ -153,19 +153,19 @@ class SupervisorPolicy:
             return self.target(w)
         raise ValueError(f"event {sigma!r} outside the alphabet")
 
-    def enablement_levels(self, alphabet: Sequence[str], horizon: int, plant: Levels | None = None) -> Levels:
+    def enablement_levels(self, alphabet: Sequence[str], horizon: int) -> Levels:
         """``enablement`` after every history up to the horizon: per length L an
         |Sigma|^L x |Sigma| array whose column j holds ``alphabet[j]``'s
-        enablement after each history, in ``words_upto`` order.
-
-        ``plant``, if given, is a pass of the plant's levels over
-        ``alphabet`` from length 0 to horizon + 1, read instead of a new one."""
+        enablement after each history, in ``words_upto`` order."""
         check_horizon(horizon)
         _check_events(alphabet, self.spec)
+        return self._enablement_levels(alphabet, horizon, self.plant.levels(alphabet, horizon + 1))
+
+    def _enablement_levels(self, alphabet: Sequence[str], horizon: int, plant: Levels) -> Levels:
+        """``enablement_levels`` reading ``plant``, a pass of the plant's levels
+        over ``alphabet`` from length 0 to horizon + 1."""
         k = len(alphabet)
         plant_side = np.array([a in self.spec.uncontrollable for a in alphabet])
-        if plant is None:
-            plant = self.plant.levels(alphabet, horizon + 1)
         target = self.target.levels(alphabet, horizon + 1)
         next(plant), next(target)
         return (np.where(plant_side, p.reshape(-1, k), t.reshape(-1, k)) for p, t in zip(plant, target))
@@ -184,9 +184,8 @@ class CustomSupervisor:
             raise ValueError(f"event {sigma!r} outside the alphabet")
         return float(self.fn(tuple(s), sigma))
 
-    def enablement_levels(self, alphabet: Sequence[str], horizon: int, plant: Levels | None = None) -> Levels:
-        """As ``SupervisorPolicy.enablement_levels``, one ``enablement`` call per
-        entry; ``plant`` is not read."""
+    def enablement_levels(self, alphabet: Sequence[str], horizon: int) -> Levels:
+        """As ``SupervisorPolicy.enablement_levels``, one ``enablement`` call per entry."""
         check_horizon(horizon)
         _check_events(alphabet, self.spec)
         return (np.array([[self.enablement(s, a) for a in alphabet] for s in product(alphabet, repeat=n)])
@@ -197,6 +196,20 @@ def _check_events(alphabet: Sequence[str], spec: ControlSpec) -> None:
     for a in alphabet:
         if a not in spec.alphabet:
             raise ValueError(f"event {a!r} outside the alphabet")
+
+
+def _plant_steps(supervisor, alphabet: Sequence[str], horizon: int, plant: Levels) -> Iterator[tuple]:
+    """(plant level L + 1, enablement level L) for L = 0 ... horizon, from
+    ``plant``, one pass of the plant's levels over ``alphabet``.  A
+    ``SupervisorPolicy`` takes its enablement's plant side from the same
+    pass; other supervisors do not read the plant's levels."""
+    if isinstance(supervisor, SupervisorPolicy):
+        _check_events(alphabet, supervisor.spec)
+        plant, shared = tee(plant)
+        enablement = supervisor._enablement_levels(alphabet, horizon, shared)
+    else:
+        enablement = supervisor.enablement_levels(alphabet, horizon)
+    return zip(islice(plant, 1, None), enablement)
 
 
 def synthesize_supervisor(
@@ -237,15 +250,13 @@ class ClosedLoop:
             self._memo[prefix] = acc
         return acc
 
-    def levels(self, horizon: int, plant: Levels | None = None) -> Levels:
+    def levels(self, horizon: int) -> Levels:
         """``value`` of every history up to the horizon, one array per length,
         in ``words_upto`` order over the plant's alphabet.
 
         The min-recursion on whole levels: cl_0 = [1] and cl_(L+1) =
         min(cl_L(s), plant(s a), enablement(s, a)) for every history s and
-        event a, row s and column a of a |Sigma|^L x |Sigma| array.  One
-        pass of the plant's levels, ``plant`` if given, serves the
-        recursion and the enablement.
+        event a, row s and column a of a |Sigma|^L x |Sigma| array.
 
         >>> plant = QuantumLanguage.from_table(
         ...     {(): 1.0, ("a",): 0.9, ("b",): 0.6, ("a", "a"): 0.8, ("a", "b"): 0.2,
@@ -256,9 +267,12 @@ class ClosedLoop:
         [[1.0], [0.7, 0.4], [0.7, 0.2, 0.4, 0.4]]
         """
         check_horizon(horizon)
-        alphabet = self.supervisor.plant.alphabet
-        own, shared = tee(self.supervisor.plant.levels(alphabet, horizon) if plant is None else plant)
-        steps = zip(islice(own, 1, None), self.supervisor.enablement_levels(alphabet, max(horizon - 1, 0), shared))
+        return self._levels(horizon, self.supervisor.plant.levels(self.supervisor.plant.alphabet, horizon))
+
+    def _levels(self, horizon: int, plant: Levels) -> Levels:
+        """``levels`` reading ``plant``, a pass of the plant's levels over its
+        alphabet from length 0 to the horizon."""
+        steps = _plant_steps(self.supervisor, self.supervisor.plant.alphabet, max(horizon - 1, 0), plant)
 
         def step(cl: np.ndarray, pe: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
             p, en = pe
@@ -342,9 +356,8 @@ def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[Admiss
     alphabet, k = spec.alphabet, len(spec.alphabet)
     events = sorted(spec.uncontrollable)
     cols = [alphabet.index(e) for e in events]
-    feasible, shared = tee(plant.levels(alphabet, horizon + 1))
     out = []
-    frontier = zip(islice(feasible, 1, None), supervisor.enablement_levels(alphabet, horizon, shared))
+    frontier = _plant_steps(supervisor, alphabet, horizon, plant.levels(alphabet, horizon + 1))
     for length, (p, en) in enumerate(frontier):
         near = p.reshape(-1, k)[:, cols] > en[:, cols] + tol - LEVEL_MARGIN
         for i, e in np.argwhere(near):
@@ -579,7 +592,7 @@ def check_nonblocking(
         return (word_at(alphabet, length, int(i)) for i in np.flatnonzero(~settled))
 
     loop_pass, band_pass = tee(cl.supervisor.plant.levels(alphabet, horizon))
-    frontier = enumerate(zip(cl.levels(horizon, loop_pass), band_pass))
+    frontier = enumerate(zip(cl._levels(horizon, loop_pass), band_pass))
     return all(reached(s) for length, (c, p) in frontier for s in unsettled(length, c, p))
 
 
