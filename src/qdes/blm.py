@@ -181,19 +181,15 @@ def absorb_symbol(b: Rblm, tau: str, keep_symbol: bool = False) -> Rblm:
     return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau], b.real_valued)
 
 
-def _vec(rho: np.ndarray) -> np.ndarray:
-    """Row-major vectorization; vec(A X B) = (A kron B^T) vec(X)."""
-    return rho.reshape(-1)
-
-
 def _conjugation_map(g: np.ndarray) -> np.ndarray:
-    """Matrix sending vec(rho) to vec(G rho G†)."""
-    return np.kron(g, np.conj(g))
+    """Matrix sending vec(rho) to vec(G rho G†), with vec row-major, so
+    vec(A X B) = (A kron B^T) vec(X); a stack of them for a stack of G."""
+    return tensor(g, np.conj(g))
 
 
 def _trace_functional(a: np.ndarray) -> np.ndarray:
     """Row vector t with t @ vec(rho) = tr(A rho)."""
-    return _vec(a.T)
+    return a.T.ravel()
 
 
 def compile_mm_to_rblm(m: MmQfa) -> Rblm:
@@ -224,7 +220,7 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
 
     psi = np.asarray(m.initial, dtype=complex)
     pi = np.zeros(dim, dtype=complex)
-    pi[: n * n] = _vec(np.outer(psi, np.conj(psi)))
+    pi[: n * n] = np.outer(psi, np.conj(psi)).ravel()
 
     eta = np.zeros(dim, dtype=complex)
     eta[n * n] = 1.0
@@ -233,45 +229,44 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
     return absorb_symbol(working, END_MARKER)
 
 
-def _qfac_vectors(m: Qfac) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a hybrid automaton and give its machine's ``pi`` and ``eta``,
-    one vec(rho) block per classical state."""
+def _qfac_parts(m: Qfac) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Validate a hybrid automaton; give its machine's ``pi`` and ``eta``, one
+    vec(rho) block per classical state, and per symbol a the (k, d^2, d^2)
+    stack of U(s, a) kron conj U(s, a) with the 0/1 routing matrix that
+    has a 1 at (delta(s, a), s)."""
     problems = validate(m)
     if problems:
         raise ValueError("invalid automaton: " + "; ".join(problems))
+    states, k = m.classical_states, len(m.classical_states)
     psi = np.asarray(m.initial_quantum, dtype=complex)
-    pi = np.zeros((len(m.classical_states), m.dim * m.dim), dtype=complex)
-    pi[m.classical_states.index(m.initial_classical)] = _vec(np.outer(psi, np.conj(psi)))
-    eta = np.array([_trace_functional(m.accepting[s].as_matrix()) for s in m.classical_states]).ravel()
-    return pi.ravel(), eta
+    pi = np.zeros((k, m.dim * m.dim), dtype=complex)
+    pi[states.index(m.initial_classical)] = np.outer(psi, np.conj(psi)).ravel()
+    eta = np.array([_trace_functional(m.accepting[s].as_matrix()) for s in states]).ravel()
+    steps = {}
+    for a in m.alphabet:
+        route = np.zeros((k, k), dtype=complex)
+        route[[states.index(m.transitions[(s, a)]) for s in states], range(k)] = 1.0
+        steps[a] = _conjugation_map(np.array([m.unitaries[(s, a)] for s in states], dtype=complex)), route
+    return pi.ravel(), eta, steps
 
 
 def _qfac_form(m: Qfac) -> LinearForm:
     """The operator form of ``compile_qfac_to_rblm``: the same vectors, and a
     step that conjugates each classical block by its own unitary.
 
-    A block of r columns is read as k x r density matrices; reading a
-    symbol maps rho_s to U(s, a) rho_s U(s, a)^dagger, in one batched
-    product per side, and sums the results into the blocks of their
-    successor states with a k x k 0/1 routing matrix.  A step costs
-    O(k d^3 + k^2 d^2) per column instead of the compiled O(k^2 d^4).
+    A block of r columns is read as k stacked d^2 x r blocks; reading a
+    symbol maps each by its state's superoperator, in one batched
+    product, and sums the results into the blocks of the successor states
+    with the routing matrix.  A step costs O(k d^4 + k^2 d^2) per column
+    instead of the compiled O(k^2 d^4), and the blocks take 1/k of the
+    compiled storage.
     """
-    pi, eta = _qfac_vectors(m)
-    d, states = m.dim, m.classical_states
-    k = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    steps = {}
-    for a in m.alphabet:
-        u = np.array([m.unitaries[(s, a)] for s in states], dtype=complex)
-        route = np.zeros((k, k), dtype=complex)
-        route[[index[m.transitions[(s, a)]] for s in states], range(k)] = 1.0
-        steps[a] = u[:, None], np.conj(u).transpose(0, 2, 1)[:, None], route
+    pi, eta, steps = _qfac_parts(m)
 
     def apply(a: str, x: np.ndarray) -> np.ndarray:
-        u, uh, route = steps[a]
-        rho = x.reshape(k, d, d, -1).transpose(0, 3, 1, 2)
-        moved = (u @ rho @ uh).transpose(0, 2, 3, 1).reshape(k, -1)
-        return (route @ moved).reshape(x.shape)
+        blocks, route = steps[a]
+        moved = blocks @ x.reshape(*blocks.shape[:2], -1)
+        return (route @ moved.reshape(len(route), -1)).reshape(x.shape)
 
     return LinearForm(m.alphabet, pi, apply, eta)
 
@@ -284,22 +279,16 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
     all others are zero.  Reading a symbol routes each block through the
     conjugation by its state's unitary into the successor state's block.
     The final functional sums tr(P(s, acc) rho_s) over classical states.
-    Assembled from Kronecker blocks rather than from ``_qfac_form``'s
-    step on the identity, which takes several times longer.
+    The matrices scatter ``_qfac_form``'s blocks into zeros: form and machine
+    agree bit for bit, and pages no transition reaches stay untouched.
     """
-    pi, eta = _qfac_vectors(m)
-    nn = m.dim * m.dim
-    pos = {s: i * nn for i, s in enumerate(m.classical_states)}
-    matrices: dict[str, np.ndarray] = {}
-    for sym in m.alphabet:
-        t = np.zeros((pi.size, pi.size), dtype=complex)
-        for s in m.classical_states:
-            src = pos[s]
-            dst = pos[m.transitions[(s, sym)]]
-            t[dst: dst + nn, src: src + nn] += _conjugation_map(
-                np.asarray(m.unitaries[(s, sym)], dtype=complex)
-            )
-        matrices[sym] = t
+    pi, eta, steps = _qfac_parts(m)
+    matrices = {}
+    for a, (blocks, route) in steps.items():
+        (k, nn, _), (dst, src) = blocks.shape, np.nonzero(route)
+        t = np.zeros((k, nn, k, nn), dtype=complex)
+        t[dst, :, src, :] = blocks[src]
+        matrices[a] = t.reshape(pi.size, pi.size)
     return Rblm(m.alphabet, pi, matrices, eta)
 
 

@@ -1,27 +1,21 @@
 """Span exploration: equivalence decisions and minimization of automata.
 
-``explore_span`` is the one kernel.  It explores words breadth-first
-and keeps an orthonormal basis of the vectors they reach; a word is
-expanded only if its vector leaves the span of the vectors seen so far,
-so at most ``dim`` expansions happen and termination is guaranteed.
-
-Every decision runs on the linear forms of ``blm.linear_form``: an
-initial vector, a final functional and a step ``apply(a, X)``, so a
-hybrid automaton is explored in operator form and never compiled to
-dense matrices.  Two automata are equivalent when their word functions
-agree on every word.  The equivalence kernel explores the joint vectors
-``x1(w) ⊕ x2(w)``; a pair fails the moment some reached vector has a
-nonzero image under the difference functional ``eta1 ⊕ -eta2``, and the
-offending word is returned as a counterexample (shortest first,
-lexicographically least among equals, because the queue is strict FIFO
-over length-then-lex order).  ``minimize`` explores forward from ``pi``
-with the step, projects onto that span, and reduces the small dense
-machine backward from ``eta``; the controllability decision in
-``supervisory`` explores a product state of two minimized machines.
+``explore_span`` is the one kernel, and every decision runs it on the
+linear forms of ``blm.linear_form``: an initial vector, a final
+functional and a step ``apply(a, X)``, so a hybrid automaton is explored
+in operator form and never compiled to dense matrices.  Two automata are
+equivalent when their word functions agree on every word: the kernel
+explores the joint vectors ``x1(w) ⊕ x2(w)`` and stops at the
+shortlex-least word with a nonzero value of ``eta1 ⊕ -eta2``, the
+counterexample.  ``minimize`` explores forward from ``pi`` with the
+step, projects onto that span, and reduces the small dense machine
+backward from ``eta``; the controllability decision in ``supervisory``
+explores a product state of two minimized machines.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -69,31 +63,41 @@ def explore_span(
     step: Callable[[np.ndarray, str], np.ndarray],
     alphabet: Sequence[str],
     tol: float,
-    functional: np.ndarray | None = None,
-) -> tuple[np.ndarray, Word | None]:
+    functionals: np.ndarray | None = None,
+) -> tuple[np.ndarray, tuple[Word, int] | None]:
     """Breadth-first exploration of span{x(w)}: the one span kernel.
 
     ``x(()) = start`` and ``x(w a) = step(x(w), a)``.  Words are popped in
     shortlex order (``alphabet`` gives the order of the symbols); a
     popped vector whose residual against the orthonormal basis exceeds
     ``tol * max(1, |x|)`` joins the basis and only then are its children
-    queued, so at most ``len(start)`` words are expanded.  With a
-    ``functional``, the exploration stops at the first popped word where
-    ``|functional @ x(w)| > tol`` and returns it: that word is the
-    shortlex-least one with a nonzero value, because every pruned vector
-    is a combination of shortlex-smaller ones and the functional is
-    linear.
+    queued, so at most ``len(start)`` words are expanded.  With an
+    (m, len(start)) array of ``functionals``, the exploration stops at
+    the first popped word where some ``|row @ x(w)| > tol``, which is the
+    shortlex-least word with a nonzero row value (every pruned vector is
+    a combination of shortlex-smaller ones), and returns it with the
+    lowest such row.  Here ``a`` and ``b`` move e0 to e1 and e2, and the
+    rows read x[2] and x[1] + x[2]:
+
+    >>> e = np.eye(3)
+    >>> moves = {"a": np.outer(e[1], e[0]), "b": np.outer(e[2], e[0])}
+    >>> rows = np.array([e[2], e[1] + e[2]])
+    >>> explore_span(e[0], lambda x, a: moves[a] @ x, ("a", "b"), 1e-9, rows)[1]
+    (('a',), 1)
+    >>> explore_span(e[0], lambda x, a: moves[a] @ x, ("b", "a"), 1e-9, rows)[1]
+    (('b',), 0)
 
     Returns the basis as orthonormal rows (``k x len(start)``) and the
-    word found, or None.  The basis storage doubles as ``k`` grows
-    instead of being allocated for ``len(start)`` rows up front, which
-    would be square in the state dimension.
+    ``(word, row)`` found, or None.  The buffers double as ``k`` grows,
+    rather than holding ``len(start)`` rows, square in the dimension.
     """
     n = start.shape[0]
-    # The basis rows and their conjugates, which project a vector onto the
-    # span with one product: conj(q @ conj(x)) == conj(q) @ x.
+    rows = np.empty((0, n), dtype=complex) if functionals is None else np.asarray(functionals, dtype=complex)
+    m = rows.shape[0]
+    # The rows above the conjugated basis rows, so one product gives the row
+    # values and the projection coefficients: conj(q @ conj(x)) == conj(q) @ x.
     basis = np.empty((min(n, 8), n), dtype=complex)
-    conj = np.empty_like(basis)
+    lead = np.concatenate([rows, np.empty_like(basis)])
     k = 0
     # A queued word holds its parent's vector and its last symbol; the
     # child is computed when popped, so the queue keeps no extra vectors.
@@ -101,20 +105,26 @@ def explore_span(
     while queue:
         word, parent, sym = queue.popleft()
         x = parent if sym is None else step(parent, sym)
-        if functional is not None and abs(complex(functional @ x)) > tol:
-            return basis[:k], word
-        # Block classical Gram-Schmidt, applied twice to restore the
-        # orthogonality lost to cancellation.
-        q, qc = basis[:k], conj[:k]
-        residual = x - (qc @ x) @ q
-        residual = residual - (qc @ residual) @ q
-        rnorm = np.sqrt(np.vdot(residual, residual).real)
-        if rnorm > tol * max(1.0, np.sqrt(np.vdot(x, x).real)):
+        p = lead[: m + k] @ x
+        # A handful of rows: Python scalars test them faster than numpy calls.
+        for row, value in enumerate(p[:m].tolist()):
+            if abs(value) > tol:
+                return basis[:k], (word, row)
+        q = basis[:k]
+        residual = x - p[m:] @ q
+        bound = tol * max(1.0, math.sqrt(np.vdot(x, x).real))
+        if math.sqrt(np.vdot(residual, residual).real) <= bound:
+            continue
+        # A second pass restores the orthogonality lost to cancellation; it
+        # can only shrink the residual, so a pruned vector skips it.
+        residual = residual - (lead[m: m + k] @ residual) @ q
+        rnorm = math.sqrt(np.vdot(residual, residual).real)
+        if rnorm > bound:
             if k == basis.shape[0]:
                 grow = np.empty((min(n, 2 * k) - k, n), dtype=complex)
-                basis, conj = np.concatenate([basis, grow]), np.concatenate([conj, grow])
+                basis, lead = np.concatenate([basis, grow]), np.concatenate([lead, grow])
             basis[k] = residual / rnorm
-            conj[k] = np.conj(basis[k])
+            lead[m + k] = np.conj(basis[k])
             k += 1
             queue.extend(((*word, a), x, a) for a in alphabet)
     return basis[:k], None
@@ -137,7 +147,8 @@ def equiv_rblm(b1: Rblm | LinearForm, b2: Rblm | LinearForm, tol: float = DEFAUL
     def step(x: np.ndarray, a: str) -> np.ndarray:
         return np.concatenate([b1.apply(a, x[:n1]), b2.apply(a, x[n1:])])
 
-    basis, word = explore_span(start, step, alphabet, tol, eta_diff)
+    basis, hit = explore_span(start, step, alphabet, tol, eta_diff[None])
+    word = hit[0] if hit else None
     return EquivalenceVerdict(
         equivalent=word is None,
         counterexample=word,

@@ -43,7 +43,8 @@ def tensor(a, b) -> np.ndarray:
 
     For matrices the result has ``a.rows * b.rows`` rows and
     ``a.cols * b.cols`` columns, with block (i, j) equal to
-    ``a[i, j] * b``.  Vectors combine to a vector of product length.
+    ``a[i, j] * b``, stacks of matrices pair up along their leading axes,
+    and vectors combine to a vector: entry for entry ``np.kron``'s products.
 
     Examples
     --------
@@ -53,7 +54,11 @@ def tensor(a, b) -> np.ndarray:
     >>> tensor([1, 0], [0, 1]).real
     array([0., 1., 0., 0.])
     """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b).ravel()
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def direct_sum(a, b) -> np.ndarray:

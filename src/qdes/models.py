@@ -274,10 +274,6 @@ class Qfac:
     def dim(self) -> int:
         return int(self.initial_quantum.shape[0])
 
-    @property
-    def classical_count(self) -> int:
-        return len(self.classical_states)
-
 
 def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
     """Thread the classical state and quantum product, then measure."""

@@ -437,20 +437,18 @@ def decide_controllability(
     ``m = M(w) pi_M``, serves both; it advances as ``X1 <- H_a X1 M_a^T``
     and ``X2 <- H_a X2 H_a^T`` (Van Loan's ``(A x B) vec X = vec(A X B^T)``),
     and the span kernel tests the difference of the two final
-    functionals on it.  Target and plant are first reduced to minimal
-    machines (``equivalence.minimize``), once per decision, and no
-    Kronecker product of machine matrices is ever formed.  The witness
-    is the shortlex-least word with a nonzero gap, for the first failing
-    event in sorted order, whatever the representation.
+    functionals on it, one row per event, in one exploration.  Target
+    and plant, of any kind ``blm.linear_form`` maps and with alphabets in
+    any order, are first minimized in operator form, and no Kronecker
+    product of machine matrices is ever formed.  The witness is the
+    oracle's: the shortlex-least word in ``spec.alphabet`` order with a
+    nonzero gap, and the first failing event in sorted order at that word.
 
     On failure ``lhs = min(target(s), plant(s sigma))`` and
     ``rhs = target(s sigma)`` come from the direct evaluators.  The two
     sides differ by ``(H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))``,
     so a witness with ``lhs <= rhs`` means a reduction precondition
-    fails at that word.  Target and plant may be of any automaton kind
-    ``blm.linear_form`` maps, each with its alphabet in any order; a
-    hybrid automaton is minimized in operator form, without its dense
-    compiled machine.
+    fails at that word.
     """
     h, m = minimize(target), minimize(plant)
     if set(h.alphabet) != set(m.alphabet):
@@ -465,18 +463,19 @@ def decide_controllability(
         x2 = ha @ x[split:].reshape(h.n, h.n) @ ha.T
         return np.concatenate([x1.ravel(), x2.ravel()])
 
+    events = sorted(spec.uncontrollable)
+    eta_hs = [h.eta @ h.matrices[e] for e in events]
+    # eta_lhs - eta_rhs on (X1, X2) per event, as row-major vec functionals.
+    gaps = [np.concatenate([np.outer(h.eta - hs, m.eta @ m.matrices[e]).ravel(), np.outer(hs, hs - h.eta).ravel()])
+            for e, hs in zip(events, eta_hs)]
     start = np.concatenate([np.outer(h.pi, m.pi).ravel(), np.outer(h.pi, h.pi).ravel()])
-    alphabet = tuple(sorted(h.alphabet))
-    for sigma in sorted(spec.uncontrollable):
-        eta_h, eta_hs, eta_ms = h.eta, h.eta @ h.matrices[sigma], m.eta @ m.matrices[sigma]
-        # eta_lhs - eta_rhs on (X1, X2), as row-major vec functionals.
-        gap = np.concatenate([np.outer(eta_h - eta_hs, eta_ms).ravel(), np.outer(eta_hs, eta_hs - eta_h).ravel()])
-        _, word = explore_span(start, step, alphabet, tol, gap)
-        if word is not None:
-            f_target, f_plant = evaluator(target), evaluator(plant)
-            ext = (*word, sigma)
-            return ControllabilityResult(False, word, sigma, min(f_target(word), f_plant(ext)), f_target(ext))
-    return ControllabilityResult(True)
+    _, hit = explore_span(start, step, spec.alphabet, tol, np.reshape(gaps, (len(events), start.size)))
+    if hit is None:
+        return ControllabilityResult(True)
+    word, sigma = hit[0], events[hit[1]]
+    f_target, f_plant = evaluator(target), evaluator(plant)
+    ext = (*word, sigma)
+    return ControllabilityResult(False, word, sigma, min(f_target(word), f_plant(ext)), f_target(ext))
 
 
 def check_decision_preconditions(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,

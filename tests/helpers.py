@@ -6,6 +6,7 @@ reproducible; machines come out valid by construction.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -257,3 +258,39 @@ def ref_validate_unitaries(pairs, dim, tol, what="unitary"):
             dev = float(np.max(np.abs(u @ np.conj(u).T - np.eye(dim))))
             violations.append(f"{what} {name}: non-unitary (max deviation {dev:.3e})")
     return violations
+
+
+def ref_explore_span(start, step, alphabet, tol, functional=None):
+    """The span kernel with one functional and both Gram-Schmidt passes on
+    every pop; returns the basis rows and the first word with
+    ``|functional @ x(w)| > tol``, or None."""
+    n = start.shape[0]
+    basis = np.empty((min(n, 8), n), dtype=complex)
+    conj = np.empty_like(basis)
+    k = 0
+    queue = deque([((), start, None)])
+    while queue:
+        word, parent, sym = queue.popleft()
+        x = parent if sym is None else step(parent, sym)
+        if functional is not None and abs(complex(functional @ x)) > tol:
+            return basis[:k], word
+        q, qc = basis[:k], conj[:k]
+        residual = x - (qc @ x) @ q
+        residual = residual - (qc @ residual) @ q
+        rnorm = np.sqrt(np.vdot(residual, residual).real)
+        if rnorm > tol * max(1.0, np.sqrt(np.vdot(x, x).real)):
+            if k == basis.shape[0]:
+                grow = np.empty((min(n, 2 * k) - k, n), dtype=complex)
+                basis, conj = np.concatenate([basis, grow]), np.concatenate([conj, grow])
+            basis[k] = residual / rnorm
+            conj[k] = np.conj(basis[k])
+            k += 1
+            queue.extend(((*word, a), x, a) for a in alphabet)
+    return basis[:k], None
+
+
+def ref_kernel(start, step, alphabet, tol, functionals=None):
+    """``ref_explore_span`` behind ``explore_span``'s signature, for at most one row."""
+    assert functionals is None or len(functionals) == 1
+    basis, word = ref_explore_span(start, step, alphabet, tol, None if functionals is None else functionals[0])
+    return basis, None if word is None else (word, 0)

@@ -247,6 +247,18 @@ class TestLinearForm:
         for sym in b.alphabet:
             assert np.array_equal(form.apply(sym, np.eye(b.n, dtype=complex)), b.matrices[sym])
 
+    @pytest.mark.parametrize("name", ["eg1-N2", "egadd-N4", "eg1xegadd"])
+    def test_blocks_are_the_kronecker_conjugation_maps(self, name):
+        m = HYBRIDS[name]()
+        b, nn = to_rblm(m), m.dim * m.dim
+        for sym in m.alphabet:
+            expected = np.zeros((b.n, b.n), dtype=complex)
+            for i, s in enumerate(m.classical_states):
+                j = m.classical_states.index(m.transitions[(s, sym)])
+                u = np.asarray(m.unitaries[(s, sym)], dtype=complex)
+                expected[j * nn:(j + 1) * nn, i * nn:(i + 1) * nn] += np.kron(u, np.conj(u))
+            assert np.array_equal(b.matrices[sym], expected)
+
     @pytest.mark.parametrize("name", ["eg1-N2", "mo-qfa", "dfa"])
     def test_one_vector_and_a_block(self, name):
         a = HYBRIDS[name]()

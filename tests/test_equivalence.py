@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdes import blm
+from qdes import blm, equivalence
 from qdes.blm import Rblm, blm_direct_sum, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, negate_final, to_rblm
 from qdes.composition import parallel_qfac
 from qdes.equivalence import (
@@ -12,6 +12,7 @@ from qdes.equivalence import (
     equiv_mm_qfa,
     equiv_qfac,
     equiv_rblm,
+    explore_span,
     k_equiv_bruteforce,
     minimize,
 )
@@ -24,7 +25,10 @@ from helpers import (
     padded_with_dead_block,
     random_mm,
     random_mo,
+    random_qfac,
     random_rblm,
+    ref_explore_span,
+    ref_kernel,
     similarity_transformed,
     words_up_to,
 )
@@ -378,3 +382,96 @@ class TestOperatorForm:
             tracemalloc.stop()
         assert verdict.equivalent
         assert peak < n * n * np.dtype(complex).itemsize
+
+
+def graded_machine():
+    """Reading s_i moves e0 to a_i e_i, and e_i on to a_i e_f, which eta reads,
+    so f(s_i s_i) = a_i^2 and every kept direction adds one to the minimal
+    size.  a_1 = 1e-3; a_2 ... a_7 lie between consecutive tolerances of
+    MINIMIZE_TOLS, and so do the residuals of the words s_i."""
+    n = 9
+    scales = [1e-3, *(10.0 ** (-7.5 - j) for j in range(6))]
+    matrices = {}
+    for i, scale in enumerate(scales, start=1):
+        m = np.zeros((n, n), dtype=complex)
+        m[i, 0] = m[n - 1, i] = scale
+        matrices[f"s{i}"] = m
+    return Rblm(tuple(matrices), np.eye(n, dtype=complex)[0], matrices, np.eye(n, dtype=complex)[n - 1])
+
+
+def random_automata():
+    rng = np.random.default_rng(61)
+    return [
+        padded_with_dead_block(rng, random_rblm(rng, 3), 2),
+        random_qfac(rng, 3, 3),
+        random_mm(rng, 3),
+        qfac_from_mo(random_mo(rng, 3)),
+    ]
+
+
+STOCK_AUTOMATA = {
+    **{f"eg1-N{n}-{eps}": (lambda n=n, eps=eps: build_eg1(n, eps, seed=0)) for n in (1, 2, 3) for eps in (0.95, 0.5)},
+    **{f"egadd-N{n}-{eps}": (lambda n=n, eps=eps: build_egadd(n, eps, seed=0)) for n in (4, 6) for eps in (0.98, 0.5)},
+    "eg2-N2": lambda: build_eg2(2, 0.5),
+    "eg1-N2-variant": lambda: build_spec_variant(build_eg1(2, 0.95, seed=0), "s5"),
+    "eg1xegadd": lambda: parallel_qfac(build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0)),
+}
+
+MINIMIZE_TOLS = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
+
+
+class TestKernelAgainstReference:
+    """The span kernel prunes after one Gram-Schmidt pass and tests several
+    functional rows in one product; the reference runs both passes on
+    every pop and tests one functional.  Sizes, verdicts and witnesses
+    agree."""
+
+    @pytest.mark.parametrize("name", [*STOCK_AUTOMATA, "random"])
+    def test_visited_dimensions_and_minimal_sizes(self, name, monkeypatch):
+        automata = random_automata() if name == "random" else [STOCK_AUTOMATA[name]()]
+        for a in automata:
+            form = blm.linear_form(a)
+            start, alphabet = np.asarray(form.pi, dtype=complex), tuple(sorted(form.alphabet))
+            for tol in MINIMIZE_TOLS:
+                visited = [len(kernel(start, lambda x, s: form.apply(s, x), alphabet, tol)[0])
+                           for kernel in (explore_span, ref_explore_span)]
+                assert visited[0] == visited[1]
+                self.assert_same_minimal_size(a, tol, monkeypatch)
+
+    def test_residuals_between_the_tolerances(self, monkeypatch):
+        b = graded_machine()
+        sizes = []
+        for tol in MINIMIZE_TOLS:
+            basis, _ = explore_span(b.pi, lambda x, s: b.matrices[s] @ x, b.alphabet, tol)
+            assert len(basis) == len(ref_explore_span(b.pi, lambda x, s: b.matrices[s] @ x, b.alphabet, tol)[0])
+            sizes.append(self.assert_same_minimal_size(b, tol, monkeypatch))
+        assert sizes == [4, 5, 6, 7, 8, 9]
+
+    @staticmethod
+    def assert_same_minimal_size(a, tol, monkeypatch):
+        monkeypatch.setattr(equivalence, "MINIMIZE_TOL", tol)
+        size = minimize(a).n
+        with monkeypatch.context() as patched:
+            patched.setattr(equivalence, "explore_span", ref_kernel)
+            assert minimize(a).n == size
+        return size
+
+    def test_equivalence_verdicts(self, monkeypatch):
+        eg1, egadd = build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0)
+        rng = np.random.default_rng(67)
+        pairs = [
+            (equiv_qfac, eg1, eg1),
+            (equiv_qfac, eg1, build_spec_variant(eg1, "s5")),
+            (equiv_qfac, egadd, build_spec_variant(egadd, "s5")),
+            (equiv_qfac, parallel_qfac(eg1, egadd), parallel_qfac(egadd, eg1)),
+            (equiv_mm_qfa, build_eg2(2, 0.5), build_eg2(2, 0.5)),
+            (equiv_mm_qfa, build_eg2(2, 0.5), build_eg2(3, 0.5)),
+        ]
+        for _ in range(10):
+            b = random_rblm(rng, 3)
+            pairs += [(equiv_rblm, b, similarity_transformed(rng, b)), (equiv_rblm, b, random_rblm(rng, 2)),
+                      (equiv_rblm, b, padded_with_dead_block(rng, b, 2))]
+        verdicts = [fn(a, b) for fn, a, b in pairs]
+        assert {v.equivalent for v in verdicts} == {True, False}
+        monkeypatch.setattr(equivalence, "explore_span", ref_kernel)
+        assert [fn(a, b) for fn, a, b in pairs] == verdicts

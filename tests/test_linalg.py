@@ -67,6 +67,26 @@ class TestTensor:
                 d = direct_sum(a, b)
                 assert d.shape == (rows_a + rows_b, 14 - rows_a - rows_b)
 
+    def test_bitwise_equal_to_kron(self):
+        rng = np.random.default_rng(13)
+        shapes = [((1, 1), (1, 1)), ((1, 1), (3, 2)), ((2, 3), (1, 1)), ((2, 3), (4, 2)), ((4, 4), (4, 4))]
+        for sa, sb in shapes:
+            for complex_entries in (False, True):
+                a, b = rng.normal(size=sa), rng.normal(size=sb)
+                if complex_entries:
+                    a, b = a + 1j * rng.normal(size=sa), b + 1j * rng.normal(size=sb)
+                assert np.array_equal(tensor(a, b), np.kron(a, b))
+        for la, lb in ((1, 1), (1, 4), (3, 1), (3, 5)):
+            a, b = random_state(rng, la), rng.normal(size=lb)
+            assert np.array_equal(tensor(a, b), np.kron(a, b))
+
+    def test_stacks_combine_pairwise(self):
+        rng = np.random.default_rng(17)
+        us = np.array([random_unitary(rng, 3) for _ in range(4)])
+        stacked = tensor(us, np.conj(us))
+        assert stacked.shape == (4, 9, 9)
+        assert all(np.array_equal(stacked[i], np.kron(u, np.conj(u))) for i, u in enumerate(us))
+
     def test_mixed_product_law(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

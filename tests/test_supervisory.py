@@ -324,6 +324,34 @@ class TestFormerlyInfeasibleSizes:
         assert (decided.word, decided.symbol) == (oracle.word, oracle.symbol)
 
 
+class TestWitnessOrder:
+    """The witness is the oracle's: the shortlex-least failing history in
+    the spec's alphabet order, then the first failing event in sorted order."""
+
+    def cut_against_oracle(self, cuts, spec):
+        plant_aut = build_eg1(2, 0.95, seed=1)
+        dead = plant_aut.classical_states[-1]
+        target_aut = build_spec_variant(plant_aut, dead)
+        cut = dataclasses.replace(target_aut, transitions={**target_aut.transitions, **{c: dead for c in cuts}})
+        decided = decide_controllability(cut, plant_aut, spec)
+        oracle = check_controllability_exhaustive(
+            QuantumLanguage.from_automaton(cut), QuantumLanguage.from_automaton(plant_aut), spec, horizon=5
+        )
+        assert not oracle.holds and decided == oracle
+        return decided.word, decided.symbol
+
+    def test_an_earlier_history_for_a_later_event(self):
+        # Event "0" first fails after "00", event "1" already at the root.
+        assert self.cut_against_oracle([("s2", "0"), ("s0", "1")], spec3()) == ((), "1")
+
+    def test_both_events_at_the_root(self):
+        assert self.cut_against_oracle([("s0", "0"), ("s0", "1")], spec3()) == ((), "0")
+
+    def test_reversed_spec_alphabet(self):
+        spec = ControlSpec(("2", "1", "0"), frozenset({"2"}), frozenset({"0", "1"}))
+        assert self.cut_against_oracle([("s1", "0")], spec) == (("1",), "0")
+
+
 def test_decision_never_materializes_a_product():
     # A dense product side of eg1 N=3 (n = 288) has 165 888 states, more
     # than 400 GB per matrix; the minimized operator form needs a few MB.
