@@ -469,7 +469,7 @@ def decide_controllability(
     gaps = [np.concatenate([np.outer(h.eta - hs, m.eta @ m.matrices[e]).ravel(), np.outer(hs, hs - h.eta).ravel()])
             for e, hs in zip(events, eta_hs)]
     start = np.concatenate([np.outer(h.pi, m.pi).ravel(), np.outer(h.pi, h.pi).ravel()])
-    _, hit = explore_span(start, step, spec.alphabet, tol, np.reshape(gaps, (len(events), start.size)))
+    _, hit = explore_span(start, step, spec.alphabet, tol, np.array(gaps)) if events else (None, None)
     if hit is None:
         return ControllabilityResult(True)
     word, sigma = hit[0], events[hit[1]]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdes import supervisory
 from qdes.blm import Rblm, to_rblm
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant
 from qdes.supervisory import (
@@ -252,6 +253,15 @@ class TestDecideControllability:
         zero = Rblm(zero.alphabet, zero.pi, zero.matrices, np.zeros_like(zero.eta))
         for unc in ("0", "1"):
             assert decide_controllability(zero, plant_aut, spec2(uncontrollable=(unc,))).holds
+
+    def test_no_uncontrollable_event_holds_without_exploring(self, monkeypatch):
+        plant_aut, target_aut, _, _ = halves_pair()
+
+        def refuse(*args):
+            raise AssertionError("explored with no uncontrollable event")
+
+        monkeypatch.setattr(supervisory, "explore_span", refuse)
+        assert decide_controllability(target_aut, plant_aut, spec3(uncontrollable=())).holds
 
     def test_spec_alphabet_mismatch(self):
         plant_aut, target_aut, _, _ = decay_pair()
