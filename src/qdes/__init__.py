@@ -11,6 +11,7 @@ from .models import (
     MmQfa,
     MoQfa,
     Qfac,
+    ValidationFailedError,
     dfa_accepts,
     mm_accept_prob,
     mo_accept_prob,
@@ -24,7 +25,6 @@ from .blm import (
     absorb_symbol,
     blm_direct_sum,
     blm_eval,
-    blm_tensor,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
     negate_final,

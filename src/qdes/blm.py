@@ -46,7 +46,6 @@ from .models import (
     qfac_from_dfa,
     qfac_from_mo,
     qfac_levels,
-    validate,
     word_at,
 )
 
@@ -134,19 +133,6 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
         yield vals.real
 
 
-def blm_tensor(b1: Rblm, b2: Rblm) -> Rblm:
-    """Product machine: f(w) = f1(w) * f2(w), state count n1*n2."""
-    if b1.alphabet != b2.alphabet:
-        raise ValueError("tensor requires identical alphabets")
-    return Rblm(
-        alphabet=b1.alphabet,
-        pi=tensor(b1.pi, b2.pi),
-        matrices={a: tensor(b1.matrices[a], b2.matrices[a]) for a in b1.alphabet},
-        eta=tensor(b1.eta, b2.eta),
-        real_valued=b1.real_valued and b2.real_valued,
-    )
-
-
 def blm_direct_sum(b1: Rblm, b2: Rblm) -> Rblm:
     """Sum machine: f(w) = f1(w) + f2(w), state count n1+n2."""
     if b1.alphabet != b2.alphabet:
@@ -199,11 +185,9 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
     plus one accumulator coordinate for accept mass already gathered, so
     the state count is n^2 + 1.  Reading a symbol conjugates rho by
     P(go) U(sigma) and adds tr(P(acc) U rho U†) to the accumulator; the
-    end marker is folded into the final functional.
+    end marker is folded into the final functional.  The automaton was
+    checked when it was built, so its shapes and partition are trusted.
     """
-    problems = validate(m)
-    if problems:
-        raise ValueError("invalid automaton: " + "; ".join(problems))
     n = m.dim
     dim = n * n + 1
     p_go = m.going.as_matrix()
@@ -230,13 +214,10 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
 
 
 def _qfac_parts(m: Qfac) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Validate a hybrid automaton; give its machine's ``pi`` and ``eta``, one
-    vec(rho) block per classical state, and per symbol a the (k, d^2, d^2)
-    stack of U(s, a) kron conj U(s, a) with the 0/1 routing matrix that
-    has a 1 at (delta(s, a), s)."""
-    problems = validate(m)
-    if problems:
-        raise ValueError("invalid automaton: " + "; ".join(problems))
+    """A hybrid automaton's machine ``pi`` and ``eta``, one vec(rho) block per
+    classical state, and per symbol a the (k, d^2, d^2) stack of
+    U(s, a) kron conj U(s, a) with the 0/1 routing matrix that has a 1 at
+    (delta(s, a), s).  The automaton was checked when it was built."""
     states, k = m.classical_states, len(m.classical_states)
     psi = np.asarray(m.initial_quantum, dtype=complex)
     pi = np.zeros((k, m.dim * m.dim), dtype=complex)
@@ -329,8 +310,9 @@ def linear_form(a) -> Rblm | LinearForm:
     machine ``compile_mm_to_rblm`` gives (its n^2 + 1 states carry no
     classical blow-up); a hybrid automaton, and measure-once automata
     and DFAs through their hybrid embeddings, step in operator form and
-    never form a compiled matrix.  Validation, ``pi`` and ``eta`` are
-    those of the compilers.
+    never form a compiled matrix.  ``pi`` and ``eta`` are those of the
+    compilers, and no automaton is checked again here: each one was
+    checked when it was built.
     """
     if isinstance(a, (Rblm, MmQfa)):
         return to_rblm(a)

@@ -5,7 +5,8 @@ document to standard output, and exits 0 when the query was decided or
 computed, 1 when a checked property fails or a counterexample was found,
 and 2 on input errors and on computations it cannot finish (out of
 memory, a value inside an isolation band, a probability outside [0, 1]).
-``QDES_TOL`` overrides the default tolerance of commands that take one.
+``QDES_TOL`` overrides the default tolerance of commands that take one;
+a tolerance that is not finite and positive is an input error.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import sys
 import numpy as np
 
 from . import fixtures, serialize
-from .blm import Rblm, evaluator, linear_form, to_rblm
+from .blm import evaluator, linear_form, to_rblm
 from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
-from .equivalence import DEFAULT_EQUIV_TOL, equiv_rblm, k_equiv_bruteforce
-from .models import Dfa, MmQfa, MoQfa, Qfac, _mm_accept_prob_products, validate
+from .equivalence import DEFAULT_EQUIV_TOL, check_tol, equiv_rblm, k_equiv_bruteforce
+from .models import Dfa, MmQfa, MoQfa, Qfac, _mm_accept_prob_products
 from .supervisory import (
     ClosedLoop,
     ControlSpec,
@@ -34,9 +35,13 @@ from .supervisory import (
 )
 
 
-def _default_tol() -> float:
-    env = os.environ.get("QDES_TOL")
-    return float(env) if env else DEFAULT_EQUIV_TOL
+def _tolerance(text: str | None) -> float:
+    """``--tol``, else ``QDES_TOL``, else the default; refused unless finite and positive."""
+    if text is None:
+        text = os.environ.get("QDES_TOL") or None
+    tol = DEFAULT_EQUIV_TOL if text is None else float(text)
+    check_tol(tol)
+    return tol
 
 
 def _emit(doc) -> None:
@@ -50,8 +55,11 @@ def _word_str(w) -> str | None:
 
 
 def cmd_validate(args) -> int:
-    automaton = serialize.load(args.file, check=False)
-    problems = [] if isinstance(automaton, Rblm) else validate(automaton)
+    problems = []
+    try:
+        serialize.load(args.file)
+    except serialize.ValidationFailedError as e:
+        problems = e.violations
     _emit({"file": args.file, "valid": not problems, "violations": problems})
     return 0 if not problems else 1
 
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide word-function equivalence")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol")
     p.add_argument("--brute-k", type=int, default=None, help="exhaustive comparison up to length K")
     p.set_defaults(fn=cmd_equiv)
 
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("plant")
     p.add_argument("target")
     p.add_argument("--uncontrollable", required=True, help="comma-separated events")
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol")
     p.add_argument("--oracle-horizon", type=int, default=None, help="also sweep exhaustively to this depth")
     p.set_defaults(fn=cmd_decide_controllability)
 
@@ -330,6 +338,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "tol" in vars(args):
+            args.tol = _tolerance(args.tol)
         return args.fn(args)
     except (FileNotFoundError, json.JSONDecodeError, serialize.SerializationError,
             serialize.ValidationFailedError, ValueError, TypeError, KeyError,

@@ -35,6 +35,13 @@ DEFAULT_EQUIV_TOL = 1e-7
 MINIMIZE_TOL = 1e-10
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance under which a decision is wrong: NaN passes every
+    test, inf hides every gap, and zero or below counts an exact 0 as one."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     """Outcome of an equivalence query.
@@ -90,7 +97,9 @@ def explore_span(
     Returns the basis as orthonormal rows (``k x len(start)``) and the
     ``(word, row)`` found, or None.  The buffers double as ``k`` grows,
     rather than holding ``len(start)`` rows, square in the dimension.
+    A tolerance that is not finite and positive is refused.
     """
+    check_tol(tol)
     n = start.shape[0]
     rows = np.empty((0, n), dtype=complex) if functionals is None else np.asarray(functionals, dtype=complex)
     m = rows.shape[0]
@@ -212,6 +221,7 @@ def k_equiv_bruteforce(
     shortlex-least word whose values differ by more than ``tol``, and
     ``f1``/``f2`` are ``blm_eval`` at it.
     """
+    check_tol(tol)
     if set(b1.alphabet) != set(b2.alphabet):
         raise ValueError("equivalence requires identical alphabets")
     alphabet = tuple(sorted(b1.alphabet))

@@ -183,4 +183,4 @@ def is_unit_vector(v, tol: float = DEFAULT_TOL) -> bool:
 
 def all_finite(a) -> bool:
     """True iff every entry is finite (no NaN or Inf)."""
-    return bool(np.all(np.isfinite(np.real(a))) and np.all(np.isfinite(np.imag(a))))
+    return bool(np.isfinite(a).all())

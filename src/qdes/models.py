@@ -7,9 +7,10 @@ accept/reject/go after every symbol and reads an implicit end marker
 quantum part: the classical state selects which unitary and which final
 measurement apply.
 
-Words are sequences of symbol strings; alphabets are explicit.  All
-evaluators are pure and automata are treated as immutable after
-validation, so concurrent evaluation is safe.
+Words are sequences of symbol strings; alphabets are explicit.  Every
+automaton is checked by ``validate`` when it is built and is then
+treated as immutable, so evaluators and compilers never re-check it and
+concurrent evaluation is safe.
 """
 
 from __future__ import annotations
@@ -102,6 +103,24 @@ def clamp_level(raw: np.ndarray, alphabet: Sequence[str], length: int, what: str
     return np.clip(raw, 0.0, 1.0)
 
 
+class ValidationFailedError(ValueError):
+    """The automaton being built violates its invariants; ``violations`` lists them."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid automaton: " + "; ".join(violations))
+        self.violations = violations
+
+
+class _Checked:
+    """Base of the four automaton kinds: building one runs ``validate`` at
+    the default tolerance and raises ``ValidationFailedError`` on a violation."""
+
+    def __post_init__(self):
+        problems = validate(self)
+        if problems:
+            raise ValidationFailedError(problems)
+
+
 def _check_symbols(w: Sequence[str], alphabet: Iterable[str], forbid: str | None = None):
     allowed = set(alphabet)
     for sym in w:
@@ -112,7 +131,7 @@ def _check_symbols(w: Sequence[str], alphabet: Iterable[str], forbid: str | None
 
 
 @dataclass(frozen=True, eq=False)
-class Dfa:
+class Dfa(_Checked):
     """Deterministic finite automaton with a total transition function."""
 
     states: tuple[str, ...]
@@ -132,7 +151,7 @@ def dfa_accepts(d: Dfa, w: Sequence[str]) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class MoQfa:
+class MoQfa(_Checked):
     """Measure-once quantum automaton: unitaries per symbol, one final measurement."""
 
     alphabet: tuple[str, ...]
@@ -156,7 +175,7 @@ def mo_accept_prob(m: MoQfa, w: Sequence[str]) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class MmQfa:
+class MmQfa(_Checked):
     """Measure-many quantum automaton over the working alphabet ``alphabet + ($,)``.
 
     ``unitaries`` must contain one entry per input symbol plus the end
@@ -176,40 +195,27 @@ class MmQfa:
         return int(self.initial.shape[0])
 
 
-def mm_accept_prob(m: MmQfa, w: Sequence[str], cross_check: bool = False) -> float:
+def mm_accept_prob(m: MmQfa, w: Sequence[str]) -> float:
     """Measure-many acceptance probability of ``w``.
 
     Runs the single forward pass that carries the surviving "go" state
     and accumulates accept mass after every symbol and after the end
-    marker.  With ``cross_check`` the per-step product form is evaluated
-    as well and both strategies must agree to 1e-12.
-
-    Each step reads the accept mass off the accepting indices and keeps
-    the go part by a 0/1 mask, both built once per call: the same floats
-    as ``projected_norm_sq`` and ``Projector.apply`` without their
-    per-step coercion and checks.
+    marker.  Each step reads the accept mass off the accepting indices
+    and keeps the go part by a 0/1 mask, both built once per call: the
+    same floats as ``projected_norm_sq`` and ``Projector.apply`` without
+    their per-step coercion and checks, whose shapes the constructor has
+    already checked.
     """
     _check_symbols(w, m.alphabet, forbid=END_MARKER)
-    dim = m.going.dim
-    if m.accepting.dim != dim:
-        raise ValueError(f"dimension mismatch: projector dim {m.accepting.dim}, vector dim {dim}")
-    acc, go = m.accepting._idx, np.zeros(dim, dtype=complex)
+    acc, go = m.accepting._idx, np.zeros(m.dim, dtype=complex)
     go[m.going._idx] = 1.0
     total = 0.0
     going = np.asarray(m.initial, dtype=complex)
     for sym in (*w, END_MARKER):
         v = m.unitaries[sym] @ going
-        if v.shape != (dim,):
-            raise ValueError(f"dimension mismatch: projector dim {dim}, vector shape {v.shape}")
         c = v[acc]
         total += np.vdot(c, c).real
         going = v * go
-    if cross_check:
-        alt = _mm_accept_prob_products(m, w)
-        if abs(total - alt) > 1e-12:
-            raise ArithmeticError(
-                f"measure-many evaluation strategies disagree: {total!r} vs {alt!r}"
-            )
     return clamp_probability(float(total), f"(measure-many, word {''.join(w)!r})")
 
 
@@ -251,7 +257,7 @@ def _mm_accept_prob_products(m: MmQfa, w: Sequence[str]) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class Qfac:
+class Qfac(_Checked):
     """Quantum automaton with classical states.
 
     The classical component is a DFA over ``classical_states``; reading
@@ -412,7 +418,18 @@ def validate(automaton, tol: float | None = None) -> list[str]:
     """Check every type invariant; return one message per violation.
 
     An empty list means the automaton is well formed at the given
-    tolerance (default: 1e-9 scaled by the dimension).
+    tolerance (default: 1e-9 scaled by the dimension).  Every automaton
+    runs this check at the default tolerance when it is built, and one
+    that fails is never built:
+
+    >>> from qdes.linalg import Projector
+    >>> MoQfa(("a",), {"a": np.diag([1.0, 2.0])}, np.array([1.0, 0.0]),
+    ...       Projector(frozenset({0}), 2), Projector(frozenset({1}), 2))
+    Traceback (most recent call last):
+    ...
+    qdes.models.ValidationFailedError: invalid automaton: unitary a: non-unitary (max deviation 3.000e+00)
+
+    So an explicit call is only needed at another tolerance.
     """
     violations: list[str] = []
     if isinstance(automaton, Dfa):
@@ -430,9 +447,11 @@ def validate(automaton, tol: float | None = None) -> list[str]:
                     violations.append(f"transition ({q!r}, {a!r}) targets unknown state")
         return violations
 
-    if isinstance(automaton, MoQfa):
-        m = automaton
-        t = (tol if tol is not None else DEFAULT_TOL) * max(1.0, float(m.dim))
+    if not isinstance(automaton, (MoQfa, MmQfa, Qfac)):
+        raise TypeError(f"not an automaton: {type(automaton).__name__}")
+    m = automaton
+    t = (tol if tol is not None else DEFAULT_TOL) * max(1.0, float(m.dim))
+    if isinstance(m, MoQfa):
         _validate_unitaries(sorted(m.unitaries.items()), m.dim, t, violations, "unitary")
         missing = set(m.alphabet) - set(m.unitaries)
         if missing:
@@ -441,9 +460,7 @@ def validate(automaton, tol: float | None = None) -> list[str]:
         _validate_partition({"accepting": m.accepting, "rejecting": m.rejecting}, m.dim, violations)
         return violations
 
-    if isinstance(automaton, MmQfa):
-        m = automaton
-        t = (tol if tol is not None else DEFAULT_TOL) * max(1.0, float(m.dim))
+    if isinstance(m, MmQfa):
         if END_MARKER in m.alphabet:
             violations.append("end marker $ may not be part of the input alphabet")
         missing = (set(m.alphabet) | {END_MARKER}) - set(m.unitaries)
@@ -451,39 +468,26 @@ def validate(automaton, tol: float | None = None) -> list[str]:
             violations.append(f"unitaries missing for symbols {sorted(missing)}")
         _validate_unitaries(sorted(m.unitaries.items()), m.dim, t, violations, "unitary")
         _validate_initial(m.initial, m.dim, t, violations)
-        _validate_partition(
-            {"accepting": m.accepting, "rejecting": m.rejecting, "going": m.going},
-            m.dim,
-            violations,
-        )
+        parts = {"accepting": m.accepting, "rejecting": m.rejecting, "going": m.going}
+        _validate_partition(parts, m.dim, violations)
         return violations
 
-    if isinstance(automaton, Qfac):
-        m = automaton
-        t = (tol if tol is not None else DEFAULT_TOL) * max(1.0, float(m.dim))
-        if m.initial_classical not in m.classical_states:
-            violations.append(f"initial classical state {m.initial_classical!r} unknown")
-        for s in m.classical_states:
-            for a in m.alphabet:
-                if (s, a) not in m.transitions:
-                    violations.append(f"classical transition missing for ({s!r}, {a!r})")
-                elif m.transitions[(s, a)] not in m.classical_states:
-                    violations.append(f"classical transition ({s!r}, {a!r}) targets unknown state")
-                if (s, a) not in m.unitaries:
-                    violations.append(f"unitary missing for ({s!r}, {a!r})")
-        _validate_unitaries(
-            sorted((f"({s},{a})", u) for (s, a), u in m.unitaries.items()),
-            m.dim,
-            t,
-            violations,
-            "unitary",
-        )
-        _validate_initial(m.initial_quantum, m.dim, t, violations)
-        for s in m.classical_states:
-            if s not in m.accepting:
-                violations.append(f"measurement missing for classical state {s!r}")
-            elif m.accepting[s].dim != m.dim:
-                violations.append(f"measurement at {s!r}: dimension mismatch")
-        return violations
-
-    raise TypeError(f"not an automaton: {type(automaton).__name__}")
+    if m.initial_classical not in m.classical_states:
+        violations.append(f"initial classical state {m.initial_classical!r} unknown")
+    for s in m.classical_states:
+        for a in m.alphabet:
+            if (s, a) not in m.transitions:
+                violations.append(f"classical transition missing for ({s!r}, {a!r})")
+            elif m.transitions[(s, a)] not in m.classical_states:
+                violations.append(f"classical transition ({s!r}, {a!r}) targets unknown state")
+            if (s, a) not in m.unitaries:
+                violations.append(f"unitary missing for ({s!r}, {a!r})")
+    named = sorted((f"({s},{a})", u) for (s, a), u in m.unitaries.items())
+    _validate_unitaries(named, m.dim, t, violations, "unitary")
+    _validate_initial(m.initial_quantum, m.dim, t, violations)
+    for s in m.classical_states:
+        if s not in m.accepting:
+            violations.append(f"measurement missing for classical state {s!r}")
+        elif m.accepting[s].dim != m.dim:
+            violations.append(f"measurement at {s!r}: dimension mismatch")
+    return violations

@@ -4,8 +4,8 @@ One document per automaton, kind-discriminated, with complex numbers
 encoded as [re, im] pairs.  Saving always emits the canonical form:
 sorted keys, two-space indentation, floats printed with 17 significant
 digits (which round-trips doubles exactly), numeric leaf lists inlined.
-Loading validates the reconstructed automaton and refuses documents
-whose invariants fail.
+Loading builds the automaton, which checks its invariants, so a
+document that violates them raises ``models.ValidationFailedError``.
 """
 
 from __future__ import annotations
@@ -17,21 +17,13 @@ import numpy as np
 
 from .blm import Rblm
 from .linalg import Projector
-from .models import Dfa, MmQfa, MoQfa, Qfac, validate
+from .models import Dfa, MmQfa, MoQfa, Qfac, ValidationFailedError
 
 KINDS = ("dfa", "mo-qfa", "mm-qfa", "qfac", "rblm")
 
 
 class SerializationError(ValueError):
     """Malformed document: missing or ill-typed fields."""
-
-
-class ValidationFailedError(ValueError):
-    """The document parsed but the automaton violates its invariants."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 def _fmt_number(x) -> str:
@@ -202,7 +194,7 @@ def _items(value, where: str):
 
 
 def from_document(doc: dict):
-    """Reconstruct an automaton from its document (no validation here)."""
+    """Reconstruct an automaton from its document; building it checks its invariants."""
     if not isinstance(doc, dict):
         raise SerializationError("document must be a JSON object")
     kind = _need(doc, "kind", "document")
@@ -283,14 +275,8 @@ def dumps(automaton) -> str:
     return canonical_json(to_document(automaton))
 
 
-def loads(text: str, check: bool = True):
-    doc = json.loads(text)
-    automaton = from_document(doc)
-    if check and not isinstance(automaton, Rblm):
-        problems = validate(automaton)
-        if problems:
-            raise ValidationFailedError(problems)
-    return automaton
+def loads(text: str):
+    return from_document(json.loads(text))
 
 
 def save(automaton, path) -> None:
@@ -298,9 +284,9 @@ def save(automaton, path) -> None:
         fh.write(dumps(automaton))
 
 
-def load(path, check: bool = True):
+def load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), check=check)
+        return loads(fh.read())
 
 
 def parse_word(text: str, alphabet) -> tuple[str, ...]:

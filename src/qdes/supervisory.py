@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .blm import evaluator, levels
-from .equivalence import DEFAULT_EQUIV_TOL, explore_span, minimize
+from .equivalence import DEFAULT_EQUIV_TOL, check_tol, explore_span, minimize
 from .models import Levels, Word, check_horizon, clamp_probability, prefix_maxima, word_at, words_upto
 
 
@@ -448,8 +448,9 @@ def decide_controllability(
     ``rhs = target(s sigma)`` come from the direct evaluators.  The two
     sides differ by ``(H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))``,
     so a witness with ``lhs <= rhs`` means a reduction precondition
-    fails at that word.
+    fails at that word.  A tolerance that is not finite and positive is refused.
     """
+    check_tol(tol)
     h, m = minimize(target), minimize(plant)
     if set(h.alphabet) != set(m.alphabet):
         raise ValueError("target and plant must share an alphabet")

@@ -7,7 +7,6 @@ from qdes.blm import (
     absorb_symbol,
     blm_direct_sum,
     blm_eval,
-    blm_tensor,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
     linear_form,
@@ -17,7 +16,7 @@ from qdes.blm import (
 from qdes.composition import parallel_qfac
 from qdes.fixtures import build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
 from qdes.linalg import projected_norm_sq
-from qdes.models import mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
+from qdes.models import ValidationFailedError, mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
 
 from helpers import random_mm, random_mo, random_qfac, random_rblm, words_up_to
 
@@ -63,31 +62,6 @@ class TestEval:
         )
         with pytest.raises(ArithmeticError):
             blm_eval(b, ("a",))
-
-
-class TestTensor:
-    def test_multiplicative_identity(self):
-        rng = np.random.default_rng(3)
-        b = random_rblm(rng, 3)
-        t = blm_tensor(b, constant_one_machine(b.alphabet))
-        for w in words_up_to(b.alphabet, 4):
-            assert abs(blm_eval(t, w) - blm_eval(b, w)) <= 1e-12
-
-    def test_scalar_product(self):
-        t = blm_tensor(scalar_machine(0.5), scalar_machine(0.25))
-        assert abs(blm_eval(t, ("a",)) - 0.125) <= 1e-15
-
-    def test_product_law_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            b1, b2 = random_rblm(rng, 2), random_rblm(rng, 2)
-            t = blm_tensor(b1, b2)
-            for w in words_up_to(b1.alphabet, 5):
-                assert abs(blm_eval(t, w) - blm_eval(b1, w) * blm_eval(b2, w)) <= 1e-10
-
-    def test_alphabet_mismatch(self):
-        with pytest.raises(ValueError):
-            blm_tensor(scalar_machine(0.5, ("a",)), scalar_machine(0.5, ("b",)))
 
 
 class TestDirectSum:
@@ -184,16 +158,16 @@ class TestCompileMeasureMany:
 
     def test_invalid_automaton_rejected(self):
         m = build_eg2(2, 0.5)
-        bad = m.__class__(
-            alphabet=m.alphabet,
-            unitaries={**m.unitaries, "0": np.diag([1.0, 2.0, 1.0]).astype(complex)},
-            initial=m.initial,
-            accepting=m.accepting,
-            rejecting=m.rejecting,
-            going=m.going,
-        )
-        with pytest.raises(ValueError):
-            compile_mm_to_rblm(bad)
+        with pytest.raises(ValidationFailedError) as err:
+            m.__class__(
+                alphabet=m.alphabet,
+                unitaries={**m.unitaries, "0": np.diag([1.0, 2.0, 1.0]).astype(complex)},
+                initial=m.initial,
+                accepting=m.accepting,
+                rejecting=m.rejecting,
+                going=m.going,
+            )
+        assert err.value.violations == ["unitary 0: non-unitary (max deviation 3.000e+00)"]
 
 
 class TestCompileHybrid:
@@ -284,14 +258,11 @@ class TestLinearForm:
     def test_invalid_automaton_refused_as_by_the_compiler(self):
         m = build_eg1(1, 0.95, seed=0)
         unitaries = {**m.unitaries, ("s0", "0"): np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex)}
-        bad = m.__class__(m.classical_states, m.alphabet, m.initial_classical, m.initial_quantum, m.transitions,
-                          unitaries, m.accepting)
-        with pytest.raises(ValueError) as compiled_error:
-            compile_qfac_to_rblm(bad)
-        with pytest.raises(ValueError) as form_error:
-            linear_form(bad)
-        assert str(form_error.value) == str(compiled_error.value)
-        assert str(form_error.value).startswith("invalid automaton: ")
+        with pytest.raises(ValidationFailedError) as err:
+            m.__class__(m.classical_states, m.alphabet, m.initial_classical, m.initial_quantum, m.transitions,
+                        unitaries, m.accepting)
+        assert err.value.violations == ["unitary (s0,0): shape (4, 4) does not match dimension 2"]
+        assert str(err.value) == "invalid automaton: unitary (s0,0): shape (4, 4) does not match dimension 2"
 
     def test_unknown_kind(self):
         with pytest.raises(TypeError):

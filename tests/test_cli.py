@@ -325,3 +325,18 @@ class TestTolOverride:
         # With an absurdly loose tolerance the two machines look equivalent.
         code, doc = run(capsys, "equiv", eg2_file, eg2_file)
         assert code == 0
+
+    @pytest.mark.parametrize("env,flags", [("abc", []), ("nan", []), (None, ["--tol", "-1"]), (None, ["--tol", "nan"])],
+                             ids=["env-abc", "env-nan", "flag-negative", "flag-nan"])
+    def test_bad_tolerance_is_an_input_error(self, capsys, eg1_pair, monkeypatch, env, flags):
+        if env is not None:
+            monkeypatch.setenv("QDES_TOL", env)
+        plant, target = eg1_pair
+        for argv in (["equiv", plant, plant], ["decide-controllability", plant, target, "--uncontrollable", "2"]):
+            code, doc = run(capsys, *argv, *flags)
+            assert code == 2 and doc["error"].startswith("ValueError: ")
+
+    def test_commands_without_a_tolerance_ignore_the_env_var(self, capsys, eg2_file, monkeypatch):
+        monkeypatch.setenv("QDES_TOL", "abc")
+        code, doc = run(capsys, "validate", eg2_file)
+        assert code == 0 and doc["valid"]

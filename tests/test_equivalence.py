@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdes import blm, equivalence
+from qdes import blm, equivalence, models
 from qdes.blm import Rblm, blm_direct_sum, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, negate_final, to_rblm
 from qdes.composition import parallel_qfac
 from qdes.equivalence import (
@@ -476,3 +476,57 @@ class TestKernelAgainstReference:
         assert {v.equivalent for v in verdicts} == {True, False}
         monkeypatch.setattr(equivalence, "explore_span", ref_kernel)
         assert [fn(a, b) for fn, a, b in pairs] == verdicts
+
+
+def cut_variant():
+    """eg1 N=1 at epsilon 0.5 and its variant with every 0 sent to the dead state,
+    which is not controllable for the uncontrollable events 0 and 1."""
+    plant = build_eg1(1, 0.5, seed=0)
+    variant = build_spec_variant(plant, plant.classical_states[-1], symbol="0")
+    return plant, variant, ControlSpec(("0", "1", "2"), {"2"}, {"0", "1"})
+
+
+class TestToleranceRefused:
+    """A NaN tolerance passes every test, an infinite one hides every gap,
+    and zero or below counts an exact 0 as a gap: each gave wrong verdicts."""
+
+    def test_default_tolerance_tells_the_variant_apart(self):
+        plant, variant, spec = cut_variant()
+        assert not decide_controllability(variant, plant, spec).holds
+        assert not equiv_qfac(plant, variant).equivalent
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_every_decision_refuses(self, tol):
+        plant, variant, spec = cut_variant()
+        b = to_rblm(plant)
+        no_events = ControlSpec(spec.alphabet, set(spec.alphabet), set())
+        decisions = [
+            lambda: decide_controllability(variant, plant, spec, tol=tol),
+            lambda: decide_controllability(variant, plant, no_events, tol=tol),
+            lambda: equiv_qfac(plant, variant, tol=tol),
+            lambda: equiv_rblm(b, b, tol),
+            lambda: k_equiv_bruteforce(b, b, 2, tol),
+            lambda: explore_span(b.pi, lambda x, a: b.apply(a, x), b.alphabet, tol),
+        ]
+        for decide in decisions:
+            with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+                decide()
+
+
+class TestCheckedOnlyWhenBuilt:
+    def test_decisions_and_compilers_never_recheck(self, monkeypatch):
+        plant, variant, spec = cut_variant()
+        m1, m2 = build_eg2(2, 0.5), build_eg2(3, 0.5)
+        calls = []
+        check = models.validate
+        monkeypatch.setattr(models, "validate", lambda a, tol=None: calls.append(a) or check(a, tol))
+        decide_controllability(variant, plant, spec)
+        equiv_qfac(plant, variant)
+        equiv_mm_qfa(m1, m2)
+        minimize(plant)
+        minimize(m1)
+        compile_qfac_to_rblm(plant)
+        compile_mm_to_rblm(m1)
+        assert calls == []
+        build_eg2(2, 0.5)
+        assert len(calls) == 1

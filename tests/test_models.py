@@ -9,6 +9,7 @@ from qdes.models import (
     Dfa,
     MmQfa,
     MoQfa,
+    ValidationFailedError,
     dfa_accepts,
     mm_accept_prob,
     mo_accept_prob,
@@ -111,11 +112,11 @@ class TestMeasureMany:
                 b = _mm_accept_prob_products(m, w)
                 assert abs(a - min(1.0, max(0.0, b))) <= 1e-12
 
-    def test_cross_check_flag(self):
+    def test_cross_check_with_the_product_form(self):
         m = build_eg2(3, 0.5)
-        assert mm_accept_prob(m, tuple("0101"), cross_check=True) == pytest.approx(
-            (1 - eg2_rate(3, 0.5)) ** 2, abs=1e-12
-        )
+        value = mm_accept_prob(m, tuple("0101"))
+        assert abs(value - _mm_accept_prob_products(m, tuple("0101"))) <= 1e-12
+        assert value == pytest.approx((1 - eg2_rate(3, 0.5)) ** 2, abs=1e-12)
 
     @pytest.mark.parametrize("n_param", [1, 2, 3, 4, 5])
     def test_equals_the_projector_loop_on_fixtures(self, n_param):
@@ -129,21 +130,18 @@ class TestMeasureMany:
             assert all(mm_accept_prob(m, w) == ref_mm_accept_prob(m, w) for w in words_up_to(m.alphabet, 6))
 
     @pytest.mark.parametrize("shape", [(4, 4), (4, 3), (2, 3)], ids=["square", "tall", "short"])
-    def test_wrong_unitary_size_unvalidated(self, shape):
+    def test_wrong_unitary_size_refused(self, shape):
         m = build_eg2(2, 0.5)
-        bad = MmQfa(m.alphabet, {**m.unitaries, "1": np.eye(*shape, dtype=complex)}, m.initial, m.accepting,
-                    m.rejecting, m.going)
-        assert mm_accept_prob(bad, ("0",)) == ref_mm_accept_prob(bad, ("0",))
-        for evaluate in (mm_accept_prob, ref_mm_accept_prob):
-            with pytest.raises(ValueError):
-                evaluate(bad, ("0", "1"))
+        with pytest.raises(ValidationFailedError) as err:
+            MmQfa(m.alphabet, {**m.unitaries, "1": np.eye(*shape, dtype=complex)}, m.initial, m.accepting,
+                  m.rejecting, m.going)
+        assert err.value.violations == [f"unitary 1: shape {shape} does not match dimension 3"]
 
     def test_projector_dimension_mismatch(self):
         m = build_eg2(2, 0.5)
-        bad = MmQfa(m.alphabet, m.unitaries, m.initial, Projector(m.accepting.subset, 4), m.rejecting, m.going)
-        for evaluate in (mm_accept_prob, ref_mm_accept_prob):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                evaluate(bad, ())
+        with pytest.raises(ValidationFailedError) as err:
+            MmQfa(m.alphabet, m.unitaries, m.initial, Projector(m.accepting.subset, 4), m.rejecting, m.going)
+        assert err.value.violations == ["projector accepting: dimension 4 does not match 3"]
 
     def test_cumulative_halting_mass_bounded(self):
         rng = np.random.default_rng(29)
@@ -201,59 +199,64 @@ class TestValidate:
 
     def test_non_unitary_named(self):
         m = rotation_mo(0.3)
-        bad = MoQfa(
-            alphabet=m.alphabet,
-            unitaries={"0": np.diag([1.0, 2.0]).astype(complex)},
-            initial=m.initial,
-            accepting=m.accepting,
-            rejecting=m.rejecting,
-        )
-        problems = validate(bad)
+        with pytest.raises(ValidationFailedError) as err:
+            MoQfa(
+                alphabet=m.alphabet,
+                unitaries={"0": np.diag([1.0, 2.0]).astype(complex)},
+                initial=m.initial,
+                accepting=m.accepting,
+                rejecting=m.rejecting,
+            )
+        problems = err.value.violations
         assert len(problems) == 1
         assert "non-unitary" in problems[0] and "0" in problems[0]
 
     def test_overlapping_measure_many_partition(self):
         m = build_eg2(2, 0.5)
-        bad = MmQfa(
-            alphabet=m.alphabet,
-            unitaries=m.unitaries,
-            initial=m.initial,
-            accepting=Projector(frozenset({0, 2}), 3),
-            rejecting=m.rejecting,
-            going=m.going,
-        )
-        assert any("partition" in p for p in validate(bad))
+        with pytest.raises(ValidationFailedError) as err:
+            MmQfa(
+                alphabet=m.alphabet,
+                unitaries=m.unitaries,
+                initial=m.initial,
+                accepting=Projector(frozenset({0, 2}), 3),
+                rejecting=m.rejecting,
+                going=m.going,
+            )
+        assert any("partition" in p for p in err.value.violations)
 
     def test_unnormalized_initial(self):
         m = rotation_mo(0.3)
-        bad = MoQfa(
-            alphabet=m.alphabet,
-            unitaries=m.unitaries,
-            initial=np.array([1.0, 1.0], dtype=complex),
-            accepting=m.accepting,
-            rejecting=m.rejecting,
-        )
-        assert any("norm" in p for p in validate(bad))
+        with pytest.raises(ValidationFailedError) as err:
+            MoQfa(
+                alphabet=m.alphabet,
+                unitaries=m.unitaries,
+                initial=np.array([1.0, 1.0], dtype=complex),
+                accepting=m.accepting,
+                rejecting=m.rejecting,
+            )
+        assert any("norm" in p for p in err.value.violations)
 
     def test_missing_classical_transition(self):
         rng = np.random.default_rng(41)
         m = random_qfac(rng, 2, 2)
         broken = dict(m.transitions)
         del broken[("s1", "a")]
-        bad = m.__class__(
-            classical_states=m.classical_states,
-            alphabet=m.alphabet,
-            initial_classical=m.initial_classical,
-            initial_quantum=m.initial_quantum,
-            transitions=broken,
-            unitaries=m.unitaries,
-            accepting=m.accepting,
-        )
-        assert any("transition missing" in p for p in validate(bad))
+        with pytest.raises(ValidationFailedError) as err:
+            m.__class__(
+                classical_states=m.classical_states,
+                alphabet=m.alphabet,
+                initial_classical=m.initial_classical,
+                initial_quantum=m.initial_quantum,
+                transitions=broken,
+                unitaries=m.unitaries,
+                accepting=m.accepting,
+            )
+        assert any("transition missing" in p for p in err.value.violations)
 
     def test_dfa_missing_transition(self):
-        d = Dfa(("a", "b"), ("x",), {("a", "x"): "b"}, "a", frozenset({"a"}))
-        assert any("missing" in p for p in validate(d))
+        with pytest.raises(ValidationFailedError) as err:
+            Dfa(("a", "b"), ("x",), {("a", "x"): "b"}, "a", frozenset({"a"}))
+        assert any("missing" in p for p in err.value.violations)
 
 
 class TestBatchedUnitaryCheck:
@@ -290,9 +293,10 @@ class TestBatchedUnitaryCheck:
         unitaries[("s0", "a")] = np.full((2, 2), np.nan)
         unitaries[("s1", "b")] = np.diag([1.0, 3.0])
         unitaries[("s2", "a")] = np.eye(4)
-        bad = m.__class__(m.classical_states, m.alphabet, m.initial_classical, m.initial_quantum, m.transitions,
-                          unitaries, m.accepting)
+        with pytest.raises(ValidationFailedError) as err:
+            m.__class__(m.classical_states, m.alphabet, m.initial_classical, m.initial_quantum, m.transitions,
+                        unitaries, m.accepting)
         expected = ref_validate_unitaries(sorted((f"({s},{a})", u) for (s, a), u in unitaries.items()), 2,
                                           1e-9 * 2)
-        assert [p for p in validate(bad) if p.startswith("unitary")] == expected
+        assert [p for p in err.value.violations if p.startswith("unitary")] == expected
         assert len(expected) == 3

@@ -103,12 +103,6 @@ class TestDocumentErrors:
             loads("{ not json")
         assert err.value.lineno == 1
 
-    def test_check_can_be_skipped(self):
-        doc = to_document(build_eg2(2, 0.5))
-        doc["initial"] = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-        automaton = loads(json.dumps(doc), check=False)
-        assert automaton.initial[0] == 2.0
-
 
 class TestCanonicalForm:
     def test_keys_sorted_and_deterministic(self):
