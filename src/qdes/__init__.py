@@ -5,7 +5,7 @@ algebraic form, exact equivalence and controllability decisions, and
 supervisory control of the resulting quantum languages.
 """
 
-from .linalg import Projector, direct_sum, is_unitary, projected_norm_sq, tensor
+from .linalg import Projector, is_unitary, projected_norm_sq, tensor
 from .models import (
     Dfa,
     MmQfa,
@@ -23,14 +23,13 @@ from .models import (
 from .blm import (
     Rblm,
     absorb_symbol,
-    blm_direct_sum,
     blm_eval,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
-    negate_final,
 )
 from .equivalence import (
     EquivalenceVerdict,
+    equiv,
     equiv_mm_qfa,
     equiv_qfac,
     equiv_rblm,

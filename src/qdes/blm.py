@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import dagger, direct_sum, tensor
+from .linalg import dagger, tensor
 from .models import (
     END_MARKER,
     Dfa,
@@ -34,11 +34,13 @@ from .models import (
     MoQfa,
     Qfac,
     Word,
+    _Checked,
     _check_symbols,
     check_horizon,
     clamp_level,
     clamp_probability,
     dfa_accepts,
+    freeze,
     mm_accept_prob,
     mm_levels,
     mo_accept_prob,
@@ -133,36 +135,15 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
         yield vals.real
 
 
-def blm_direct_sum(b1: Rblm, b2: Rblm) -> Rblm:
-    """Sum machine: f(w) = f1(w) + f2(w), state count n1+n2."""
-    if b1.alphabet != b2.alphabet:
-        raise ValueError("direct sum requires identical alphabets")
-    return Rblm(
-        alphabet=b1.alphabet,
-        pi=direct_sum(b1.pi, b2.pi),
-        matrices={a: direct_sum(b1.matrices[a], b2.matrices[a]) for a in b1.alphabet},
-        eta=direct_sum(b1.eta, b2.eta),
-        real_valued=b1.real_valued and b2.real_valued,
-    )
-
-
-def negate_final(b: Rblm) -> Rblm:
-    """Flip the sign of the final functional, negating the word function."""
-    return Rblm(b.alphabet, b.pi, dict(b.matrices), -np.asarray(b.eta), b.real_valued)
-
-
-def absorb_symbol(b: Rblm, tau: str, keep_symbol: bool = False) -> Rblm:
-    """Fold one trailing symbol into the final functional.
+def absorb_symbol(b: Rblm, tau: str) -> Rblm:
+    """Fold one trailing symbol, such as an end marker, into the final functional.
 
     The result satisfies ``f'(w) = f(w tau)`` with the same state count;
-    ``eta`` becomes ``eta @ M(tau)``.  By default ``tau`` is removed
-    from the result's alphabet; with ``keep_symbol`` it stays readable,
-    which the controllability reduction needs when ``tau`` is an
-    ordinary event rather than a dedicated end marker.
+    ``eta`` becomes ``eta @ M(tau)``, and ``tau`` leaves the alphabet.
     """
     if tau not in b.alphabet:
         raise ValueError(f"symbol {tau!r} not in alphabet")
-    alphabet = b.alphabet if keep_symbol else tuple(a for a in b.alphabet if a != tau)
+    alphabet = tuple(a for a in b.alphabet if a != tau)
     matrices = {a: b.matrices[a] for a in alphabet}
     return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau], b.real_valued)
 
@@ -279,11 +260,11 @@ def rblm_probability(b: Rblm, w: Sequence[str]) -> float:
 
 
 def _as_hybrid(a):
-    """Measure-once automata and DFAs as their hybrid embeddings; other kinds as they are."""
+    """Measure-once automata and DFAs as their hybrid embeddings, kept on them; other kinds as they are."""
     if isinstance(a, MoQfa):
-        return qfac_from_mo(a)
+        return a._memo(qfac_from_mo)
     if isinstance(a, Dfa):
-        return qfac_from_dfa(a)
+        return a._memo(qfac_from_dfa)
     return a
 
 
@@ -312,14 +293,18 @@ def linear_form(a) -> Rblm | LinearForm:
     and DFAs through their hybrid embeddings, step in operator form and
     never form a compiled matrix.  ``pi`` and ``eta`` are those of the
     compilers, and no automaton is checked again here: each one was
-    checked when it was built.
+    checked when it was built.  An automaton's form is built once, kept
+    on it and read-only; a bilinear machine is its own form.
     """
-    if isinstance(a, (Rblm, MmQfa)):
-        return to_rblm(a)
-    a = _as_hybrid(a)
-    if isinstance(a, Qfac):
-        return _qfac_form(a)
+    if isinstance(a, Rblm):
+        return a
+    if isinstance(a, _Checked):
+        return a._memo(_form)
     raise TypeError(f"no bilinear form for {type(a).__name__}")
+
+
+def _form(a) -> Rblm | LinearForm:
+    return freeze(compile_mm_to_rblm(a) if isinstance(a, MmQfa) else _qfac_form(_as_hybrid(a)))
 
 
 def levels(a, alphabet: Sequence[str], horizon: int) -> Levels:

@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import fixtures, serialize
-from .blm import evaluator, linear_form, to_rblm
+from .blm import evaluator, to_rblm
 from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
-from .equivalence import DEFAULT_EQUIV_TOL, check_tol, equiv_rblm, k_equiv_bruteforce
+from .equivalence import DEFAULT_EQUIV_TOL, check_tol, equiv, k_equiv_bruteforce
 from .models import Dfa, MmQfa, MoQfa, Qfac, _mm_accept_prob_products
 from .supervisory import (
     ClosedLoop,
@@ -84,7 +84,7 @@ def cmd_equiv(args) -> int:
     if args.brute_k is not None:
         verdict = k_equiv_bruteforce(to_rblm(a1), to_rblm(a2), args.brute_k, args.tol)
     else:
-        verdict = equiv_rblm(linear_form(a1), linear_form(a2), args.tol)
+        verdict = equiv(a1, a2, args.tol)
     doc = {
         "equivalent": verdict.equivalent,
         "counterexample": _word_str(verdict.counterexample),
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (FileNotFoundError, json.JSONDecodeError, serialize.SerializationError,
             serialize.ValidationFailedError, ValueError, TypeError, KeyError,
-            ArithmeticError, MemoryError) as e:
+            ArithmeticError, MemoryError, RecursionError) as e:
         _emit({"error": f"{type(e).__name__}: {e}"})
         return 2
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blm import LinearForm, Rblm, blm_eval, blm_levels, linear_form
-from .models import MmQfa, Qfac, Word, word_at
+from .models import Word, _Checked, freeze, word_at
 
 #: Default decision tolerance; looser than evaluation tolerance because
 #: spanned vectors accumulate error over up to n1+n2 insertions.
@@ -200,9 +200,16 @@ def minimize(a) -> Rblm:
     forward reduction of the transposed machine.  Both restrictions are
     isometric projections, which keeps the result numerically tame
     (Kiefer, Murawski, Ouaknine, Wachter and Worrell, CAV 2011).  A
-    word function that is identically zero reduces to ``n = 0``.
+    word function that is identically zero reduces to ``n = 0``.  An
+    automaton's minimal machine is computed once, kept on it and
+    read-only; a bilinear machine, which its caller may change, is
+    reduced anew on every call.
     """
-    return _transpose(_reachable_part(_transpose(_reachable_part(linear_form(a)))))
+    return a._memo(_minimal) if isinstance(a, _Checked) else _minimal(a)
+
+
+def _minimal(a) -> Rblm:
+    return freeze(_transpose(_reachable_part(_transpose(_reachable_part(linear_form(a))))))
 
 
 def k_equiv_bruteforce(
@@ -236,11 +243,11 @@ def k_equiv_bruteforce(
     return EquivalenceVerdict(equivalent=True, word_bound=k)
 
 
-def equiv_mm_qfa(m1: MmQfa, m2: MmQfa, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
-    """Equivalence of two measure-many automata on their compiled machines."""
-    return equiv_rblm(linear_form(m1), linear_form(m2), tol)
+def equiv(a1, a2, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
+    """Equivalence of two automata of any kind ``blm.linear_form`` maps, or
+    bilinear machines: ``equiv_rblm`` on their linear forms."""
+    return equiv_rblm(linear_form(a1), linear_form(a2), tol)
 
 
-def equiv_qfac(m1: Qfac, m2: Qfac, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
-    """Equivalence of two classical-hybrid automata, in operator form."""
-    return equiv_rblm(linear_form(m1), linear_form(m2), tol)
+#: The per-kind names of ``equiv``.
+equiv_qfac = equiv_mm_qfa = equiv

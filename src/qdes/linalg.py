@@ -9,7 +9,9 @@ Hermiticity structural properties instead of numerical ones.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,26 +63,15 @@ def tensor(a, b) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def direct_sum(a, b) -> np.ndarray:
-    """Direct sum: block-diagonal for matrices, concatenation for vectors.
-
-    Examples
-    --------
-    >>> direct_sum([[1]], [[2, 0], [0, 2]]).real
-    array([[1., 0., 0.],
-           [0., 2., 0.],
-           [0., 0., 2.]])
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 1 and b.ndim == 1:
-        return np.concatenate([a, b])
-    if a.ndim == 2 and b.ndim == 2:
-        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-        out[: a.shape[0], : a.shape[1]] = a
-        out[a.shape[0]:, a.shape[1]:] = b
-        return out
-    raise ValueError("direct_sum needs two vectors or two matrices")
+def read_only(value):
+    """A read-only copy of an array, or a ``MappingProxyType`` over a copy of a
+    mapping with ``read_only`` values; anything else as it is."""
+    if isinstance(value, np.ndarray):
+        value = value.copy(order="K")
+        value.setflags(write=False)
+    elif isinstance(value, abc.Mapping):
+        value = MappingProxyType({k: read_only(v) for k, v in value.items()})
+    return value
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
@@ -118,7 +109,7 @@ class Projector:
             raise ValueError("projector dimension must be positive")
         if any(i < 0 or i >= self.dim for i in self.subset):
             raise ValueError(f"projector indices out of range for dim {self.dim}")
-        object.__setattr__(self, "_idx", np.array(sorted(self.subset), dtype=int))
+        object.__setattr__(self, "_idx", read_only(np.array(sorted(self.subset), dtype=int)))
 
     @classmethod
     def full(cls, dim: int) -> "Projector":

@@ -8,14 +8,14 @@ quantum part: the classical state selects which unitary and which final
 measurement apply.
 
 Words are sequences of symbol strings; alphabets are explicit.  Every
-automaton is checked by ``validate`` when it is built and is then
-treated as immutable, so evaluators and compilers never re-check it and
-concurrent evaluation is safe.
+automaton is checked by ``validate`` when it is built and cannot change
+afterwards, so evaluators and compilers never re-check it, concurrent
+evaluation is safe, and what is derived from it is computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -28,6 +28,7 @@ from .linalg import (
     is_unit_vector,
     projected_norm_sq,
     projected_norms_sq,
+    read_only,
 )
 
 #: End-of-input marker used internally by measure-many automata.
@@ -111,14 +112,29 @@ class ValidationFailedError(ValueError):
         self.violations = violations
 
 
+def freeze(obj):
+    """Replace every field of the frozen dataclass ``obj`` by a ``read_only`` copy; returns ``obj``."""
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, read_only(getattr(obj, f.name)))
+    return obj
+
+
 class _Checked:
-    """Base of the four automaton kinds: building one runs ``validate`` at
-    the default tolerance and raises ``ValidationFailedError`` on a violation."""
+    """Base of the four automaton kinds.  Building one freezes it, so that
+    nothing can change it after ``validate`` has checked it at the default
+    tolerance (a violation raises ``ValidationFailedError``); so what is
+    derived from it is computed at most once, by ``_memo``, and kept on it."""
 
     def __post_init__(self):
+        freeze(self)
         problems = validate(self)
         if problems:
             raise ValidationFailedError(problems)
+
+    def _memo(self, build):
+        """``build(self)``, computed on first use and kept; it must be read-only."""
+        memo = self.__dict__.setdefault("_derived", {})
+        return memo[build] if build in memo else memo.setdefault(build, build(self))
 
 
 def _check_symbols(w: Sequence[str], alphabet: Iterable[str], forbid: str | None = None):
@@ -352,7 +368,7 @@ def qfac_from_dfa(d: Dfa) -> Qfac:
         alphabet=d.alphabet,
         initial_classical=d.initial,
         initial_quantum=np.array([1.0 + 0.0j]),
-        transitions=dict(d.transitions),
+        transitions=d.transitions,
         unitaries={(s, a): one for s in d.states for a in d.alphabet},
         accepting={
             s: (Projector.full(1) if s in d.accepting else Projector.empty(1))

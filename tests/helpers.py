@@ -129,6 +129,18 @@ def padded_with_dead_block(rng, b: Rblm, extra: int) -> Rblm:
     return Rblm(b.alphabet, pi, matrices, eta)
 
 
+def difference_machine(b1: Rblm, b2: Rblm) -> Rblm:
+    """The direct sum b1 ⊕ -b2, whose word function is f1(w) - f2(w)."""
+
+    def block_diagonal(m1, m2):
+        out = np.zeros((b1.n + b2.n, b1.n + b2.n), dtype=complex)
+        out[: b1.n, : b1.n], out[b1.n:, b1.n:] = m1, m2
+        return out
+
+    matrices = {a: block_diagonal(b1.matrices[a], b2.matrices[a]) for a in b1.alphabet}
+    return Rblm(b1.alphabet, np.concatenate([b1.pi, b2.pi]), matrices, np.concatenate([b1.eta, -np.asarray(b2.eta)]))
+
+
 def naive_kron(a, b):
     """Quadruple-loop tensor product, the hand oracle for block structure."""
     a = np.asarray(a, dtype=complex)

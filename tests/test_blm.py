@@ -5,12 +5,10 @@ from qdes.blm import (
     LinearForm,
     Rblm,
     absorb_symbol,
-    blm_direct_sum,
     blm_eval,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
     linear_form,
-    negate_final,
     to_rblm,
 )
 from qdes.composition import parallel_qfac
@@ -26,15 +24,6 @@ def scalar_machine(value, alphabet=("a",)):
         alphabet=tuple(alphabet),
         pi=np.array([1.0], dtype=complex),
         matrices={s: np.array([[value]], dtype=complex) for s in alphabet},
-        eta=np.array([1.0], dtype=complex),
-    )
-
-
-def constant_one_machine(alphabet):
-    return Rblm(
-        alphabet=tuple(alphabet),
-        pi=np.array([1.0], dtype=complex),
-        matrices={s: np.eye(1, dtype=complex) for s in alphabet},
         eta=np.array([1.0], dtype=complex),
     )
 
@@ -64,47 +53,7 @@ class TestEval:
             blm_eval(b, ("a",))
 
 
-class TestDirectSum:
-    def test_additive_identity(self):
-        rng = np.random.default_rng(7)
-        b = random_rblm(rng, 3)
-        zero = negate_final(constant_one_machine(b.alphabet))
-        zero = Rblm(zero.alphabet, zero.pi, zero.matrices, np.zeros(1, dtype=complex))
-        s = blm_direct_sum(b, zero)
-        for w in words_up_to(b.alphabet, 4):
-            assert abs(blm_eval(s, w) - blm_eval(b, w)) <= 1e-12
-
-    def test_scalar_sum(self):
-        s = blm_direct_sum(scalar_machine(0.5), scalar_machine(0.25))
-        assert abs(blm_eval(s, ("a",)) - 0.75) <= 1e-15
-
-    def test_sum_law_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            b1, b2 = random_rblm(rng, 3), random_rblm(rng, 2)
-            s = blm_direct_sum(b1, b2)
-            for w in words_up_to(b1.alphabet, 5):
-                assert abs(blm_eval(s, w) - (blm_eval(b1, w) + blm_eval(b2, w))) <= 1e-10
-
-
-class TestNegateAndAbsorb:
-    def test_negate_twice_restores(self):
-        rng = np.random.default_rng(13)
-        b = random_rblm(rng, 3)
-        bb = negate_final(negate_final(b))
-        for w in words_up_to(b.alphabet, 3):
-            assert blm_eval(bb, w) == blm_eval(b, w)
-
-    def test_difference_with_self_vanishes(self):
-        rng = np.random.default_rng(17)
-        b = random_rblm(rng, 3)
-        diff = blm_direct_sum(b, negate_final(b))
-        for w in words_up_to(b.alphabet, 5):
-            assert abs(blm_eval(diff, w)) <= 1e-12
-
-    def test_negate_scalar(self):
-        assert blm_eval(negate_final(scalar_machine(0.5)), ("a",)) == -0.5
-
+class TestAbsorb:
     def test_absorb_identity_symbol(self):
         rng = np.random.default_rng(19)
         b = random_rblm(rng, 3, alphabet=("a", "t"))
@@ -121,9 +70,9 @@ class TestNegateAndAbsorb:
     def test_absorb_matches_suffix_eval(self):
         rng = np.random.default_rng(23)
         b = random_rblm(rng, 3)
-        hat = absorb_symbol(b, "b", keep_symbol=True)
-        assert hat.alphabet == b.alphabet
-        for w in words_up_to(b.alphabet, 4):
+        hat = absorb_symbol(b, "b")
+        assert hat.alphabet == ("a",)
+        for w in words_up_to(hat.alphabet, 4):
             assert abs(blm_eval(hat, w) - blm_eval(b, (*w, "b"))) <= 1e-12
 
     def test_absorb_unknown_symbol(self):

@@ -1,12 +1,19 @@
+import copy
 import dataclasses
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdes.blm import blm_eval, compile_mm_to_rblm, to_rblm
 from qdes.cli import main
-from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_spec_variant, dfa_bounded_zeros
+from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_eg2_spec, build_spec_variant, dfa_bounded_zeros
 from qdes.serialize import load, save, to_document
 
 from helpers import random_mo, random_qfac
@@ -275,6 +282,56 @@ class TestListWhereObjectExpected:
         for argv in (["validate", str(path)], ["prob", str(path), ""]):
             code, out = run(capsys, *argv)
             assert code == 2 and "expected a JSON object" in out["error"]
+
+
+#: The saved document of a stock automaton of each kind.
+STOCK_DOCUMENTS = {
+    "dfa": to_document(dfa_bounded_zeros(2)),
+    "mo-qfa": to_document(build_af_modp(5, 0.3)),
+    "mm-qfa": to_document(build_eg2(2, 0.5)),
+    "qfac": to_document(build_eg1(1, 0.95, seed=0)),
+    "rblm": to_document(compile_mm_to_rblm(build_eg2(1, 0.5))),
+}
+
+#: Any JSON value, NaN and the infinities included (Python's json reads them).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+class TestValidateFuzz:
+    """One field of a stock document, or one entry of a field, set to any JSON
+    value: ``qdes validate`` answers 0, 1 or 2 with one JSON document."""
+
+    @pytest.mark.parametrize("kind", sorted(STOCK_DOCUMENTS))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_one_malformed_field(self, kind, data):
+        doc = copy.deepcopy(STOCK_DOCUMENTS[kind])
+        parent, key = doc, data.draw(st.sampled_from(sorted(doc)), label="field")
+        inner = doc[key]
+        if isinstance(inner, (dict, list)) and inner and data.draw(st.booleans(), label="entry"):
+            parent, key = inner, data.draw(st.sampled_from(sorted(inner) if isinstance(inner, dict) else range(len(inner))),
+                                           label="entry key")
+        parent[key] = data.draw(JSON_VALUES, label="value")
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["validate", str(path)])
+        result = json.loads(out.getvalue())
+        assert code in (0, 1, 2) and err.getvalue() == ""
+        assert ("error" in result) == (code == 2)
+
+    def test_a_field_nested_too_deep_exit_two(self, capsys, tmp_path):
+        text = json.dumps(STOCK_DOCUMENTS["dfa"]).replace('"states": [', '"states": [' + "[" * 100_000 + "]" * 100_000 + ", ", 1)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2 and out["error"].startswith("RecursionError: ")
 
 
 class TestExampleCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdes import blm, equivalence, models
-from qdes.blm import Rblm, blm_direct_sum, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, negate_final, to_rblm
+from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, to_rblm
 from qdes.composition import parallel_qfac
 from qdes.equivalence import (
     EquivalenceVerdict,
@@ -16,12 +16,13 @@ from qdes.equivalence import (
     k_equiv_bruteforce,
     minimize,
 )
-from qdes.fixtures import build_eg1, build_eg2, build_egadd, build_spec_variant
+from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, build_spec_variant, dfa_bounded_zeros
 from qdes.linalg import Projector
 from qdes.models import MmQfa, qfac_from_mo
 from qdes.supervisory import ControlSpec, QuantumLanguage, check_controllability_exhaustive, decide_controllability
 
 from helpers import (
+    difference_machine,
     padded_with_dead_block,
     random_mm,
     random_mo,
@@ -145,10 +146,20 @@ class TestMinimize:
             assert small.n < b.n
             assert k_equiv_bruteforce(b, small, 6).equivalent
 
+    def test_difference_machine_reads_the_difference(self):
+        rng = np.random.default_rng(17)
+        b1, b2 = random_rblm(rng, 3), random_rblm(rng, 2)
+        diff = difference_machine(b1, b2)
+        assert diff.n == 5
+        for w in words_up_to(b1.alphabet, 5):
+            assert abs(blm_eval(diff, w) - (blm_eval(b1, w) - blm_eval(b2, w))) <= 1e-10
+
     def test_difference_with_self_reduces_to_nothing(self):
         for name in sorted(FIXTURE_MACHINES):
             b = FIXTURE_MACHINES[name]()
-            assert minimize(blm_direct_sum(b, negate_final(b))).n == 0
+            diff = difference_machine(b, b)
+            assert diff.n == 2 * b.n
+            assert minimize(diff).n == 0
 
     def test_shift_register_is_already_minimal(self):
         assert minimize(shift_register(4)).n == 5
@@ -354,11 +365,16 @@ class TestOperatorForm:
     """The decisions on hybrid automata never form the dense compiled machine."""
 
     def test_no_compile_on_the_decision_paths(self, monkeypatch):
-        plant = build_eg1(2, 0.5, seed=0)
-        target = build_spec_variant(plant, plant.classical_states[-1])
+        def pair():
+            plant = build_eg1(2, 0.5, seed=0)
+            return plant, build_spec_variant(plant, plant.classical_states[-1])
+
+        plant, target = pair()
         expected = (minimize(plant).n, equiv_qfac(plant, target), equiv_qfac(plant, plant))
         spec = ControlSpec(("0", "1", "2"), frozenset({"2"}), frozenset({"0", "1"}))
         decided = decide_controllability(target, plant, spec)
+        # A fresh pair, so that nothing is read from what the first one keeps.
+        plant, target = pair()
         monkeypatch.setattr(blm, "compile_qfac_to_rblm", refuse_to_compile)
         assert minimize(plant).n == expected[0] == 10
         assert (equiv_qfac(plant, target), equiv_qfac(plant, plant)) == expected[1:]
@@ -450,11 +466,14 @@ class TestKernelAgainstReference:
 
     @staticmethod
     def assert_same_minimal_size(a, tol, monkeypatch):
+        """The minimal size of ``a`` at ``tol``, equal under both kernels.  An
+        automaton keeps its minimal machine, so each call minimizes a freshly
+        built copy of ``a``: the kept machine would be compared with itself."""
         monkeypatch.setattr(equivalence, "MINIMIZE_TOL", tol)
-        size = minimize(a).n
+        size = minimize(dataclasses.replace(a)).n
         with monkeypatch.context() as patched:
             patched.setattr(equivalence, "explore_span", ref_kernel)
-            assert minimize(a).n == size
+            assert minimize(dataclasses.replace(a)).n == size
         return size
 
     def test_equivalence_verdicts(self, monkeypatch):
@@ -511,6 +530,57 @@ class TestToleranceRefused:
         for decide in decisions:
             with pytest.raises(ValueError, match="tolerance must be finite and positive"):
                 decide()
+
+
+KINDS = ("dfa", "mo-qfa", "mm-qfa", "qfac", "random-qfac")
+
+
+def one_of_each_kind():
+    rng = np.random.default_rng(71)
+    return dict(zip(KINDS, (dfa_bounded_zeros(3), build_af_modp(11, 0.2), build_eg2(2, 0.5), build_eg1(1, 0.5, seed=0),
+                            random_qfac(rng, 3, 2))))
+
+
+class TestKeptOnTheAutomaton:
+    """An automaton keeps its linear form and minimal machine, read-only; a
+    bilinear machine, which its caller owns, is reduced anew every time."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_computed_once(self, kind):
+        a = one_of_each_kind()[kind]
+        assert blm.linear_form(a) is blm.linear_form(a)
+        assert minimize(a) is minimize(a)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kept_forms_refuse_writes(self, kind):
+        a = one_of_each_kind()[kind]
+        small, form = minimize(a), blm.linear_form(a)
+        for x in (small.pi, small.eta, *small.matrices.values(), form.pi, form.eta):
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0
+        with pytest.raises(TypeError):
+            small.matrices[small.alphabet[0]] = np.eye(small.n)
+        assert minimize(a).n == small.n > 0
+
+    def test_a_machine_is_reduced_anew(self):
+        rng = np.random.default_rng(73)
+        b = padded_with_dead_block(rng, random_rblm(rng, 3), 2)
+        assert blm.linear_form(b) is b
+        assert minimize(b) is not minimize(b) and minimize(b).n == 3
+        b.eta[:] = 0
+        assert minimize(b).n == 0
+
+    @pytest.mark.parametrize("kind", ["mo-qfa", "dfa"])
+    def test_one_hybrid_embedding(self, kind, monkeypatch):
+        a = one_of_each_kind()[kind]
+        calls = []
+        check = models.validate
+        monkeypatch.setattr(models, "validate", lambda x, tol=None: calls.append(type(x).__name__) or check(x, tol))
+        minimize(a)
+        blm.linear_form(a)
+        list(blm.levels(a, a.alphabet, 3))
+        to_rblm(a)
+        assert calls == ["Qfac"]
 
 
 class TestCheckedOnlyWhenBuilt:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,8 +163,8 @@ class TestHybrid:
     def test_empty_word_full_measurement(self):
         rng = np.random.default_rng(31)
         m = random_qfac(rng, 2, 2)
-        m.accepting[m.initial_classical] = Projector.full(2)
-        assert qfac_accept_prob(m, ()) == 1.0
+        full = dataclasses.replace(m, accepting={**m.accepting, m.initial_classical: Projector.full(2)})
+        assert qfac_accept_prob(full, ()) == 1.0
 
     def test_halves_sum_fixture(self):
         m = build_eg1(2, 0.95, seed=0)
@@ -189,6 +190,52 @@ class TestHybrid:
         for w in words_up_to(("0", "1"), 5):
             expected = 1.0 if dfa_accepts(d, w) else 0.0
             assert qfac_accept_prob(hybrid, w) == expected
+
+
+def one_of_each_kind():
+    rng = np.random.default_rng(41)
+    return {"dfa": dfa_bounded_zeros(2), "mo-qfa": random_mo(rng, 2), "mm-qfa": random_mm(rng, 2),
+            "qfac": random_qfac(rng, 2, 2)}
+
+
+MAPPINGS = {"dfa": ("transitions",), "mo-qfa": ("unitaries",), "mm-qfa": ("unitaries",),
+            "qfac": ("transitions", "unitaries", "accepting")}
+
+
+class TestImmutable:
+    """A built automaton cannot change, so nothing can bypass its construction check."""
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    def test_assigning_to_a_mapping_raises(self, kind):
+        a = one_of_each_kind()[kind]
+        for name in MAPPINGS[kind]:
+            mapping = getattr(a, name)
+            key = next(iter(mapping))
+            with pytest.raises(TypeError):
+                mapping[key] = mapping[key]
+            with pytest.raises(TypeError):
+                del mapping[key]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.alphabet = ()
+
+    @pytest.mark.parametrize("kind", ["mo-qfa", "mm-qfa", "qfac"])
+    def test_writing_into_an_array_raises(self, kind):
+        a = one_of_each_kind()[kind]
+        initial = a.initial_quantum if kind == "qfac" else a.initial
+        projectors = a.accepting.values() if kind == "qfac" else [a.accepting]
+        for x in (initial, *a.unitaries.values(), *(p._idx for p in projectors if p.subset)):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = x[0]
+
+    def test_the_callers_objects_are_copied(self):
+        u, initial = np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex)
+        unitaries = {"0": u}
+        m = MoQfa(("0",), unitaries, initial, Projector(frozenset({0}), 2), Projector(frozenset({1}), 2))
+        u[:] = np.diag([1.0, 3.0])
+        unitaries["1"] = u
+        initial[:] = [0.0, 5.0]
+        assert set(m.unitaries) == {"0"}
+        assert validate(m) == [] and mo_accept_prob(m, ("0", "0")) == 1.0
 
 
 class TestValidate:

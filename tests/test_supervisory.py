@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdes import supervisory
+from qdes import equivalence, supervisory
 from qdes.blm import Rblm, to_rblm
+from qdes.equivalence import minimize
+from qdes.models import Qfac
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant
 from qdes.supervisory import (
     ClosedLoop,
@@ -332,6 +334,44 @@ class TestFormerlyInfeasibleSizes:
         )
         assert not oracle.holds and not decided.holds
         assert (decided.word, decided.symbol) == (oracle.word, oracle.symbol)
+
+
+class TestKeptOnTheAutomaton:
+    """Target and plant keep their minimal machines, so a repeated decision
+    only explores, and a changed copy is an automaton of its own."""
+
+    def test_changed_copies_get_their_own_machine_and_verdict(self):
+        plant_aut, target_aut = large_pair("eg1", 2, 0.5)
+        assert decide_controllability(target_aut, plant_aut, spec3()).holds
+        dead = plant_aut.classical_states[-1]
+        transitions = {**target_aut.transitions, ("s1", "0"): dead}
+        replaced = dataclasses.replace(target_aut, transitions=transitions)
+        retargeted = Qfac(target_aut.classical_states, target_aut.alphabet, target_aut.initial_classical,
+                          target_aut.initial_quantum, transitions, target_aut.unitaries, target_aut.accepting)
+        oracle = check_controllability_exhaustive(
+            QuantumLanguage.from_automaton(replaced), QuantumLanguage.from_automaton(plant_aut), spec3(), horizon=4
+        )
+        assert not oracle.holds
+        for cut in (replaced, retargeted):
+            assert minimize(cut) is not minimize(target_aut)
+            decided = decide_controllability(cut, plant_aut, spec3())
+            assert (decided.holds, decided.word, decided.symbol) == (False, oracle.word, oracle.symbol)
+        assert decide_controllability(target_aut, plant_aut, spec3()).holds
+
+    def test_a_second_decision_only_explores(self, monkeypatch):
+        plant_aut, target_aut = large_pair("eg1", 2, 0.5)
+        kernel, calls = equivalence.explore_span, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "explore_span", counting)
+        monkeypatch.setattr(supervisory, "explore_span", counting)
+        first = decide_controllability(target_aut, plant_aut, spec3())
+        assert len(calls) == 5  # forward and backward for each automaton, then the decision
+        assert decide_controllability(target_aut, plant_aut, spec3()) == first
+        assert len(calls) == 6
 
 
 class TestWitnessOrder:
