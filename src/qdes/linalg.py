@@ -65,12 +65,12 @@ def tensor(a, b) -> np.ndarray:
 
 def read_only(value):
     """A read-only copy of an array, or a ``MappingProxyType`` over a copy of a
-    mapping with ``read_only`` values; anything else as it is."""
+    mapping whose array values are ``read_only`` too; anything else as it is."""
     if isinstance(value, np.ndarray):
         value = value.copy(order="K")
         value.setflags(write=False)
     elif isinstance(value, abc.Mapping):
-        value = MappingProxyType({k: read_only(v) for k, v in value.items()})
+        value = MappingProxyType({k: read_only(v) if isinstance(v, np.ndarray) else v for k, v in value.items()})
     return value
 
 
