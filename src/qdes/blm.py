@@ -294,7 +294,7 @@ def linear_form(a) -> Rblm | LinearForm:
     never form a compiled matrix.  ``pi`` and ``eta`` are those of the
     compilers, and no automaton is checked again here: each one was
     checked when it was built.  An automaton's form is built once, kept
-    on it and read-only; a bilinear machine is its own form.
+    on it and read-only.
     """
     if isinstance(a, Rblm):
         return a

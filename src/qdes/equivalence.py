@@ -201,9 +201,8 @@ def minimize(a) -> Rblm:
     isometric projections, which keeps the result numerically tame
     (Kiefer, Murawski, Ouaknine, Wachter and Worrell, CAV 2011).  A
     word function that is identically zero reduces to ``n = 0``.  An
-    automaton's minimal machine is computed once, kept on it and
-    read-only; a bilinear machine, which its caller may change, is
-    reduced anew on every call.
+    automaton keeps its minimal machine, computed once and read-only; a
+    bilinear machine, which its caller may change, is reduced anew.
     """
     return a._memo(_minimal) if isinstance(a, _Checked) else _minimal(a)
 
@@ -244,8 +243,7 @@ def k_equiv_bruteforce(
 
 
 def equiv(a1, a2, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
-    """Equivalence of two automata of any kind ``blm.linear_form`` maps, or
-    bilinear machines: ``equiv_rblm`` on their linear forms."""
+    """``equiv_rblm`` on the linear forms of two automata of any kind, or bilinear machines."""
     return equiv_rblm(linear_form(a1), linear_form(a2), tol)
 
 

@@ -64,8 +64,7 @@ def tensor(a, b) -> np.ndarray:
 
 
 def read_only(value):
-    """A read-only copy of an array, or a ``MappingProxyType`` over a copy of a
-    mapping whose array values are ``read_only`` too; anything else as it is."""
+    """A read-only copy of an array, or a ``MappingProxyType`` over a copied mapping, its arrays read-only."""
     if isinstance(value, np.ndarray):
         value = value.copy(order="K")
         value.setflags(write=False)

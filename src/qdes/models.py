@@ -120,16 +120,20 @@ def freeze(obj):
 
 
 class _Checked:
-    """Base of the four automaton kinds.  Building one freezes it, so that
-    nothing can change it after ``validate`` has checked it at the default
-    tolerance (a violation raises ``ValidationFailedError``); so what is
-    derived from it is computed at most once, by ``_memo``, and kept on it."""
+    """Base of the four automaton kinds: building one freezes it, then runs
+    ``validate`` at the default tolerance and raises ``ValidationFailedError``
+    on a violation; ``_memo`` keeps what is derived from it, computed once."""
 
     def __post_init__(self):
         freeze(self)
         problems = validate(self)
         if problems:
             raise ValidationFailedError(problems)
+
+    def __reduce__(self):
+        """Pickle and deep-copy as a rebuild from the fields, with plain dicts."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
 
     def _memo(self, build):
         """``build(self)``, computed on first use and kept; it must be read-only."""

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import math
+import pickle
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from qdes.models import (
     validate,
 )
 from qdes.models import _mm_accept_prob_products, _validate_unitaries
+from qdes.serialize import to_document
 
 from helpers import random_mm, random_mo, random_qfac, ref_mm_accept_prob, ref_validate_unitaries, words_up_to
 
@@ -226,6 +230,13 @@ class TestImmutable:
         for x in (initial, *a.unitaries.values(), *(p._idx for p in projectors if p.subset)):
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = x[0]
+
+    @pytest.mark.parametrize("kind", sorted(MAPPINGS))
+    def test_pickle_and_deepcopy_rebuild(self, kind):
+        a = one_of_each_kind()[kind]
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert type(b) is type(a) and to_document(b) == to_document(a)
+            assert all(isinstance(getattr(b, name), MappingProxyType) for name in MAPPINGS[kind])
 
     def test_the_callers_objects_are_copied(self):
         u, initial = np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex)
