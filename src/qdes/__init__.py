@@ -5,7 +5,7 @@ algebraic form, exact equivalence and controllability decisions, and
 supervisory control of the resulting quantum languages.
 """
 
-from .linalg import Projector, is_unitary, projected_norm_sq, tensor
+from .linalg import Projector, direct_sum, is_unitary, projected_norm_sq, tensor
 from .models import (
     Dfa,
     MmQfa,

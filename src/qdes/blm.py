@@ -135,15 +135,18 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
         yield vals.real
 
 
-def absorb_symbol(b: Rblm, tau: str) -> Rblm:
-    """Fold one trailing symbol, such as an end marker, into the final functional.
+def absorb_symbol(b: Rblm, tau: str, keep_symbol: bool = False) -> Rblm:
+    """Fold one trailing symbol into the final functional.
 
     The result satisfies ``f'(w) = f(w tau)`` with the same state count;
-    ``eta`` becomes ``eta @ M(tau)``, and ``tau`` leaves the alphabet.
+    ``eta`` becomes ``eta @ M(tau)``.  By default ``tau`` is removed
+    from the result's alphabet; with ``keep_symbol`` it stays readable,
+    which the controllability reduction needs when ``tau`` is an
+    ordinary event rather than a dedicated end marker.
     """
     if tau not in b.alphabet:
         raise ValueError(f"symbol {tau!r} not in alphabet")
-    alphabet = tuple(a for a in b.alphabet if a != tau)
+    alphabet = b.alphabet if keep_symbol else tuple(a for a in b.alphabet if a != tau)
     matrices = {a: b.matrices[a] for a in alphabet}
     return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau], b.real_valued)
 
@@ -261,10 +264,8 @@ def rblm_probability(b: Rblm, w: Sequence[str]) -> float:
 
 def _as_hybrid(a):
     """Measure-once automata and DFAs as their hybrid embeddings, kept on them; other kinds as they are."""
-    if isinstance(a, MoQfa):
-        return a._memo(qfac_from_mo)
-    if isinstance(a, Dfa):
-        return a._memo(qfac_from_dfa)
+    if isinstance(a, (MoQfa, Dfa)):
+        return a._memo(qfac_from_mo if isinstance(a, MoQfa) else qfac_from_dfa)
     return a
 
 
@@ -304,7 +305,7 @@ def linear_form(a) -> Rblm | LinearForm:
 
 
 def _form(a) -> Rblm | LinearForm:
-    return freeze(compile_mm_to_rblm(a) if isinstance(a, MmQfa) else _qfac_form(_as_hybrid(a)))
+    return freeze(compile_mm_to_rblm(a) if isinstance(a, MmQfa) else _qfac_form(_as_hybrid(a)), copy=False)
 
 
 def levels(a, alphabet: Sequence[str], horizon: int) -> Levels:

@@ -208,7 +208,7 @@ def minimize(a) -> Rblm:
 
 
 def _minimal(a) -> Rblm:
-    return freeze(_transpose(_reachable_part(_transpose(_reachable_part(linear_form(a))))))
+    return freeze(_transpose(_reachable_part(_transpose(_reachable_part(linear_form(a))))), copy=False)
 
 
 def k_equiv_bruteforce(

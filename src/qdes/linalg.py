@@ -63,13 +63,37 @@ def tensor(a, b) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def read_only(value):
-    """A read-only copy of an array, or a ``MappingProxyType`` over a copied mapping, its arrays read-only."""
+def direct_sum(a, b) -> np.ndarray:
+    """Direct sum: block-diagonal for matrices, concatenation for vectors.
+
+    Examples
+    --------
+    >>> direct_sum([[1]], [[2, 0], [0, 2]]).real
+    array([[1., 0., 0.],
+           [0., 2., 0.],
+           [0., 0., 2.]])
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim == 1 and b.ndim == 1:
+        return np.concatenate([a, b])
+    if a.ndim == 2 and b.ndim == 2:
+        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+        out[: a.shape[0], : a.shape[1]] = a
+        out[a.shape[0]:, a.shape[1]:] = b
+        return out
+    raise ValueError("direct_sum needs two vectors or two matrices")
+
+
+def read_only(value, copy: bool = True):
+    """An array made read-only, copied first unless ``copy`` is false, or a
+    ``MappingProxyType`` over a copied mapping with its arrays made so."""
     if isinstance(value, np.ndarray):
-        value = value.copy(order="K")
+        if copy:
+            value = value.copy(order="K")
         value.setflags(write=False)
     elif isinstance(value, abc.Mapping):
-        value = MappingProxyType({k: read_only(v) if isinstance(v, np.ndarray) else v for k, v in value.items()})
+        value = MappingProxyType({k: read_only(v, copy) if isinstance(v, np.ndarray) else v for k, v in value.items()})
     return value
 
 
@@ -108,7 +132,11 @@ class Projector:
             raise ValueError("projector dimension must be positive")
         if any(i < 0 or i >= self.dim for i in self.subset):
             raise ValueError(f"projector indices out of range for dim {self.dim}")
-        object.__setattr__(self, "_idx", read_only(np.array(sorted(self.subset), dtype=int)))
+        object.__setattr__(self, "_idx", read_only(np.array(sorted(self.subset), dtype=int), copy=False))
+
+    def __reduce__(self):
+        """Pickle and deep-copy as a rebuild, so the copy's ``_idx`` is read-only too."""
+        return Projector, (self.subset, self.dim)
 
     @classmethod
     def full(cls, dim: int) -> "Projector":

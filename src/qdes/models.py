@@ -112,10 +112,11 @@ class ValidationFailedError(ValueError):
         self.violations = violations
 
 
-def freeze(obj):
-    """Replace every field of the frozen dataclass ``obj`` by a ``read_only`` copy; returns ``obj``."""
+def freeze(obj, copy: bool = True):
+    """Make every field of the frozen dataclass ``obj`` ``read_only``, copying
+    arrays unless ``copy`` is false (for objects no caller holds); returns ``obj``."""
     for f in fields(obj):
-        object.__setattr__(obj, f.name, read_only(getattr(obj, f.name)))
+        object.__setattr__(obj, f.name, read_only(getattr(obj, f.name), copy))
     return obj
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from qdes.blm import Rblm, blm_eval
 from qdes.equivalence import EquivalenceVerdict
-from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq
+from qdes.linalg import Projector, all_finite, direct_sum, is_unitary, projected_norm_sq
 from qdes.models import END_MARKER, MmQfa, MoQfa, Qfac, _check_symbols, clamp_probability
 from qdes.supervisory import (
     AdmissibilityViolation,
@@ -131,14 +131,8 @@ def padded_with_dead_block(rng, b: Rblm, extra: int) -> Rblm:
 
 def difference_machine(b1: Rblm, b2: Rblm) -> Rblm:
     """The direct sum b1 ⊕ -b2, whose word function is f1(w) - f2(w)."""
-
-    def block_diagonal(m1, m2):
-        out = np.zeros((b1.n + b2.n, b1.n + b2.n), dtype=complex)
-        out[: b1.n, : b1.n], out[b1.n:, b1.n:] = m1, m2
-        return out
-
-    matrices = {a: block_diagonal(b1.matrices[a], b2.matrices[a]) for a in b1.alphabet}
-    return Rblm(b1.alphabet, np.concatenate([b1.pi, b2.pi]), matrices, np.concatenate([b1.eta, -np.asarray(b2.eta)]))
+    matrices = {a: direct_sum(b1.matrices[a], b2.matrices[a]) for a in b1.alphabet}
+    return Rblm(b1.alphabet, direct_sum(b1.pi, b2.pi), matrices, direct_sum(b1.eta, -np.asarray(b2.eta)))
 
 
 def naive_kron(a, b):

@@ -70,9 +70,9 @@ class TestAbsorb:
     def test_absorb_matches_suffix_eval(self):
         rng = np.random.default_rng(23)
         b = random_rblm(rng, 3)
-        hat = absorb_symbol(b, "b")
-        assert hat.alphabet == ("a",)
-        for w in words_up_to(hat.alphabet, 4):
+        hat = absorb_symbol(b, "b", keep_symbol=True)
+        assert hat.alphabet == b.alphabet
+        for w in words_up_to(b.alphabet, 4):
             assert abs(blm_eval(hat, w) - blm_eval(b, (*w, "b"))) <= 1e-12
 
     def test_absorb_unknown_symbol(self):

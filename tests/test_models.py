@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from collections.abc import Mapping
 from types import MappingProxyType
 
 import numpy as np
@@ -206,6 +207,18 @@ MAPPINGS = {"dfa": ("transitions",), "mo-qfa": ("unitaries",), "mm-qfa": ("unita
             "qfac": ("transitions", "unitaries", "accepting")}
 
 
+def assert_arrays_read_only(a):
+    """Every array of a quantum automaton, its projectors' index arrays included, refuses a write."""
+    values = [getattr(a, f.name) for f in dataclasses.fields(a)]
+    values += [v for m in values if isinstance(m, Mapping) for v in m.values()]
+    arrays = [v._idx if isinstance(v, Projector) else v for v in values if isinstance(v, (np.ndarray, Projector))]
+    assert any(isinstance(v, Projector) for v in values) and any(x.size for x in arrays)
+    for x in arrays:
+        if x.size:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = x[0]
+
+
 class TestImmutable:
     """A built automaton cannot change, so nothing can bypass its construction check."""
 
@@ -224,12 +237,7 @@ class TestImmutable:
 
     @pytest.mark.parametrize("kind", ["mo-qfa", "mm-qfa", "qfac"])
     def test_writing_into_an_array_raises(self, kind):
-        a = one_of_each_kind()[kind]
-        initial = a.initial_quantum if kind == "qfac" else a.initial
-        projectors = a.accepting.values() if kind == "qfac" else [a.accepting]
-        for x in (initial, *a.unitaries.values(), *(p._idx for p in projectors if p.subset)):
-            with pytest.raises(ValueError, match="read-only"):
-                x[0] = x[0]
+        assert_arrays_read_only(one_of_each_kind()[kind])
 
     @pytest.mark.parametrize("kind", sorted(MAPPINGS))
     def test_pickle_and_deepcopy_rebuild(self, kind):
@@ -237,6 +245,8 @@ class TestImmutable:
         for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
             assert type(b) is type(a) and to_document(b) == to_document(a)
             assert all(isinstance(getattr(b, name), MappingProxyType) for name in MAPPINGS[kind])
+            if kind != "dfa":
+                assert_arrays_read_only(b)
 
     def test_the_callers_objects_are_copied(self):
         u, initial = np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex)
