@@ -135,18 +135,15 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
         yield vals.real
 
 
-def absorb_symbol(b: Rblm, tau: str, keep_symbol: bool = False) -> Rblm:
+def absorb_symbol(b: Rblm, tau: str) -> Rblm:
     """Fold one trailing symbol into the final functional.
 
-    The result satisfies ``f'(w) = f(w tau)`` with the same state count;
-    ``eta`` becomes ``eta @ M(tau)``.  By default ``tau`` is removed
-    from the result's alphabet; with ``keep_symbol`` it stays readable,
-    which the controllability reduction needs when ``tau`` is an
-    ordinary event rather than a dedicated end marker.
+    The result satisfies ``f'(w) = f(w tau)`` over the alphabet without
+    ``tau``, with the same state count; ``eta`` becomes ``eta @ M(tau)``.
     """
     if tau not in b.alphabet:
         raise ValueError(f"symbol {tau!r} not in alphabet")
-    alphabet = b.alphabet if keep_symbol else tuple(a for a in b.alphabet if a != tau)
+    alphabet = tuple(a for a in b.alphabet if a != tau)
     matrices = {a: b.matrices[a] for a in alphabet}
     return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau], b.real_valued)
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import fixtures, serialize
-from .blm import evaluator, to_rblm
+from .blm import evaluator
 from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
 from .equivalence import DEFAULT_EQUIV_TOL, check_tol, equiv, k_equiv_bruteforce
 from .models import Dfa, MmQfa, MoQfa, Qfac, _mm_accept_prob_products
@@ -82,7 +82,7 @@ def cmd_prob(args) -> int:
 def cmd_equiv(args) -> int:
     a1, a2 = serialize.load(args.file1), serialize.load(args.file2)
     if args.brute_k is not None:
-        verdict = k_equiv_bruteforce(to_rblm(a1), to_rblm(a2), args.brute_k, args.tol)
+        verdict = k_equiv_bruteforce(a1, a2, args.brute_k, args.tol)
     else:
         verdict = equiv(a1, a2, args.tol)
     doc = {
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--tol")
-    p.add_argument("--brute-k", type=int, default=None, help="exhaustive comparison up to length K")
+    p.add_argument("--brute-k", type=int, default=None, help="exhaustive comparison of direct evaluator values up to length K")
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("compose", help="parallel composition of two plants")

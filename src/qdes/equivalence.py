@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blm import LinearForm, Rblm, blm_eval, blm_levels, linear_form
-from .models import Word, _Checked, freeze, word_at
+from .blm import LinearForm, Rblm, blm_eval, blm_levels, evaluator, levels, linear_form
+from .models import Levels, Word, _Checked, freeze, word_at
 
 #: Default decision tolerance; looser than evaluation tolerance because
 #: spanned vectors accumulate error over up to n1+n2 insertions.
@@ -164,7 +164,7 @@ def equiv_rblm(b1: Rblm | LinearForm, b2: Rblm | LinearForm, tol: float = DEFAUL
         f1=blm_eval(b1, word) if word is not None and b1.real_valued else None,
         f2=blm_eval(b2, word) if word is not None and b2.real_valued else None,
         visited_dim=len(basis),
-        word_bound=n1 + n2 - 1,
+        word_bound=max(n1 + n2 - 1, 0),
     )
 
 
@@ -212,8 +212,8 @@ def _minimal(a) -> Rblm:
 
 
 def k_equiv_bruteforce(
-    b1: Rblm,
-    b2: Rblm,
+    a1,
+    a2,
     k: int,
     tol: float = DEFAULT_EQUIV_TOL,
     max_words: int = 2_000_000,
@@ -222,24 +222,36 @@ def k_equiv_bruteforce(
 
     This is the independent oracle for the span procedure; it guards
     against combinatorial blowup with a configurable cap on the number
-    of enumerated words.  Both machines advance one frontier of state
-    columns per word length (``blm_levels``); the counterexample is the
-    shortlex-least word whose values differ by more than ``tol``, and
-    ``f1``/``f2`` are ``blm_eval`` at it.
+    of enumerated words.  It takes two automata of any kind, or bilinear
+    machines, mixed freely: an automaton's values come from the direct
+    level evaluator ``blm.levels`` and its counterexample value from
+    ``blm.evaluator``, so no compiled machine is formed; a bilinear
+    machine keeps its raw, unclamped ``blm_levels`` and ``blm_eval``.
+    The counterexample is the shortlex-least word whose values differ by
+    more than ``tol``, and ``f1``/``f2`` are the values there.
     """
     check_tol(tol)
-    if set(b1.alphabet) != set(b2.alphabet):
+    if set(a1.alphabet) != set(a2.alphabet):
         raise ValueError("equivalence requires identical alphabets")
-    alphabet = tuple(sorted(b1.alphabet))
+    alphabet = tuple(sorted(a1.alphabet))
     total = sum(len(alphabet) ** i for i in range(k + 1))
     if total > max_words:
         raise ValueError(f"would enumerate {total} words, above the cap {max_words}")
-    for length, (f1, f2) in enumerate(zip(blm_levels(b1, alphabet, k), blm_levels(b2, alphabet, k))):
+    (levels1, value1), (levels2, value2) = (_direct(a, alphabet, k) for a in (a1, a2))
+    for length, (f1, f2) in enumerate(zip(levels1, levels2)):
         far = np.flatnonzero(np.abs(f1 - f2) > tol)
         if far.size:
             word = word_at(alphabet, length, int(far[0]))
-            return EquivalenceVerdict(False, word, blm_eval(b1, word), blm_eval(b2, word), word_bound=k)
+            return EquivalenceVerdict(False, word, value1(word), value2(word), word_bound=k)
     return EquivalenceVerdict(equivalent=True, word_bound=k)
+
+
+def _direct(a, alphabet: Sequence[str], horizon: int) -> tuple[Levels, Callable[[Word], float]]:
+    """The oracle's level values and word value of ``a``: raw for a bilinear
+    machine, the direct evaluators' for an automaton."""
+    if isinstance(a, Rblm):
+        return blm_levels(a, alphabet, horizon), lambda w: blm_eval(a, w)
+    return levels(a, alphabet, horizon), evaluator(a)
 
 
 def equiv(a1, a2, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:

@@ -121,6 +121,13 @@ def residue_sweep(m: MoQfa, p: int) -> list[float]:
     return probs
 
 
+def _worst_residue(p: int, ks: np.ndarray) -> float:
+    """The certificate on the candidate multipliers ``ks``: the largest squared
+    mean of cos(2 pi k t / p) over the residues t = 1 .. p-1, one row per t."""
+    amp = np.cos(2.0 * math.pi * ks * np.arange(1, p)[:, None] / p).mean(axis=1)
+    return float((amp * amp).max())
+
+
 def build_af_modp(
     p: int,
     eps: float,
@@ -150,12 +157,7 @@ def build_af_modp(
                 ks = rng.choice(np.arange(1, p), size=d, replace=False)
             else:
                 ks = rng.integers(1, p, size=d)
-            # Certify on the residue profile of the candidate multipliers.
-            worst = 0.0
-            for t in range(1, p):
-                amp = float(np.mean(np.cos(2.0 * math.pi * ks * t / p)))
-                worst = max(worst, amp * amp)
-            if worst >= eps:
+            if _worst_residue(p, ks) >= eps:
                 continue
             m = _block_rotation_automaton(p, ks, accept_multiples)
             # Re-certify on the built matrices, not just the formula.

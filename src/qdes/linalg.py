@@ -63,28 +63,6 @@ def tensor(a, b) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def direct_sum(a, b) -> np.ndarray:
-    """Direct sum: block-diagonal for matrices, concatenation for vectors.
-
-    Examples
-    --------
-    >>> direct_sum([[1]], [[2, 0], [0, 2]]).real
-    array([[1., 0., 0.],
-           [0., 2., 0.],
-           [0., 0., 2.]])
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim == 1 and b.ndim == 1:
-        return np.concatenate([a, b])
-    if a.ndim == 2 and b.ndim == 2:
-        out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-        out[: a.shape[0], : a.shape[1]] = a
-        out[a.shape[0]:, a.shape[1]:] = b
-        return out
-    raise ValueError("direct_sum needs two vectors or two matrices")
-
-
 def read_only(value, copy: bool = True):
     """An array made read-only, copied first unless ``copy`` is false, or a
     ``MappingProxyType`` over a copied mapping with its arrays made so."""

@@ -348,16 +348,16 @@ def qfac_levels(m: Qfac, alphabet: Sequence[str], horizon: int) -> Levels:
         v, cls = nv.reshape(m.dim, -1), ncls.ravel()
 
 
-def qfac_from_mo(m: MoQfa, state_name: str = "s0") -> Qfac:
-    """Wrap a measure-once automaton as the equivalent one-classical-state hybrid."""
+def qfac_from_mo(m: MoQfa) -> Qfac:
+    """Wrap a measure-once automaton as the equivalent one-classical-state hybrid, state ``s0``."""
     return Qfac(
-        classical_states=(state_name,),
+        classical_states=("s0",),
         alphabet=m.alphabet,
-        initial_classical=state_name,
+        initial_classical="s0",
         initial_quantum=np.asarray(m.initial, dtype=complex),
-        transitions={(state_name, a): state_name for a in m.alphabet},
-        unitaries={(state_name, a): m.unitaries[a] for a in m.alphabet},
-        accepting={state_name: m.accepting},
+        transitions={("s0", a): "s0" for a in m.alphabet},
+        unitaries={("s0", a): m.unitaries[a] for a in m.alphabet},
+        accepting={"s0": m.accepting},
     )
 
 

@@ -6,6 +6,7 @@ reproducible; machines come out valid by construction.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import product
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from qdes.blm import Rblm, blm_eval
 from qdes.equivalence import EquivalenceVerdict
-from qdes.linalg import Projector, all_finite, direct_sum, is_unitary, projected_norm_sq
+from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq
 from qdes.models import END_MARKER, MmQfa, MoQfa, Qfac, _check_symbols, clamp_probability
 from qdes.supervisory import (
     AdmissibilityViolation,
@@ -131,8 +132,18 @@ def padded_with_dead_block(rng, b: Rblm, extra: int) -> Rblm:
 
 def difference_machine(b1: Rblm, b2: Rblm) -> Rblm:
     """The direct sum b1 ⊕ -b2, whose word function is f1(w) - f2(w)."""
-    matrices = {a: direct_sum(b1.matrices[a], b2.matrices[a]) for a in b1.alphabet}
-    return Rblm(b1.alphabet, direct_sum(b1.pi, b2.pi), matrices, direct_sum(b1.eta, -np.asarray(b2.eta)))
+    n = b1.n + b2.n
+    matrices = {}
+    for a in b1.alphabet:
+        block = np.zeros((n, n), dtype=complex)
+        block[: b1.n, : b1.n], block[b1.n:, b1.n:] = b1.matrices[a], b2.matrices[a]
+        matrices[a] = block
+    return Rblm(b1.alphabet, np.concatenate([b1.pi, b2.pi]), matrices, np.concatenate([b1.eta, -np.asarray(b2.eta)]))
+
+
+def refuse_to_compile(*args):
+    """A stand-in for a dense compiler, for tests that show it is never called."""
+    raise AssertionError("the dense compiler was called")
 
 
 def naive_kron(a, b):
@@ -206,6 +217,15 @@ def ref_marking_conditions(K, plant, spec, horizon, tol=1e-9, pr_K=None):
         elif abs(K(s) - min(prk(s), marked(s))) > tol:
             return MarkingResult(False, 2, s)
     return MarkingResult(True)
+
+
+def ref_af_modp_worst(p, ks):
+    """The mod-p certificate's worst squared residue amplitude, one np.mean per residue t."""
+    worst = 0.0
+    for t in range(1, p):
+        amp = float(np.mean(np.cos(2.0 * math.pi * ks * t / p)))
+        worst = max(worst, amp * amp)
+    return worst
 
 
 def ref_k_equiv(b1, b2, k, tol=1e-7):

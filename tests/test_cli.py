@@ -11,12 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdes import blm
 from qdes.blm import blm_eval, compile_mm_to_rblm, to_rblm
 from qdes.cli import main
-from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_eg2_spec, build_spec_variant, dfa_bounded_zeros
+from qdes.equivalence import k_equiv_bruteforce
+from qdes.fixtures import (
+    build_af_modp,
+    build_eg1,
+    build_eg2,
+    build_eg2_spec,
+    build_egadd,
+    build_spec_variant,
+    dfa_bounded_zeros,
+)
 from qdes.serialize import load, save, to_document
 
-from helpers import random_mo, random_qfac
+from helpers import random_mo, random_qfac, refuse_to_compile
 
 
 def run(capsys, *argv):
@@ -197,8 +207,6 @@ class TestControllabilityCommands:
         assert doc["steps"][3]["closed_loop"] == 0.0  # the 2 is disabled by the target
 
     def test_check_marking(self, capsys, tmp_path):
-        from qdes.fixtures import build_egadd
-
         plant = build_egadd(4, 0.98, seed=0)
         target = build_spec_variant(plant, "s5")
         pp, tp = tmp_path / "p.json", tmp_path / "t.json"
@@ -220,6 +228,37 @@ class TestControllabilityCommands:
             "--lambda", "0.5", "--rho", "0.45", "--horizon", "3", "--uncontrollable", "0",
         )
         assert code == 2 and "IsolationViolationError" in doc["error"]
+
+
+class TestNoDenseHybridMachine:
+    """No subcommand compiles a hybrid automaton to its dense machine: each
+    one that reads a qfac document answers as usual with the compiler gone."""
+
+    ARGV = [
+        ["validate", "{plant}"],
+        ["prob", "{plant}", "012"],
+        ["equiv", "{plant}", "{target}"],
+        ["equiv", "{plant}", "{target}", "--brute-k", "4"],
+        ["equiv", "{plant}", "{plant}", "--brute-k", "3"],
+        ["decide-controllability", "{plant}", "{target}", "--uncontrollable", "0,1", "--oracle-horizon", "3"],
+        ["simulate-loop", "{plant}", "{target}", "--uncontrollable", "0,1", "--word", "012"],
+        ["check-marking", "{plant}", "{target}", "--lambda", "0.13", "--rho", "0.12", "--horizon", "3",
+         "--uncontrollable", "0,1"],
+    ]
+
+    def test_every_subcommand_without_the_compiler(self, capsys, tmp_path, monkeypatch):
+        plant = build_egadd(4, 0.98, seed=0)
+        target = build_spec_variant(plant, plant.classical_states[-1])
+        paths = {"plant": tmp_path / "plant.json", "target": tmp_path / "target.json"}
+        save(plant, paths["plant"])
+        save(target, paths["target"])
+        argvs = [[a.format(**paths) for a in argv] for argv in self.ARGV]
+        usual = [run(capsys, *argv) for argv in argvs]
+        compiled = k_equiv_bruteforce(to_rblm(plant), to_rblm(target), 4)
+        monkeypatch.setattr(blm, "compile_qfac_to_rblm", refuse_to_compile)
+        assert [run(capsys, *argv) for argv in argvs] == usual
+        assert [code for code, _ in usual] == [0, 0, 1, 1, 0, 0, 0, 0]
+        assert usual[3][1]["counterexample"] == "".join(compiled.counterexample)
 
 
 #: One small automaton per document kind.
@@ -301,14 +340,23 @@ JSON_VALUES = st.recursive(
 )
 
 
+#: The fuzzed commands, given the malformed document's path and the stock one's.
+FUZZED_COMMANDS = {
+    "validate": lambda path, stock: ["validate", path],
+    "equiv-brute-k": lambda path, stock: ["equiv", path, stock, "--brute-k", "3"],
+}
+
+
 class TestValidateFuzz:
     """One field of a stock document, or one entry of a field, set to any JSON
-    value: ``qdes validate`` answers 0, 1 or 2 with one JSON document."""
+    value: ``qdes validate``, and ``qdes equiv --brute-k`` against the stock
+    document, answer 0, 1 or 2 with one JSON document."""
 
+    @pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
     @pytest.mark.parametrize("kind", sorted(STOCK_DOCUMENTS))
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
-    def test_one_malformed_field(self, kind, data):
+    def test_one_malformed_field(self, kind, command, data):
         doc = copy.deepcopy(STOCK_DOCUMENTS[kind])
         parent, key = doc, data.draw(st.sampled_from(sorted(doc)), label="field")
         inner = doc[key]
@@ -318,10 +366,11 @@ class TestValidateFuzz:
         parent[key] = data.draw(JSON_VALUES, label="value")
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "doc.json"
+            path, stock = Path(tmp) / "doc.json", Path(tmp) / "stock.json"
             path.write_text(json.dumps(doc))
+            stock.write_text(json.dumps(STOCK_DOCUMENTS[kind]))
             with redirect_stdout(out), redirect_stderr(err):
-                code = main(["validate", str(path)])
+                code = main(FUZZED_COMMANDS[command](str(path), str(stock)))
         result = json.loads(out.getvalue())
         assert code in (0, 1, 2) and err.getvalue() == ""
         assert ("error" in result) == (code == 2)

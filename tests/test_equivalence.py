@@ -9,6 +9,7 @@ from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, t
 from qdes.composition import parallel_qfac
 from qdes.equivalence import (
     EquivalenceVerdict,
+    equiv,
     equiv_mm_qfa,
     equiv_qfac,
     equiv_rblm,
@@ -16,7 +17,15 @@ from qdes.equivalence import (
     k_equiv_bruteforce,
     minimize,
 )
-from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, build_spec_variant, dfa_bounded_zeros
+from qdes.fixtures import (
+    build_af_modp,
+    build_eg1,
+    build_eg2,
+    build_eg2_spec,
+    build_egadd,
+    build_spec_variant,
+    dfa_bounded_zeros,
+)
 from qdes.linalg import Projector
 from qdes.models import MmQfa, qfac_from_mo
 from qdes.supervisory import ControlSpec, QuantumLanguage, check_controllability_exhaustive, decide_controllability
@@ -30,6 +39,7 @@ from helpers import (
     random_rblm,
     ref_explore_span,
     ref_kernel,
+    refuse_to_compile,
     similarity_transformed,
     words_up_to,
 )
@@ -161,6 +171,12 @@ class TestMinimize:
             assert diff.n == 2 * b.n
             assert minimize(diff).n == 0
 
+    def test_zero_word_function_bound_is_not_negative(self):
+        for name in sorted(FIXTURE_MACHINES):
+            zero = minimize(difference_machine(*[FIXTURE_MACHINES[name]()] * 2))
+            v = equiv(zero, zero)
+            assert v.equivalent and (v.visited_dim, v.word_bound) == (0, 0)
+
     def test_shift_register_is_already_minimal(self):
         assert minimize(shift_register(4)).n == 5
 
@@ -203,6 +219,34 @@ class TestBruteForce:
             fast = equiv_rblm(b1, b2)
             slow = k_equiv_bruteforce(b1, b2, b1.n + b2.n - 1)
             assert fast.equivalent == slow.equivalent
+
+
+def stock_pairs():
+    """Each stock plant with its spec variant: eg1 N = 1, 2 and egadd N = 4 at
+    seeds 0-2, and eg2 N = 2."""
+    plants = [build_eg1(n, 0.5, seed=seed) for n in (1, 2) for seed in range(3)]
+    plants += [build_egadd(4, 0.5, seed=seed) for seed in range(3)]
+    pairs = [(plant, build_spec_variant(plant, plant.classical_states[-1])) for plant in plants]
+    return pairs + [(build_eg2(2, 0.5), build_eg2_spec(build_eg2(2, 0.5)))]
+
+
+class TestBruteForceOnAutomata:
+    """The oracle reads automata through their direct evaluators, mixed freely
+    with bilinear machines, and answers as on the compiled machines."""
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_stock_pairs_match_compiled_and_span(self, index):
+        plant, target = stock_pairs()[index]
+        for x, y in ((plant, target), (target, plant), (plant, plant), (plant, to_rblm(target)),
+                     (to_rblm(plant), target)):
+            got = k_equiv_bruteforce(x, y, 5)
+            compiled = k_equiv_bruteforce(to_rblm(x), to_rblm(y), 5)
+            span = equiv(x, y)
+            assert (got.equivalent, got.counterexample) == (compiled.equivalent, compiled.counterexample)
+            assert (got.equivalent, got.counterexample) == (span.equivalent, span.counterexample)
+            if not got.equivalent:
+                assert abs(got.f1 - compiled.f1) <= 1e-9 and abs(got.f2 - compiled.f2) <= 1e-9
+        assert not k_equiv_bruteforce(plant, target, 5).equivalent
 
 
 class TestAutomatonEquivalence:
@@ -357,12 +401,8 @@ class TestAlphabetOrder:
             build_spec_variant(plant, plant.classical_states[-1]), plant, spec2)
 
 
-def refuse_to_compile(*args):
-    raise AssertionError("the dense compiler was called")
-
-
 class TestOperatorForm:
-    """The decisions on hybrid automata never form the dense compiled machine."""
+    """The decisions and the oracle on hybrid automata never form the dense compiled machine."""
 
     def test_no_compile_on_the_decision_paths(self, monkeypatch):
         def pair():
@@ -371,6 +411,7 @@ class TestOperatorForm:
 
         plant, target = pair()
         expected = (minimize(plant).n, equiv_qfac(plant, target), equiv_qfac(plant, plant))
+        brute = k_equiv_bruteforce(to_rblm(plant), to_rblm(target), 5)
         spec = ControlSpec(("0", "1", "2"), frozenset({"2"}), frozenset({"0", "1"}))
         decided = decide_controllability(target, plant, spec)
         # A fresh pair, so that nothing is read from what the first one keeps.
@@ -378,6 +419,8 @@ class TestOperatorForm:
         monkeypatch.setattr(blm, "compile_qfac_to_rblm", refuse_to_compile)
         assert minimize(plant).n == expected[0] == 10
         assert (equiv_qfac(plant, target), equiv_qfac(plant, plant)) == expected[1:]
+        got = k_equiv_bruteforce(plant, target, 5)
+        assert (got.equivalent, got.counterexample) == (brute.equivalent, brute.counterexample)
         assert decide_controllability(target, plant, spec) == decided and decided.holds
 
     def test_minimal_sizes(self):

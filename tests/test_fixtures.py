@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdes import fixtures
 from qdes.fixtures import (
     FixtureSearchError,
     build_af_modp,
@@ -26,7 +27,7 @@ from qdes.fixtures import (
 from qdes.linalg import Projector, unitary_power
 from qdes.models import Dfa, MoQfa, dfa_accepts, mm_accept_prob, mo_accept_prob, qfac_accept_prob, validate
 
-from helpers import words_up_to
+from helpers import ref_af_modp_worst, words_up_to
 
 
 class TestPrimes:
@@ -69,6 +70,17 @@ class TestModPRotation:
     def test_unattainable_bound_raises(self):
         with pytest.raises(FixtureSearchError):
             build_af_modp(5, 0.001, max_blocks=2, tries_per_block=20)
+
+    def test_certificate_bitwise_equal_to_per_residue_loop(self):
+        rng = np.random.default_rng(29)
+        for p in (5, 7, 11, 13, 17, 31, 67, 131):
+            for d in range(1, 12):
+                for _ in range(3):
+                    if d <= p - 1:
+                        ks = rng.choice(np.arange(1, p), size=d, replace=False)
+                    else:
+                        ks = rng.integers(1, p, size=d)
+                    assert fixtures._worst_residue(p, ks) == ref_af_modp_worst(p, ks)
 
 
 class TestHalvesSumFixture:

@@ -178,6 +178,18 @@ class TestSweepsMatchReferences:
             assert k_equiv_bruteforce(x, y, 5) == ref_k_equiv(x, y, 5)
         assert not k_equiv_bruteforce(b1, b2, 5).equivalent
 
+    @pytest.mark.parametrize("kind", ["dfa", "mo-qfa", "mm-qfa", "qfac", "rblm"])
+    def test_k_equiv_any_kind_matches_compiled(self, kind):
+        rng = np.random.default_rng(10)
+        a = five_kinds(rng)[kind]
+        other = dfa_bounded_zeros(3) if kind == "dfa" else five_kinds(rng)[kind]
+        for x, y in ((a, a), (a, other), (other, a), (a, to_rblm(a)), (to_rblm(other), a)):
+            got, compiled = k_equiv_bruteforce(x, y, 5), k_equiv_bruteforce(to_rblm(x), to_rblm(y), 5)
+            assert (got.equivalent, got.counterexample) == (compiled.equivalent, compiled.counterexample)
+            if not got.equivalent:
+                assert abs(got.f1 - compiled.f1) <= 1e-9 and abs(got.f2 - compiled.f2) <= 1e-9
+        assert not k_equiv_bruteforce(a, other, 5).equivalent
+
 
 def marking_outcome(fn, *args, **kw):
     """The result, or the history named by an isolation violation."""

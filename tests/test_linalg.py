@@ -5,7 +5,6 @@ import pytest
 
 from qdes.linalg import (
     Projector,
-    direct_sum,
     is_unitary,
     norm,
     projected_norm_sq,
@@ -64,8 +63,6 @@ class TestTensor:
                 b = np.ones((rows_b, 7 - rows_b))
                 t = tensor(a, b)
                 assert t.shape == (rows_a * rows_b, (7 - rows_a) * (7 - rows_b))
-                d = direct_sum(a, b)
-                assert d.shape == (rows_a + rows_b, 14 - rows_a - rows_b)
 
     def test_bitwise_equal_to_kron(self):
         rng = np.random.default_rng(13)
@@ -94,37 +91,6 @@ class TestTensor:
             lhs = tensor(a, b) @ tensor(c, d)
             rhs = tensor(a @ c, b @ d)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-class TestDirectSum:
-    def test_identity_blocks(self):
-        np.testing.assert_array_equal(direct_sum(np.eye(2), np.eye(3)), np.eye(5))
-
-    def test_scalars(self):
-        np.testing.assert_array_equal(
-            direct_sum(np.array([[2.0]]), np.array([[3.0]])),
-            np.diag([2.0, 3.0]).astype(complex),
-        )
-
-    def test_off_blocks_zero(self):
-        a = np.ones((2, 3))
-        b = np.ones((1, 2))
-        out = direct_sum(a, b)
-        assert out.shape == (3, 5)
-        assert np.all(out[:2, 3:] == 0) and np.all(out[2:, :3] == 0)
-
-    def test_functional_splits_as_sum(self):
-        # Scalar-arithmetic oracle for (eta1 (+) eta2) . (pi1 (+) pi2).
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            eta1, eta2, pi1, pi2 = (rng.normal(size=3) for _ in range(4))
-            joint = direct_sum(eta1, eta2) @ direct_sum(pi1, pi2)
-            split = eta1 @ pi1 + eta2 @ pi2
-            assert abs(joint - split) <= 1e-12
-
-    def test_rejects_mixed_shapes(self):
-        with pytest.raises(ValueError):
-            direct_sum(np.eye(2), np.ones(2))
 
 
 class TestIsUnitary:
