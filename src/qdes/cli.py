@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--tol")
-    p.add_argument("--brute-k", type=int, default=None, help="exhaustive comparison of direct evaluator values up to length K")
+    p.add_argument("--brute-k", type=int, default=None,
+                   help="exhaustive comparison of direct evaluator values up to length K")
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("compose", help="parallel composition of two plants")
