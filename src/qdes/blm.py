@@ -2,9 +2,8 @@
 
 A bilinear machine carries an initial column vector ``pi``, one square
 matrix per symbol, and a final row functional ``eta``; its word function
-is ``f(w) = eta @ M(w_m) @ ... @ M(w_1) @ pi``.  Machines whose word
-function is real on every word are flagged ``real_valued`` and the flag
-is enforced at evaluation time.
+is ``f(w) = eta @ M(w_m) @ ... @ M(w_1) @ pi``.  Every machine is
+real-valued: evaluation refuses a word whose value has an imaginary part.
 
 The compilers turn quantum automata into real-valued bilinear machines
 by tracking the vectorized unnormalized density matrix of the surviving
@@ -51,13 +50,13 @@ from .models import (
     word_at,
 )
 
-#: Imaginary mass above this is an error for real-valued machines.
+#: Imaginary mass above this is an error: every machine is real-valued.
 REAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Rblm:
-    """Bilinear machine with (optionally) real-valued word function.
+    """Bilinear machine with a real-valued word function.
 
     ``pi`` is a column vector and ``eta`` a row functional, so words
     apply right-to-left: the first symbol read multiplies ``pi`` first.
@@ -68,7 +67,6 @@ class Rblm:
     pi: np.ndarray
     matrices: Mapping[str, np.ndarray]
     eta: np.ndarray
-    real_valued: bool = True
 
     @property
     def n(self) -> int:
@@ -92,7 +90,6 @@ class LinearForm:
     pi: np.ndarray
     apply: Callable[[str, np.ndarray], np.ndarray]
     eta: np.ndarray
-    real_valued: bool = True
 
     @property
     def n(self) -> int:
@@ -108,8 +105,8 @@ def blm_eval(b: Rblm | LinearForm, w: Sequence[str]) -> float:
             raise ValueError(f"symbol {sym!r} not in alphabet {sorted(allowed)}")
         v = b.apply(sym, v)
     val = complex(np.asarray(b.eta, dtype=complex) @ v)
-    if b.real_valued and abs(val.imag) > REAL_TOL:
-        raise ArithmeticError(f"machine marked real-valued but f({''.join(w)!r}) = {val!r}")
+    if abs(val.imag) > REAL_TOL:
+        raise ArithmeticError(f"machine not real-valued: f({''.join(w)!r}) = {val!r}")
     return float(val.real)
 
 
@@ -128,10 +125,10 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
         if length:
             v = np.stack([b.matrices[a] @ v for a in alphabet], axis=2).reshape(b.n, -1)
         vals = eta @ v
-        bad = np.flatnonzero(np.abs(vals.imag) > REAL_TOL) if b.real_valued else ()
+        bad = np.flatnonzero(np.abs(vals.imag) > REAL_TOL)
         if len(bad):
             w = "".join(word_at(alphabet, length, int(bad[0])))
-            raise ArithmeticError(f"machine marked real-valued but f({w!r}) = {complex(vals[bad[0]])!r}")
+            raise ArithmeticError(f"machine not real-valued: f({w!r}) = {complex(vals[bad[0]])!r}")
         yield vals.real
 
 
@@ -145,7 +142,7 @@ def absorb_symbol(b: Rblm, tau: str) -> Rblm:
         raise ValueError(f"symbol {tau!r} not in alphabet")
     alphabet = tuple(a for a in b.alphabet if a != tau)
     matrices = {a: b.matrices[a] for a in alphabet}
-    return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau], b.real_valued)
+    return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau])
 
 
 def _conjugation_map(g: np.ndarray) -> np.ndarray:

@@ -106,7 +106,7 @@ def cmd_compose(args) -> int:
         composed = parallel_classical(
             ClassicalMatrixAutomaton.from_dfa(a), ClassicalMatrixAutomaton.from_dfa(b)
         )
-        doc = _classical_to_dfa_document(a, b, composed)
+        doc = serialize.to_document(_classical_to_dfa(a, b, composed))
     elif isinstance(a, Qfac) and isinstance(b, Qfac):
         doc = serialize.to_document(parallel_qfac(a, b))
     elif isinstance(a, MoQfa) and isinstance(b, MoQfa):
@@ -119,25 +119,22 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def _classical_to_dfa_document(a: Dfa, b: Dfa, g) -> dict:
+def _classical_to_dfa(a: Dfa, b: Dfa, g) -> Dfa:
     names = [f"({p},{q})" for p in a.states for q in b.states]
-    transitions: dict[str, dict[str, str]] = {s: {} for s in names}
+    transitions = {}
     for sym, mat in g.matrices.items():
         for i, s in enumerate(names):
             row = np.flatnonzero(mat[i])
             if len(row) != 1:
                 raise ValueError("composite is not deterministic")
-            transitions[s][sym] = names[int(row[0])]
-    initial = names[int(np.flatnonzero(g.initial)[0])]
-    accepting = sorted(names[i] for i in np.flatnonzero(g.marked))
-    return {
-        "kind": "dfa",
-        "alphabet": list(g.alphabet),
-        "states": names,
-        "initial": initial,
-        "accepting": accepting,
-        "transitions": transitions,
-    }
+            transitions[(s, sym)] = names[int(row[0])]
+    return Dfa(
+        states=tuple(names),
+        alphabet=tuple(g.alphabet),
+        transitions=transitions,
+        initial=names[int(np.flatnonzero(g.initial)[0])],
+        accepting=frozenset(names[i] for i in np.flatnonzero(g.marked)),
+    )
 
 
 def _load_spec(plant, uncontrollable_text: str, cutpoint=0.0, isolation=None) -> ControlSpec:

@@ -161,8 +161,8 @@ def equiv_rblm(b1: Rblm | LinearForm, b2: Rblm | LinearForm, tol: float = DEFAUL
     return EquivalenceVerdict(
         equivalent=word is None,
         counterexample=word,
-        f1=blm_eval(b1, word) if word is not None and b1.real_valued else None,
-        f2=blm_eval(b2, word) if word is not None and b2.real_valued else None,
+        f1=None if word is None else blm_eval(b1, word),
+        f2=None if word is None else blm_eval(b2, word),
         visited_dim=len(basis),
         word_bound=max(n1 + n2 - 1, 0),
     )
@@ -179,14 +179,12 @@ def _reachable_part(f: Rblm | LinearForm) -> Rblm:
         np.asarray(f.pi, dtype=complex), lambda x, a: f.apply(a, x), tuple(sorted(f.alphabet)), MINIMIZE_TOL
     )
     q, qh = rows.T, np.conj(rows)
-    return Rblm(
-        f.alphabet, qh @ f.pi, {a: qh @ f.apply(a, q) for a in f.alphabet}, np.asarray(f.eta) @ q, f.real_valued
-    )
+    return Rblm(f.alphabet, qh @ f.pi, {a: qh @ f.apply(a, q) for a in f.alphabet}, np.asarray(f.eta) @ q)
 
 
 def _transpose(b: Rblm) -> Rblm:
     """The machine with pi and eta swapped and every matrix transposed: f(w) read backwards."""
-    return Rblm(b.alphabet, np.asarray(b.eta), {a: m.T for a, m in b.matrices.items()}, np.asarray(b.pi), b.real_valued)
+    return Rblm(b.alphabet, np.asarray(b.eta), {a: m.T for a, m in b.matrices.items()}, np.asarray(b.pi))
 
 
 def minimize(a) -> Rblm:

@@ -20,13 +20,17 @@ On top of it sit the three plant families:
 * ``build_eg2``    -- three-state measure-many acceptor of words with at
   most N zeros, acceptance (1-r)^{#zeros} (linear DFA blow-up).
 
-Classical counterparts (counting DFAs and a minimal-DFA size oracle)
-provide the state-complexity baselines.
+eg1 and egadd are one construction, a classical counter over the 0/1
+symbols that measures the mod-p core at one length; their tracking DFAs
+are one layered (length, value) counter.  These and a minimal-DFA size
+oracle provide the state-complexity baselines.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -175,6 +179,38 @@ def build_af_modp(
     )
 
 
+def _counter_qfac(core: MoQfa, counted: int, unitary, initial: np.ndarray) -> Qfac:
+    """Hybrid counter over {0, 1, 2} that measures the mod-p ``core`` after ``counted`` 0/1 symbols.
+
+    States ``s0 .. s(counted+1)``: on 0 and 1 state i moves one state on
+    (the last, dead state absorbs) and applies ``unitary(i, sym)``; 2 is
+    a self-loop under the identity.  The first ``counted`` states accept
+    fully, ``s(counted)`` measures with ``core.accepting``, dead rejects.
+    """
+    dim = core.dim
+    states = tuple(f"s{i}" for i in range(counted + 2))
+    identity = np.eye(dim, dtype=complex)
+    transitions, unitaries = {}, {}
+    for i, s in enumerate(states):
+        transitions[(s, "2")] = s
+        unitaries[(s, "2")] = identity
+        for sym in ("0", "1"):
+            transitions[(s, sym)] = states[min(i + 1, counted + 1)]
+            unitaries[(s, sym)] = unitary(i, sym)
+    accepting = {s: Projector.full(dim) for s in states[:counted]}
+    accepting[states[counted]] = core.accepting
+    accepting[states[-1]] = Projector.empty(dim)
+    return Qfac(
+        classical_states=states,
+        alphabet=("0", "1", "2"),
+        initial_classical=states[0],
+        initial_quantum=initial,
+        transitions=transitions,
+        unitaries=unitaries,
+        accepting=accepting,
+    )
+
+
 def build_eg1(n_param: int, eps: float, seed: int = 0) -> Qfac:
     """Hybrid acceptor of the halves-sum language over {0, 1, 2}.
 
@@ -189,50 +225,13 @@ def build_eg1(n_param: int, eps: float, seed: int = 0) -> Qfac:
         raise ValueError("N must be at least 1")
     p = eg1_prime(n_param)
     core = build_af_modp(p, eps, seed)
-    u0 = core.unitaries["0"]
-    dim = core.dim
-    n_states = 2 * n_param + 2
-    states = tuple(f"s{i}" for i in range(n_states))
-    last, dead = states[-2], states[-1]
+    power = cache(partial(unitary_power, core.unitaries["0"]))
 
-    identity = np.eye(dim, dtype=complex)
-    powers = {0: identity}
+    def bit(i: int, sym: str) -> np.ndarray:
+        # bit i of the two halves, weighted by its place value; past 2N the identity
+        return power(int(sym) * 2 ** (n_param - 1 - i % n_param) if i < 2 * n_param else 0)
 
-    def power(e: int) -> np.ndarray:
-        if e not in powers:
-            powers[e] = unitary_power(u0, e)
-        return powers[e]
-
-    transitions: dict[tuple[str, str], str] = {}
-    unitaries: dict[tuple[str, str], np.ndarray] = {}
-    accepting: dict[str, Projector] = {}
-    for i, s in enumerate(states):
-        transitions[(s, "2")] = s
-        unitaries[(s, "2")] = identity
-        for sym in ("0", "1"):
-            transitions[(s, sym)] = states[min(i + 1, n_states - 1)]
-            if i < 2 * n_param:
-                weight = 2 ** (n_param - 1 - (i % n_param))
-                unitaries[(s, sym)] = power(int(sym) * weight)
-            else:
-                unitaries[(s, sym)] = identity
-        if i < 2 * n_param:
-            accepting[s] = Projector.full(dim)
-        elif s == last:
-            accepting[s] = core.accepting
-        else:
-            accepting[s] = Projector.empty(dim)
-    assert accepting[dead].subset == frozenset()
-
-    return Qfac(
-        classical_states=states,
-        alphabet=("0", "1", "2"),
-        initial_classical=states[0],
-        initial_quantum=power(p - 2 ** n_param + 1) @ core.initial,
-        transitions=transitions,
-        unitaries=unitaries,
-        accepting=accepting,
-    )
+    return _counter_qfac(core, 2 * n_param, bit, power(p - 2 ** n_param + 1) @ core.initial)
 
 
 def build_egadd(n_param: int, eps: float, seed: int = 0) -> Qfac:
@@ -249,42 +248,9 @@ def build_egadd(n_param: int, eps: float, seed: int = 0) -> Qfac:
         raise ValueError("N must be even and at least 2")
     p = egadd_prime(n_param)
     core = build_af_modp(p, eps, seed, accept_multiples=False)
-    u0 = core.unitaries["0"]
-    dim = core.dim
-    n_states = n_param + 2
-    states = tuple(f"s{i}" for i in range(n_states))
-    last, dead = states[-2], states[-1]
-
-    identity = np.eye(dim, dtype=complex)
-    forward = unitary_power(u0, n_param // 2)
-    backward = dagger(forward)
-
-    transitions: dict[tuple[str, str], str] = {}
-    unitaries: dict[tuple[str, str], np.ndarray] = {}
-    accepting: dict[str, Projector] = {}
-    for i, s in enumerate(states):
-        transitions[(s, "2")] = s
-        unitaries[(s, "2")] = identity
-        for sym in ("0", "1"):
-            transitions[(s, sym)] = states[min(i + 1, n_states - 1)]
-            unitaries[(s, sym)] = forward if sym == "0" else backward
-        if i < n_param:
-            accepting[s] = Projector.full(dim)
-        elif s == last:
-            accepting[s] = core.accepting
-        else:
-            accepting[s] = Projector.empty(dim)
-    assert accepting[dead].subset == frozenset()
-
-    return Qfac(
-        classical_states=states,
-        alphabet=("0", "1", "2"),
-        initial_classical=states[0],
-        initial_quantum=np.asarray(core.initial, dtype=complex),
-        transitions=transitions,
-        unitaries=unitaries,
-        accepting=accepting,
-    )
+    forward = unitary_power(core.unitaries["0"], n_param // 2)
+    step = {"0": forward, "1": dagger(forward)}
+    return _counter_qfac(core, n_param, lambda i, sym: step[sym], np.asarray(core.initial, dtype=complex))
 
 
 def eg2_rate(n_param: int, cutpoint: float) -> float:
@@ -336,16 +302,7 @@ def build_eg2_spec(m: MmQfa) -> MmQfa:
     function vanishes on every word with a 1 in it.
     """
     swap = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    unitaries = dict(m.unitaries)
-    unitaries["1"] = swap
-    return MmQfa(
-        alphabet=m.alphabet,
-        unitaries=unitaries,
-        initial=m.initial,
-        accepting=m.accepting,
-        rejecting=m.rejecting,
-        going=m.going,
-    )
+    return replace(m, unitaries={**m.unitaries, "1": swap})
 
 
 def build_spec_variant(fixture: Qfac, dead_state: str, symbol: str = "2") -> Qfac:
@@ -359,35 +316,49 @@ def build_spec_variant(fixture: Qfac, dead_state: str, symbol: str = "2") -> Qfa
         raise ValueError(f"unknown classical state {dead_state!r}")
     if fixture.accepting[dead_state].subset != frozenset():
         raise ValueError(f"state {dead_state!r} does not reject identically")
-    transitions = dict(fixture.transitions)
-    for s in fixture.classical_states:
-        transitions[(s, symbol)] = dead_state
-    return Qfac(
-        classical_states=fixture.classical_states,
-        alphabet=fixture.alphabet,
-        initial_classical=fixture.initial_classical,
-        initial_quantum=fixture.initial_quantum,
-        transitions=transitions,
-        unitaries=fixture.unitaries,
-        accepting=fixture.accepting,
-    )
+    retargeted = {(s, symbol): dead_state for s in fixture.classical_states}
+    return replace(fixture, transitions={**fixture.transitions, **retargeted})
 
 
 def dfa_bounded_zeros(n_param: int) -> Dfa:
     """Counting DFA for words over {0, 1} with at most N zeros (N+2 states)."""
     states = tuple(f"z{i}" for i in range(n_param + 1)) + ("dead",)
-    transitions = {}
+    transitions = {("dead", a): "dead" for a in ("0", "1")}
     for i in range(n_param + 1):
         transitions[(f"z{i}", "1")] = f"z{i}"
         transitions[(f"z{i}", "0")] = f"z{i + 1}" if i < n_param else "dead"
-    transitions[("dead", "0")] = "dead"
-    transitions[("dead", "1")] = "dead"
     return Dfa(
         states=states,
         alphabet=("0", "1"),
         transitions=transitions,
         initial="z0",
         accepting=frozenset(states[:-1]),
+    )
+
+
+def _layered_dfa(depth: int, step, accept_last, letter: str) -> Dfa:
+    """Unminimized DFA over {0, 1} that tracks (length, value) for ``depth`` symbols.
+
+    States ``l<i><letter><v>``, each level in increasing value order, then
+    ``dead``.  Level 0 holds value 0; symbol a at level i moves value v to
+    ``step(i, v, a)`` one level up, and the last level moves to ``dead``.
+    Every state below the last level accepts; a last-level state accepts
+    when ``accept_last(v)``.
+    """
+    levels = [[0]]
+    for i in range(depth):
+        levels.append(sorted({step(i, v, a) for v in levels[i] for a in ("0", "1")}))
+    names = {(i, v): f"l{i}{letter}{v}" for i, values in enumerate(levels) for v in values}
+    transitions = {("dead", a): "dead" for a in ("0", "1")}
+    for (i, v), s in names.items():
+        for a in ("0", "1"):
+            transitions[(s, a)] = names[i + 1, step(i, v, a)] if i < depth else "dead"
+    return Dfa(
+        states=(*names.values(), "dead"),
+        alphabet=("0", "1"),
+        transitions=transitions,
+        initial=names[0, 0],
+        accepting=frozenset(s for (i, v), s in names.items() if i < depth or accept_last(v)),
     )
 
 
@@ -398,73 +369,18 @@ def dfa_halves_sum_tracking(n_param: int) -> Dfa:
     than 2N fall into a dead state.  Deliberately unminimized; feed it
     to ``minimal_dfa_size`` for the lower-bound counts.
     """
-    level_values: list[set[int]] = [{0}]
-    for level in range(2 * n_param):
-        weight = 2 ** (n_param - 1 - (level % n_param))
-        level_values.append({v + b * weight for v in level_values[level] for b in (0, 1)})
-
-    def name(level: int, value: int) -> str:
-        return f"l{level}v{value}"
-
-    states = [name(lv, v) for lv in range(2 * n_param + 1) for v in sorted(level_values[lv])]
-    states.append("dead")
-    transitions = {}
-    accepting = set()
-    for level in range(2 * n_param + 1):
-        for v in level_values[level]:
-            s = name(level, v)
-            if level < 2 * n_param:
-                weight = 2 ** (n_param - 1 - (level % n_param))
-                transitions[(s, "0")] = name(level + 1, v)
-                transitions[(s, "1")] = name(level + 1, v + weight)
-                accepting.add(s)
-            else:
-                transitions[(s, "0")] = "dead"
-                transitions[(s, "1")] = "dead"
-                if v == 2 ** n_param - 1:
-                    accepting.add(s)
-    transitions[("dead", "0")] = "dead"
-    transitions[("dead", "1")] = "dead"
-    return Dfa(
-        states=tuple(states),
-        alphabet=("0", "1"),
-        transitions=transitions,
-        initial=name(0, 0),
-        accepting=frozenset(accepting),
+    return _layered_dfa(
+        2 * n_param,
+        lambda i, v, a: v + int(a) * 2 ** (n_param - 1 - i % n_param),
+        lambda v: v == 2 ** n_param - 1,
+        "v",
     )
 
 
 def dfa_zero_imbalance_tracking(n_param: int) -> Dfa:
-    """Prefix tracking DFA for the zero-imbalance language restricted to {0, 1}."""
-
-    def name(length: int, zeros: int) -> str:
-        return f"l{length}z{zeros}"
-
-    states = [name(l, z) for l in range(n_param + 1) for z in range(l + 1)]
-    states.append("dead")
-    transitions = {}
-    accepting = set()
-    for l in range(n_param + 1):
-        for z in range(l + 1):
-            s = name(l, z)
-            if l < n_param:
-                transitions[(s, "0")] = name(l + 1, z + 1)
-                transitions[(s, "1")] = name(l + 1, z)
-                accepting.add(s)
-            else:
-                transitions[(s, "0")] = "dead"
-                transitions[(s, "1")] = "dead"
-                if z != n_param // 2:
-                    accepting.add(s)
-    transitions[("dead", "0")] = "dead"
-    transitions[("dead", "1")] = "dead"
-    return Dfa(
-        states=tuple(states),
-        alphabet=("0", "1"),
-        transitions=transitions,
-        initial=name(0, 0),
-        accepting=frozenset(accepting),
-    )
+    """Prefix tracking DFA for the zero-imbalance language restricted to {0, 1}:
+    states record (length so far, zeros so far)."""
+    return _layered_dfa(n_param, lambda i, z, a: z + (a == "0"), lambda z: z != n_param // 2, "z")
 
 
 def minimal_dfa_size(d: Dfa) -> int:

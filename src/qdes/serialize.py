@@ -6,6 +6,8 @@ sorted keys, two-space indentation, floats printed with 17 significant
 digits (which round-trips doubles exactly), numeric leaf lists inlined.
 Loading builds the automaton, which checks its invariants, so a
 document that violates them raises ``models.ValidationFailedError``.
+Bilinear machines are real-valued: an ``rblm`` document may omit the old
+``real_valued`` field or set it true, and any other value is refused.
 """
 
 from __future__ import annotations
@@ -175,7 +177,6 @@ def to_document(automaton) -> dict:
             "pi": _cvec(b.pi),
             "matrices": {a: _cmat(mat) for a, mat in b.matrices.items()},
             "eta": _cvec(b.eta),
-            "real_valued": bool(b.real_valued),
         }
     raise SerializationError(f"cannot serialize objects of type {type(automaton).__name__}")
 
@@ -259,6 +260,8 @@ def from_document(doc: dict):
             },
         )
     if kind == "rblm":
+        if doc.get("real_valued", True) is not True:
+            raise SerializationError("rblm: only real-valued machines are supported")
         return Rblm(
             alphabet=tuple(_need(doc, "alphabet", "rblm")),
             pi=_parse_cvec(_need(doc, "pi", "rblm"), "pi"),
@@ -266,7 +269,6 @@ def from_document(doc: dict):
                 a: _parse_cmat(m, f"matrix {a}") for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
             },
             eta=_parse_cvec(_need(doc, "eta", "rblm"), "eta"),
-            real_valued=bool(doc.get("real_valued", True)),
         )
     raise SerializationError(f"unknown kind {kind!r}; expected one of {KINDS}")
 

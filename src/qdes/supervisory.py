@@ -544,18 +544,18 @@ def marked_language(plant: QuantumLanguage, cutpoint: float, radius: float) -> Q
 
 
 def closed_loop_marked(cl: ClosedLoop, cutpoint: float, radius: float) -> QuantumLanguage:
-    """Marked closed-loop language: min of plant and loop where isolation holds."""
-    if radius <= 0.0:
-        raise ValueError("isolation radius must be positive")
-    plant = cl.supervisor.plant
+    """Marked closed-loop language: min of plant and loop where isolation holds.
+
+    The marked plant value is the plant's where the gate passes and 0
+    elsewhere, so the min needs taking only where it is nonzero.
+    """
+    marked = marked_language(cl.supervisor.plant, cutpoint, radius)
 
     def fn(s: Word) -> float:
-        v = plant(s)
-        if _isolation_gate(v, cutpoint, radius, "".join(s) or "empty"):
-            return min(v, cl.value(s))
-        return 0.0
+        v = marked(s)
+        return min(v, cl.value(s)) if v else 0.0
 
-    return QuantumLanguage(fn, plant.alphabet, "marked closed-loop")
+    return QuantumLanguage(fn, marked.alphabet, "marked closed-loop")
 
 
 def check_nonblocking(

@@ -47,7 +47,6 @@ class TestEval:
             pi=np.array([1.0], dtype=complex),
             matrices={"a": np.array([[1j]], dtype=complex)},
             eta=np.array([1.0], dtype=complex),
-            real_valued=True,
         )
         with pytest.raises(ArithmeticError):
             blm_eval(b, ("a",))

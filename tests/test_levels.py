@@ -7,7 +7,7 @@ import pytest
 
 from qdes.blm import Rblm, blm_eval, blm_levels, evaluator, levels, to_rblm
 from qdes.cli import main
-from qdes.equivalence import k_equiv_bruteforce
+from qdes.equivalence import equiv_rblm, k_equiv_bruteforce
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant, dfa_bounded_zeros
 from qdes.models import Qfac, prefix_maxima, qfac_accept_prob, word_at, words_upto
 from qdes.serialize import save
@@ -108,6 +108,13 @@ class TestLevelValues:
         b = Rblm(("a",), np.array([1.0 + 0j]), {"a": np.array([[1j]])}, np.array([0.5 + 0j]))
         with pytest.raises(ArithmeticError, match="real-valued"):
             list(blm_levels(b, ("a",), 1))
+        # a complex word function that differs from the zero machine at the empty word
+        a = Rblm(("x",), np.array([1.0 + 0j]), {"x": np.eye(1, dtype=complex)}, np.array([1j]))
+        zero = Rblm(("x",), np.array([1.0 + 0j]), {"x": np.eye(1, dtype=complex)}, np.array([0j]))
+        with pytest.raises(ArithmeticError, match="real-valued"):
+            equiv_rblm(a, zero)
+        with pytest.raises(ArithmeticError, match="real-valued"):
+            k_equiv_bruteforce(a, zero, 3)
 
     def test_language_fallback_is_per_word(self):
         L = QuantumLanguage(lambda w: 0.5 ** len(w), ("a", "b"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdes.blm import blm_eval, compile_mm_to_rblm
+from qdes.cli import main
 from qdes.fixtures import build_eg1, build_eg2, dfa_bounded_zeros
 from qdes.models import mm_accept_prob
 from qdes.serialize import (
@@ -97,6 +98,22 @@ class TestDocumentErrors:
         with pytest.raises(ValidationFailedError) as err:
             loads(json.dumps(doc))
         assert any("0" in v and "non-unitary" in v for v in err.value.violations)
+
+    def test_rblm_real_valued_true_loads(self):
+        b = compile_mm_to_rblm(build_eg2(1, 0.5))
+        doc = to_document(b)
+        assert "real_valued" not in doc
+        again = from_document({**doc, "real_valued": True})
+        assert blm_eval(again, ("0",)) == blm_eval(b, ("0",))
+
+    def test_rblm_real_valued_false_refused(self, tmp_path, capsys):
+        doc = {**to_document(compile_mm_to_rblm(build_eg2(1, 0.5))), "real_valued": False}
+        with pytest.raises(SerializationError, match="real-valued"):
+            from_document(doc)
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(doc))
+        assert main(["prob", str(path), "0"]) == 2
+        assert "real-valued" in json.loads(capsys.readouterr().out)["error"]
 
     def test_parse_error_carries_position(self):
         with pytest.raises(json.JSONDecodeError) as err:
