@@ -544,11 +544,8 @@ def marked_language(plant: QuantumLanguage, cutpoint: float, radius: float) -> Q
 
 
 def closed_loop_marked(cl: ClosedLoop, cutpoint: float, radius: float) -> QuantumLanguage:
-    """Marked closed-loop language: min of plant and loop where isolation holds.
-
-    The marked plant value is the plant's where the gate passes and 0
-    elsewhere, so the min needs taking only where it is nonzero.
-    """
+    """Marked closed-loop language: min of plant and loop where isolation holds,
+    which is where the marked plant value (the plant's there, else 0) is nonzero."""
     marked = marked_language(cl.supervisor.plant, cutpoint, radius)
 
     def fn(s: Word) -> float:
