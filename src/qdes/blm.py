@@ -8,8 +8,12 @@ real-valued: evaluation refuses a word whose value has an imaginary part.
 The compilers turn quantum automata into real-valued bilinear machines
 by tracking the vectorized unnormalized density matrix of the surviving
 state, which makes the otherwise quadratic acceptance probability linear
-in the machine state.  Both compilers are exact: the compiled word
-function equals the direct evaluator on every word.
+in the machine state.  The density matrix is Hermitian, and every map
+the automata apply keeps it so; in the orthonormal Hermitian basis of
+``hermitian_basis`` its coordinates, every step, ``pi`` and ``eta`` are
+therefore real, and an automaton's machines, forms and minimal machines
+are float64.  Both compilers are exact: the compiled word function
+equals the direct evaluator on every word.
 
 ``linear_form`` gives every automaton kind the same word function as a
 step ``apply(a, X)`` instead of matrices; for a hybrid automaton the step
@@ -60,7 +64,9 @@ class Rblm:
 
     ``pi`` is a column vector and ``eta`` a row functional, so words
     apply right-to-left: the first symbol read multiplies ``pi`` first.
-    Entries may be complex even when the word function is real.
+    The machines of automata are real; a caller's entries may be complex
+    even when the word function is real, and the decisions then run in
+    complex arithmetic.
     """
 
     alphabet: tuple[str, ...]
@@ -99,12 +105,12 @@ class LinearForm:
 def blm_eval(b: Rblm | LinearForm, w: Sequence[str]) -> float:
     """Word function value ``eta @ M(w_m) ... M(w_1) @ pi``, of a machine or a linear form."""
     allowed = set(b.alphabet)
-    v = np.asarray(b.pi, dtype=complex)
+    v = np.asarray(b.pi)
     for sym in w:
         if sym not in allowed:
             raise ValueError(f"symbol {sym!r} not in alphabet {sorted(allowed)}")
         v = b.apply(sym, v)
-    val = complex(np.asarray(b.eta, dtype=complex) @ v)
+    val = complex(np.asarray(b.eta) @ v)
     if abs(val.imag) > REAL_TOL:
         raise ArithmeticError(f"machine not real-valued: f({''.join(w)!r}) = {val!r}")
     return float(val.real)
@@ -119,8 +125,8 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
     check_horizon(horizon)
     if horizon:
         _check_symbols(alphabet, b.alphabet)
-    v = np.asarray(b.pi, dtype=complex)[:, None]
-    eta = np.asarray(b.eta, dtype=complex)
+    v = np.asarray(b.pi)[:, None]
+    eta = np.asarray(b.eta)
     for length in range(horizon + 1):
         if length:
             v = np.stack([b.matrices[a] @ v for a in alphabet], axis=2).reshape(b.n, -1)
@@ -145,6 +151,32 @@ def absorb_symbol(b: Rblm, tau: str) -> Rblm:
     return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau])
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """The unitary W whose rows are vec(E_aa), then (vec E_ab + vec E_ba)/sqrt 2,
+    then -i (vec E_ab - vec E_ba)/sqrt 2, for a < b in row-major order.
+
+    W vec(rho) lists the diagonal of rho and sqrt 2 times the real and the
+    imaginary parts of its upper triangle, so it is real for every
+    Hermitian rho, and W T W† is real for every map T that keeps
+    Hermitian matrices Hermitian (the generalized Gell-Mann coordinates
+    of Bertlmann and Krammer, "Bloch vectors for qudits", 2008).  Being
+    unitary, W keeps every inner product, and so every residual of the
+    span exploration.
+
+    >>> rho = np.array([[0.5, 0.25 - 0.5j], [0.25 + 0.5j, 0.5]])
+    >>> x = hermitian_basis(2) @ rho.ravel()
+    >>> bool(np.allclose(x.imag, 0)), x.real.round(6).tolist()
+    (True, [0.5, 0.5, 0.353553, -0.707107])
+    """
+    a, b = np.triu_indices(d, 1)
+    up, down, sym = a * d + b, b * d + a, d + np.arange(a.size)
+    w = np.zeros((d * d, d * d), dtype=complex)
+    w[range(d), np.arange(d) * (d + 1)] = 1.0
+    w[sym, up] = w[sym, down] = np.sqrt(0.5)
+    w[sym + a.size, up], w[sym + a.size, down] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    return w
+
+
 def _conjugation_map(g: np.ndarray) -> np.ndarray:
     """Matrix sending vec(rho) to vec(G rho G†), with vec row-major, so
     vec(A X B) = (A kron B^T) vec(X); a stack of them for a stack of G."""
@@ -163,28 +195,31 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
     plus one accumulator coordinate for accept mass already gathered, so
     the state count is n^2 + 1.  Reading a symbol conjugates rho by
     P(go) U(sigma) and adds tr(P(acc) U rho U†) to the accumulator; the
-    end marker is folded into the final functional.  The automaton was
+    end marker is folded into the final functional.  vec(rho) is written
+    in the real coordinates of ``hermitian_basis``.  The automaton was
     checked when it was built, so its shapes and partition are trusted.
     """
     n = m.dim
     dim = n * n + 1
+    w = hermitian_basis(n)
+    wh = dagger(w)
     p_go = m.going.as_matrix()
     p_acc = m.accepting.as_matrix()
 
     matrices: dict[str, np.ndarray] = {}
     for sym in (*m.alphabet, END_MARKER):
         u = np.asarray(m.unitaries[sym], dtype=complex)
-        t = np.zeros((dim, dim), dtype=complex)
-        t[: n * n, : n * n] = _conjugation_map(p_go @ u)
-        t[n * n, : n * n] = _trace_functional(dagger(u) @ p_acc @ u)
+        t = np.zeros((dim, dim))
+        t[: n * n, : n * n] = (w @ _conjugation_map(p_go @ u) @ wh).real
+        t[n * n, : n * n] = (_trace_functional(dagger(u) @ p_acc @ u) @ wh).real
         t[n * n, n * n] = 1.0
         matrices[sym] = t
 
     psi = np.asarray(m.initial, dtype=complex)
-    pi = np.zeros(dim, dtype=complex)
-    pi[: n * n] = np.outer(psi, np.conj(psi)).ravel()
+    pi = np.zeros(dim)
+    pi[: n * n] = (w @ np.outer(psi, np.conj(psi)).ravel()).real
 
-    eta = np.zeros(dim, dtype=complex)
+    eta = np.zeros(dim)
     eta[n * n] = 1.0
 
     working = Rblm((*m.alphabet, END_MARKER), pi, matrices, eta)
@@ -193,25 +228,29 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
 
 def _qfac_parts(m: Qfac) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """A hybrid automaton's machine ``pi`` and ``eta``, one vec(rho) block per
-    classical state, and per symbol a the (k, d^2, d^2) stack of
-    U(s, a) kron conj U(s, a) with the 0/1 routing matrix that has a 1 at
-    (delta(s, a), s).  The automaton was checked when it was built."""
+    classical state in the real coordinates of ``hermitian_basis``, and per
+    symbol a the (k, d^2, d^2) stack of W (U(s, a) kron conj U(s, a)) W†
+    with the 0/1 routing matrix that has a 1 at (delta(s, a), s); all
+    float64.  The automaton was checked when it was built."""
     states, k = m.classical_states, len(m.classical_states)
+    w = hermitian_basis(m.dim)
+    wh = dagger(w)
     psi = np.asarray(m.initial_quantum, dtype=complex)
-    pi = np.zeros((k, m.dim * m.dim), dtype=complex)
-    pi[states.index(m.initial_classical)] = np.outer(psi, np.conj(psi)).ravel()
-    eta = np.array([_trace_functional(m.accepting[s].as_matrix()) for s in states]).ravel()
+    pi = np.zeros((k, m.dim * m.dim))
+    pi[states.index(m.initial_classical)] = (w @ np.outer(psi, np.conj(psi)).ravel()).real
+    eta = (np.array([_trace_functional(m.accepting[s].as_matrix()) for s in states]) @ wh).real.ravel()
     steps = {}
     for a in m.alphabet:
-        route = np.zeros((k, k), dtype=complex)
+        route = np.zeros((k, k))
         route[[states.index(m.transitions[(s, a)]) for s in states], range(k)] = 1.0
-        steps[a] = _conjugation_map(np.array([m.unitaries[(s, a)] for s in states], dtype=complex)), route
+        blocks = _conjugation_map(np.array([m.unitaries[(s, a)] for s in states], dtype=complex))
+        steps[a] = (w @ blocks @ wh).real, route
     return pi.ravel(), eta, steps
 
 
 def _qfac_form(m: Qfac) -> LinearForm:
-    """The operator form of ``compile_qfac_to_rblm``: the same vectors, and a
-    step that conjugates each classical block by its own unitary.
+    """The operator form of ``compile_qfac_to_rblm``: the same real vectors, and
+    a step that conjugates each classical block by its own unitary.
 
     A block of r columns is read as k stacked d^2 x r blocks; reading a
     symbol maps each by its state's superoperator, in one batched
@@ -240,12 +279,13 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
     The final functional sums tr(P(s, acc) rho_s) over classical states.
     The matrices scatter ``_qfac_form``'s blocks into zeros: form and machine
     agree bit for bit, and pages no transition reaches stay untouched.
+    Both are real, in the coordinates of ``hermitian_basis``.
     """
     pi, eta, steps = _qfac_parts(m)
     matrices = {}
     for a, (blocks, route) in steps.items():
         (k, nn, _), (dst, src) = blocks.shape, np.nonzero(route)
-        t = np.zeros((k, nn, k, nn), dtype=complex)
+        t = np.zeros((k, nn, k, nn))
         t[dst, :, src, :] = blocks[src]
         matrices[a] = t.reshape(pi.size, pi.size)
     return Rblm(m.alphabet, pi, matrices, eta)

@@ -97,15 +97,18 @@ def explore_span(
     Returns the basis as orthonormal rows (``k x len(start)``) and the
     ``(word, row)`` found, or None.  The buffers double as ``k`` grows,
     rather than holding ``len(start)`` rows, square in the dimension.
+    Their dtype follows the whole form: that of ``start`` and the rows,
+    widened to complex by the first complex step inserted, so the real
+    forms of automata run in float64 and nothing complex is cast to real.
     A tolerance that is not finite and positive is refused.
     """
     check_tol(tol)
     n = start.shape[0]
-    rows = np.empty((0, n), dtype=complex) if functionals is None else np.asarray(functionals, dtype=complex)
+    rows = np.empty((0, n)) if functionals is None else np.asarray(functionals)
     m = rows.shape[0]
     # The rows above the conjugated basis rows, so one product gives the row
     # values and the projection coefficients: conj(q @ conj(x)) == conj(q) @ x.
-    basis = np.empty((min(n, 8), n), dtype=complex)
+    basis = np.empty((min(n, 8), n), dtype=np.result_type(start, rows, float))
     lead = np.concatenate([rows, np.empty_like(basis)])
     k = 0
     # A queued word holds its parent's vector and its last symbol; the
@@ -129,8 +132,10 @@ def explore_span(
         residual = residual - (lead[m: m + k] @ residual) @ q
         rnorm = math.sqrt(np.vdot(residual, residual).real)
         if rnorm > bound:
+            if residual.dtype != basis.dtype:
+                basis, lead = basis.astype(residual.dtype), lead.astype(residual.dtype)
             if k == basis.shape[0]:
-                grow = np.empty((min(n, 2 * k) - k, n), dtype=complex)
+                grow = np.empty((min(n, 2 * k) - k, n), dtype=basis.dtype)
                 basis, lead = np.concatenate([basis, grow]), np.concatenate([lead, grow])
             basis[k] = residual / rnorm
             lead[m + k] = np.conj(basis[k])
@@ -150,8 +155,8 @@ def equiv_rblm(b1: Rblm | LinearForm, b2: Rblm | LinearForm, tol: float = DEFAUL
         raise ValueError("equivalence requires identical alphabets")
     alphabet = tuple(sorted(b1.alphabet))  # expansion order fixes the tie-break
     n1, n2 = b1.n, b2.n
-    eta_diff = np.concatenate([np.asarray(b1.eta, dtype=complex), -np.asarray(b2.eta, dtype=complex)])
-    start = np.concatenate([np.asarray(b1.pi, dtype=complex), np.asarray(b2.pi, dtype=complex)])
+    eta_diff = np.concatenate([b1.eta, -np.asarray(b2.eta)])
+    start = np.concatenate([b1.pi, b2.pi])
 
     def step(x: np.ndarray, a: str) -> np.ndarray:
         return np.concatenate([b1.apply(a, x[:n1]), b2.apply(a, x[n1:])])
@@ -175,9 +180,7 @@ def _reachable_part(f: Rblm | LinearForm) -> Rblm:
     (Q^H pi, Q^H apply(a, Q), eta Q) has the same word function, because
     the span is invariant under every step and Q Q^H fixes it.
     """
-    rows, _ = explore_span(
-        np.asarray(f.pi, dtype=complex), lambda x, a: f.apply(a, x), tuple(sorted(f.alphabet)), MINIMIZE_TOL
-    )
+    rows, _ = explore_span(np.asarray(f.pi), lambda x, a: f.apply(a, x), tuple(sorted(f.alphabet)), MINIMIZE_TOL)
     q, qh = rows.T, np.conj(rows)
     return Rblm(f.alphabet, qh @ f.pi, {a: qh @ f.apply(a, q) for a in f.alphabet}, np.asarray(f.eta) @ q)
 

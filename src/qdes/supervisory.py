@@ -95,6 +95,16 @@ class QuantumLanguage:
         return cls(fn, alphabet, "table")
 
 
+def check_cutpoint(cutpoint: float, radius: float | None = None) -> None:
+    """Refuse a cut-point outside [0, 1), and an isolation radius, if given,
+    that is not positive: a negative cut-point counts a zero value as a
+    member, and no probability lies above a cut-point of 1 or more."""
+    if not (0.0 <= cutpoint < 1.0):
+        raise ValueError("cut-point must lie in [0, 1)")
+    if radius is not None and not radius > 0.0:
+        raise ValueError("isolation radius must be positive")
+
+
 @dataclass(frozen=True)
 class ControlSpec:
     """Event partition plus the cut-point parameters of the control problem.
@@ -121,13 +131,9 @@ class ControlSpec:
             raise ValueError("controllable and uncontrollable events must be disjoint")
         if self.controllable | self.uncontrollable != set(self.alphabet):
             raise ValueError("event partition must cover the alphabet exactly")
-        if not (0.0 <= self.cutpoint < 1.0):
-            raise ValueError("cut-point must lie in [0, 1)")
-        if self.isolation is not None:
-            if self.isolation <= 0.0:
-                raise ValueError("isolation radius must be positive")
-            if self.cutpoint + self.isolation > 1.0:
-                raise ValueError("cut-point plus isolation radius may not exceed 1")
+        check_cutpoint(self.cutpoint, self.isolation)
+        if self.isolation is not None and self.cutpoint + self.isolation > 1.0:
+            raise ValueError("cut-point plus isolation radius may not exceed 1")
         if self.upper_cutpoint is not None and self.upper_cutpoint < self.cutpoint:
             raise ValueError("upper cut-point must dominate the cut-point")
 
@@ -296,8 +302,7 @@ def cutpoint_member(
     With ``ambiguous_tol`` set, values within that distance of the
     cut-point raise instead of being silently classified.
     """
-    if not (0.0 <= cutpoint < 1.0):
-        raise ValueError("cut-point must lie in [0, 1)")
+    check_cutpoint(cutpoint)
     v = L(w)
     if ambiguous_tol is not None and abs(v - cutpoint) <= ambiguous_tol:
         raise CutpointAmbiguityError(f"value {v} within {ambiguous_tol} of cut-point {cutpoint}")
@@ -312,8 +317,7 @@ class IsolationResult(enum.Enum):
 
 def isolated_classify(L: QuantumLanguage, w: Sequence[str], cutpoint: float, radius: float) -> IsolationResult:
     """Classify against an isolated cut-point; the open band in between is a violation."""
-    if radius <= 0.0:
-        raise ValueError("isolation radius must be positive")
+    check_cutpoint(cutpoint, radius)
     v = L(w)
     if v >= cutpoint + radius:
         return IsolationResult.IN
@@ -533,8 +537,7 @@ def _isolation_gate(plant_value: float, cutpoint: float, radius: float, where: s
 
 def marked_language(plant: QuantumLanguage, cutpoint: float, radius: float) -> QuantumLanguage:
     """Marked sublanguage: the plant's value where isolation holds, else 0."""
-    if radius <= 0.0:
-        raise ValueError("isolation radius must be positive")
+    check_cutpoint(cutpoint, radius)
 
     def fn(s: Word) -> float:
         v = plant(s)

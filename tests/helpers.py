@@ -12,10 +12,20 @@ from itertools import product
 
 import numpy as np
 
-from qdes.blm import Rblm, blm_eval
+from qdes.blm import Rblm, absorb_symbol, blm_eval
 from qdes.equivalence import EquivalenceVerdict
 from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq
-from qdes.models import END_MARKER, MmQfa, MoQfa, Qfac, _check_symbols, clamp_probability
+from qdes.models import (
+    END_MARKER,
+    Dfa,
+    MmQfa,
+    MoQfa,
+    Qfac,
+    _check_symbols,
+    clamp_probability,
+    qfac_from_dfa,
+    qfac_from_mo,
+)
 from qdes.supervisory import (
     AdmissibilityViolation,
     ControllabilityResult,
@@ -320,3 +330,44 @@ def ref_kernel(start, step, alphabet, tol, functionals=None):
     assert functionals is None or len(functionals) == 1
     basis, word = ref_explore_span(start, step, alphabet, tol, None if functionals is None else functionals[0])
     return basis, None if word is None else (word, 0)
+
+
+def ref_vec_rblm(a) -> Rblm:
+    """The complex128 machine of an automaton in the plain row-major vec(rho)
+    coordinates, with each map as U kron conj U: for a hybrid automaton
+    (measure-once automata and DFAs through their embeddings) one vec(rho)
+    block per classical state, for a measure-many automaton vec(rho) and
+    the accept-mass accumulator, with the end marker folded into eta."""
+    if isinstance(a, (MoQfa, Dfa)):
+        a = qfac_from_mo(a) if isinstance(a, MoQfa) else qfac_from_dfa(a)
+    if isinstance(a, MmQfa):
+        nn = a.dim * a.dim
+        p_go, p_acc = a.going.as_matrix(), a.accepting.as_matrix()
+        matrices = {}
+        for sym in (*a.alphabet, END_MARKER):
+            u = np.asarray(a.unitaries[sym], dtype=complex)
+            t = np.zeros((nn + 1, nn + 1), dtype=complex)
+            t[:nn, :nn] = np.kron(p_go @ u, np.conj(p_go @ u))
+            t[nn, :nn] = (np.conj(u).T @ p_acc @ u).T.ravel()
+            t[nn, nn] = 1.0
+            matrices[sym] = t
+        pi = np.zeros(nn + 1, dtype=complex)
+        pi[:nn] = np.outer(a.initial, np.conj(a.initial)).ravel()
+        eta = np.zeros(nn + 1, dtype=complex)
+        eta[nn] = 1.0
+        return absorb_symbol(Rblm((*a.alphabet, END_MARKER), pi, matrices, eta), END_MARKER)
+    states, nn = a.classical_states, a.dim * a.dim
+    n = len(states) * nn
+    start = states.index(a.initial_classical) * nn
+    pi = np.zeros(n, dtype=complex)
+    pi[start:start + nn] = np.outer(a.initial_quantum, np.conj(a.initial_quantum)).ravel()
+    eta = np.concatenate([a.accepting[s].as_matrix().T.ravel() for s in states])
+    matrices = {}
+    for sym in a.alphabet:
+        t = np.zeros((n, n), dtype=complex)
+        for i, s in enumerate(states):
+            j = states.index(a.transitions[(s, sym)])
+            u = np.asarray(a.unitaries[(s, sym)], dtype=complex)
+            t[j * nn:(j + 1) * nn, i * nn:(i + 1) * nn] += np.kron(u, np.conj(u))
+        matrices[sym] = t
+    return Rblm(a.alphabet, pi, matrices, eta)

@@ -4,19 +4,22 @@ import pytest
 from qdes.blm import (
     LinearForm,
     Rblm,
+    _as_hybrid,
     absorb_symbol,
     blm_eval,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
+    hermitian_basis,
     linear_form,
     to_rblm,
 )
 from qdes.composition import parallel_qfac
-from qdes.fixtures import build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
-from qdes.linalg import projected_norm_sq
-from qdes.models import ValidationFailedError, mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
+from qdes.equivalence import minimize
+from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
+from qdes.linalg import dagger, projected_norm_sq
+from qdes.models import MmQfa, ValidationFailedError, mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
 
-from helpers import random_mm, random_mo, random_qfac, random_rblm, words_up_to
+from helpers import random_mm, random_mo, random_qfac, random_rblm, ref_vec_rblm, words_up_to
 
 
 def scalar_machine(value, alphabet=("a",)):
@@ -167,19 +170,20 @@ class TestLinearForm:
         assert isinstance(form, LinearForm) and form.n == b.n
         assert np.array_equal(form.pi, b.pi) and np.array_equal(form.eta, b.eta)
         for sym in b.alphabet:
-            assert np.array_equal(form.apply(sym, np.eye(b.n, dtype=complex)), b.matrices[sym])
+            assert np.array_equal(form.apply(sym, np.eye(b.n)), b.matrices[sym])
 
     @pytest.mark.parametrize("name", ["eg1-N2", "egadd-N4", "eg1xegadd"])
     def test_blocks_are_the_kronecker_conjugation_maps(self, name):
         m = HYBRIDS[name]()
-        b, nn = to_rblm(m), m.dim * m.dim
+        b, nn, w = to_rblm(m), m.dim * m.dim, hermitian_basis(m.dim)
         for sym in m.alphabet:
             expected = np.zeros((b.n, b.n), dtype=complex)
             for i, s in enumerate(m.classical_states):
                 j = m.classical_states.index(m.transitions[(s, sym)])
                 u = np.asarray(m.unitaries[(s, sym)], dtype=complex)
-                expected[j * nn:(j + 1) * nn, i * nn:(i + 1) * nn] += np.kron(u, np.conj(u))
-            assert np.array_equal(b.matrices[sym], expected)
+                expected[j * nn:(j + 1) * nn, i * nn:(i + 1) * nn] += w @ np.kron(u, np.conj(u)) @ dagger(w)
+            assert np.abs(expected.imag).max() <= 1e-15
+            assert np.array_equal(b.matrices[sym], expected.real)
 
     @pytest.mark.parametrize("name", ["eg1-N2", "mo-qfa", "dfa"])
     def test_one_vector_and_a_block(self, name):
@@ -215,3 +219,52 @@ class TestLinearForm:
     def test_unknown_kind(self):
         with pytest.raises(TypeError):
             linear_form("not an automaton")
+
+
+STOCK_KINDS = {
+    "eg1": lambda: build_eg1(2, 0.5, seed=0),
+    "egadd": lambda: build_egadd(4, 0.98, seed=0),
+    "eg2-mm": lambda: build_eg2(2, 0.5),
+    "af-modp-mo": lambda: build_af_modp(7, 0.9),
+    "dfa": lambda: dfa_bounded_zeros(2),
+    "eg1xegadd": lambda: parallel_qfac(build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0)),
+}
+
+
+def to_real_coordinates(a) -> np.ndarray:
+    """The unitary taking ``ref_vec_rblm(a)``'s coordinates to the compilers':
+    ``hermitian_basis`` on each vec(rho) block, and 1 on the accumulator."""
+    if isinstance(a, MmQfa):
+        nn = a.dim * a.dim
+        w = np.eye(nn + 1, dtype=complex)
+        w[:nn, :nn] = hermitian_basis(a.dim)
+        return w
+    hybrid = _as_hybrid(a)
+    return np.kron(np.eye(len(hybrid.classical_states)), hermitian_basis(hybrid.dim))
+
+
+class TestRealCoordinates:
+    """Every form, compiled machine and minimal machine of an automaton is
+    float64: the Hermitian-basis image of the complex vec(rho) machine,
+    whose imaginary part is rounding only."""
+
+    @pytest.mark.parametrize("name", STOCK_KINDS)
+    def test_forms_machines_and_minimal_machines_are_float64(self, name):
+        a = STOCK_KINDS[name]()
+        form, machines = linear_form(a), (to_rblm(a), minimize(a))
+        assert form.pi.dtype == form.eta.dtype == np.float64
+        assert all(form.apply(sym, form.pi).dtype == np.float64 for sym in form.alphabet)
+        for b in machines:
+            assert {b.pi.dtype, b.eta.dtype, *(m.dtype for m in b.matrices.values())} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("name", STOCK_KINDS)
+    def test_the_dropped_imaginary_part_is_rounding(self, name):
+        # Each entry is a sum of at most four products of entries of modulus
+        # at most 1, over a handful of steps: a few eps, far below 1e-14.
+        a = STOCK_KINDS[name]()
+        ref, b, w = ref_vec_rblm(a), to_rblm(a), to_real_coordinates(a)
+        pairs = [(b.pi, w @ ref.pi), (b.eta, ref.eta @ dagger(w))]
+        pairs += [(b.matrices[sym], w @ ref.matrices[sym] @ dagger(w)) for sym in b.alphabet]
+        for real, exact in pairs:
+            assert np.abs(exact.imag).max() <= 1e-14
+            assert np.abs(real - exact.real).max() <= 1e-14

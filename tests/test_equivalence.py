@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdes import blm, equivalence, models
+from qdes import blm, equivalence, models, supervisory
 from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, to_rblm
 from qdes.composition import parallel_qfac
 from qdes.equivalence import (
@@ -28,7 +28,13 @@ from qdes.fixtures import (
 )
 from qdes.linalg import Projector
 from qdes.models import MmQfa, qfac_from_mo
-from qdes.supervisory import ControlSpec, QuantumLanguage, check_controllability_exhaustive, decide_controllability
+from qdes.supervisory import (
+    ControllabilityResult,
+    ControlSpec,
+    QuantumLanguage,
+    check_controllability_exhaustive,
+    decide_controllability,
+)
 
 from helpers import (
     difference_machine,
@@ -39,6 +45,7 @@ from helpers import (
     random_rblm,
     ref_explore_span,
     ref_kernel,
+    ref_vec_rblm,
     refuse_to_compile,
     similarity_transformed,
     words_up_to,
@@ -179,6 +186,16 @@ class TestMinimize:
 
     def test_shift_register_is_already_minimal(self):
         assert minimize(shift_register(4)).n == 5
+
+    def test_complex_steps_from_real_vectors(self):
+        # f(a^2j) = (-1)^j and f(a^(2j+1)) = 0; x(a) = (0, i) is new only as a
+        # complex vector, so a basis kept real would drop it.
+        b = Rblm(("a",), np.array([1.0, 0.0]), {"a": np.array([[0, 1j], [1j, 0]])}, np.array([1.0, 0.0]))
+        assert minimize(b).n == 2
+        one = Rblm(("a",), np.array([1.0]), {"a": np.eye(1)}, np.array([1.0]))
+        verdict, brute = equiv_rblm(b, one), k_equiv_bruteforce(b, one, 4)
+        assert (verdict.equivalent, verdict.counterexample, verdict.f1, verdict.f2) == (
+            brute.equivalent, brute.counterexample, brute.f1, brute.f2) == (False, ("a",), 0.0, 1.0)
 
 
 class TestBruteForce:
@@ -482,15 +499,15 @@ MINIMIZE_TOLS = (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13)
 class TestKernelAgainstReference:
     """The span kernel prunes after one Gram-Schmidt pass and tests several
     functional rows in one product; the reference runs both passes on
-    every pop and tests one functional.  Sizes, verdicts and witnesses
-    agree."""
+    every pop, in complex arithmetic, and tests one functional.  Sizes,
+    verdicts and witnesses agree."""
 
     @pytest.mark.parametrize("name", [*STOCK_AUTOMATA, "random"])
     def test_visited_dimensions_and_minimal_sizes(self, name, monkeypatch):
         automata = random_automata() if name == "random" else [STOCK_AUTOMATA[name]()]
         for a in automata:
             form = blm.linear_form(a)
-            start, alphabet = np.asarray(form.pi, dtype=complex), tuple(sorted(form.alphabet))
+            start, alphabet = form.pi, tuple(sorted(form.alphabet))
             for tol in MINIMIZE_TOLS:
                 visited = [len(kernel(start, lambda x, s: form.apply(s, x), alphabet, tol)[0])
                            for kernel in (explore_span, ref_explore_span)]
@@ -538,6 +555,33 @@ class TestKernelAgainstReference:
         assert {v.equivalent for v in verdicts} == {True, False}
         monkeypatch.setattr(equivalence, "explore_span", ref_kernel)
         assert [fn(a, b) for fn, a, b in pairs] == verdicts
+
+
+class TestComplexReference:
+    """An automaton's real machine against its complex vec(rho) machine
+    (``ref_vec_rblm``), whose decisions run in complex arithmetic."""
+
+    def test_eg1_n4_sizes_verdict_and_visited_dimension(self, monkeypatch):
+        plant = build_eg1(4, 0.5, seed=0)
+        target = build_spec_variant(plant, plant.classical_states[-1])
+        ref_plant, ref_target = ref_vec_rblm(plant), ref_vec_rblm(target)
+        spec = ControlSpec(("0", "1", "2"), frozenset({"2"}), frozenset({"0", "1"}))
+        visited = []
+
+        def counted(*args):
+            basis, hit = explore_span(*args)
+            visited.append(len(basis))
+            return basis, hit
+
+        monkeypatch.setattr(supervisory, "explore_span", counted)
+        real = [minimize(target), minimize(plant), decide_controllability(target, plant, spec)]
+        ref = [minimize(ref_target), minimize(ref_plant), decide_controllability(ref_target, ref_plant, spec)]
+        assert real[0].pi.dtype == np.float64 and ref[0].pi.dtype == np.complex128
+        assert [real[0].n, real[1].n, real[2]] == [ref[0].n, ref[1].n, ref[2]] == [46, 46, ControllabilityResult(True)]
+        assert visited[0] == visited[1]
+        v, w = equiv(plant, target), equiv_rblm(ref_plant, ref_target)
+        assert (v.equivalent, v.counterexample, v.visited_dim) == (w.equivalent, w.counterexample, w.visited_dim)
+        assert abs(v.f1 - w.f1) <= 1e-12 and abs(v.f2 - w.f2) <= 1e-12
 
 
 def cut_variant():

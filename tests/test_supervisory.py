@@ -106,6 +106,24 @@ class TestCutpoint:
         with pytest.raises(ValueError):
             isolated_classify(mk(0.5), (), 0.5, 0.0)
 
+    @pytest.mark.parametrize("cutpoint", [-0.5, 1.0, 1.5, float("nan")])
+    def test_cutpoint_outside_the_unit_interval_refused(self, cutpoint):
+        # At -0.5 with radius 0.1, a zero plant value lies above the band:
+        # isolated_classify would answer IN and marked_language would mark it.
+        zero = QuantumLanguage(lambda w: 0.0, ("a",))
+        loop = ClosedLoop(CustomSupervisor(zero, ControlSpec(("a",), {"a"}, set()), lambda s, e: 0.0))
+        refusals = [
+            lambda: cutpoint_member(zero, (), cutpoint),
+            lambda: isolated_classify(zero, (), cutpoint, 0.1),
+            lambda: marked_language(zero, cutpoint, 0.1),
+            lambda: closed_loop_marked(loop, cutpoint, 0.1),
+            lambda: check_nonblocking(loop, cutpoint, 0.1, 2),
+            lambda: ControlSpec(("a",), {"a"}, set(), cutpoint=cutpoint),
+        ]
+        for refuse in refusals:
+            with pytest.raises(ValueError, match="cut-point must lie in"):
+                refuse()
+
 
 class TestPrefixSup:
     def test_horizon_zero_is_the_value(self):
