@@ -7,7 +7,9 @@ digits (which round-trips doubles exactly), numeric leaf lists inlined.
 Loading builds the automaton, which checks its invariants, so a
 document that violates them raises ``models.ValidationFailedError``.
 Bilinear machines are real-valued: an ``rblm`` document may omit the old
-``real_valued`` field or set it true, and any other value is refused.
+``real_valued`` field or set it true, and any other value is refused.  A
+machine whose entries all have imaginary part exactly 0 loads as float64,
+as the compilers build it; any other loads as complex128.
 """
 
 from __future__ import annotations
@@ -262,14 +264,16 @@ def from_document(doc: dict):
     if kind == "rblm":
         if doc.get("real_valued", True) is not True:
             raise SerializationError("rblm: only real-valued machines are supported")
-        return Rblm(
-            alphabet=tuple(_need(doc, "alphabet", "rblm")),
-            pi=_parse_cvec(_need(doc, "pi", "rblm"), "pi"),
-            matrices={
-                a: _parse_cmat(m, f"matrix {a}") for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
-            },
-            eta=_parse_cvec(_need(doc, "eta", "rblm"), "eta"),
-        )
+        alphabet = tuple(_need(doc, "alphabet", "rblm"))
+        pi = _parse_cvec(_need(doc, "pi", "rblm"), "pi")
+        matrices = {
+            a: _parse_cmat(m, f"matrix {a}") for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
+        }
+        eta = _parse_cvec(_need(doc, "eta", "rblm"), "eta")
+        if not any(np.any(x.imag) for x in (pi, eta, *matrices.values())):
+            pi, eta = pi.real.copy(), eta.real.copy()
+            matrices = {a: m.real.copy() for a, m in matrices.items()}
+        return Rblm(alphabet, pi, matrices, eta)
     raise SerializationError(f"unknown kind {kind!r}; expected one of {KINDS}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from qdes.blm import Rblm, absorb_symbol, blm_eval
 from qdes.equivalence import EquivalenceVerdict
-from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq
+from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq, tensor
 from qdes.models import (
     END_MARKER,
     Dfa,
@@ -167,6 +167,28 @@ def naive_kron(a, b):
                 for l in range(b.shape[1]):
                     out[i * b.shape[0] + k, j * b.shape[1] + l] = a[i, j] * b[k, l]
     return out
+
+
+def ref_parallel_qfac(m1: Qfac, m2: Qfac) -> Qfac:
+    """The all-pairs hybrid composition: every classical pair is a state,
+    reachable or not, in the order of ``m1``'s states, then ``m2``'s."""
+    name = {(s1, s2): f"({s1},{s2})" for s1 in m1.classical_states for s2 in m2.classical_states}
+    transitions, unitaries, accepting = {}, {}, {}
+    for (s1, s2), s in name.items():
+        p1, p2 = m1.accepting[s1], m2.accepting[s2]
+        accepting[s] = Projector(frozenset(i * p2.dim + j for i in p1.subset for j in p2.subset), p1.dim * p2.dim)
+        for a in m1.alphabet:
+            transitions[(s, a)] = name[(m1.transitions[(s1, a)], m2.transitions[(s2, a)])]
+            unitaries[(s, a)] = tensor(m1.unitaries[(s1, a)], m2.unitaries[(s2, a)])
+    return Qfac(
+        classical_states=tuple(name.values()),
+        alphabet=m1.alphabet,
+        initial_classical=name[(m1.initial_classical, m2.initial_classical)],
+        initial_quantum=tensor(m1.initial_quantum, m2.initial_quantum),
+        transitions=transitions,
+        unitaries=unitaries,
+        accepting=accepting,
+    )
 
 
 # --------------------------------------------------------------------------

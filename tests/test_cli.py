@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qdes import blm
 from qdes.blm import blm_eval, compile_mm_to_rblm, to_rblm
 from qdes.cli import main
-from qdes.equivalence import k_equiv_bruteforce
+from qdes.equivalence import equiv, k_equiv_bruteforce
 from qdes.fixtures import (
     build_af_modp,
     build_eg1,
@@ -115,6 +115,21 @@ class TestEquivCommand:
         assert code == 0 and doc["equivalent"]
         assert doc == run(capsys, "equiv", str(first), str(first))[1]
 
+    def test_saved_machines_load_real(self, capsys, tmp_path):
+        plant = build_eg1(1, 0.95, seed=0)
+        machines = {"plant": to_rblm(plant), "target": to_rblm(build_spec_variant(plant, "s3"))}
+        paths = {name: tmp_path / f"{name}.json" for name in machines}
+        for name, b in machines.items():
+            save(b, paths[name])
+            assert load(paths[name]).pi.dtype == np.float64
+        for name in machines:
+            expected = equiv(machines["plant"], machines[name])
+            code, doc = run(capsys, "equiv", str(paths["plant"]), str(paths[name]))
+            assert code == (0 if expected.equivalent else 1)
+            assert (doc["equivalent"], doc["f1"], doc["f2"], doc["visited_dim"]) == (
+                expected.equivalent, expected.f1, expected.f2, expected.visited_dim)
+            assert doc["counterexample"] == (None if expected.counterexample is None else "".join(expected.counterexample))
+
     def test_mixed_kinds_via_compilation(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         mo = random_mo(rng, 2)
@@ -132,7 +147,9 @@ class TestComposeCommand:
         save(q, p)
         code, doc = run(capsys, "compose", str(p), str(p))
         assert code == 0 and doc["kind"] == "qfac"
-        assert len(doc["classical_states"]) == 4
+        # A self-composition stays on the diagonal: of the 4 pairs, the 2 of
+        # reachable states (s0 moves to s1 on both symbols) remain.
+        assert doc["classical_states"] == ["(s0,s0)", "(s1,s1)"]
 
     def test_classical_composition(self, capsys, tmp_path):
         d = dfa_bounded_zeros(1)

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qdes.composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
-from qdes.fixtures import build_eg1, dfa_bounded_zeros
+from qdes.equivalence import equiv_qfac
+from qdes.fixtures import build_eg1, build_egadd, dfa_bounded_zeros
 from qdes.linalg import Projector
 from qdes.models import Dfa, MoQfa, dfa_accepts, mo_accept_prob, qfac_accept_prob, qfac_from_mo, validate
+from qdes.serialize import dumps
 
-from helpers import random_mo, random_qfac, words_up_to
+from helpers import random_mo, random_qfac, ref_parallel_qfac, words_up_to
 
 
 def cyclic_dfa(n, event="a"):
@@ -120,6 +124,13 @@ class TestMeasureOnceComposition:
         with pytest.raises(ValueError):
             parallel_mo(always_accept_mo(("a",)), always_accept_mo(("b",)))
 
+    def test_alphabet_in_another_order(self):
+        m = random_mo(np.random.default_rng(19), 2)
+        comp = parallel_mo(m, dataclasses.replace(m, alphabet=m.alphabet[::-1]))
+        assert comp.alphabet == m.alphabet
+        for w in words_up_to(m.alphabet, 4):
+            assert abs(mo_accept_prob(comp, w) - mo_accept_prob(m, w) ** 2) <= 1e-12
+
 
 class TestHybridComposition:
     def test_trivial_factor_is_identity(self):
@@ -150,3 +161,68 @@ class TestHybridComposition:
         rng = np.random.default_rng(17)
         comp = parallel_qfac(random_qfac(rng, 2, 2), random_qfac(rng, 2, 2))
         assert validate(comp) == []
+
+    def test_alphabet_in_another_order(self):
+        m = build_eg1(2, 0.95, seed=0)
+        reversed_m = dataclasses.replace(m, alphabet=m.alphabet[::-1])
+        assert equiv_qfac(m, reversed_m).equivalent
+        comp = parallel_qfac(m, reversed_m)
+        assert comp.alphabet == m.alphabet
+        for w in words_up_to(m.alphabet, 4):
+            assert abs(qfac_accept_prob(comp, w) - qfac_accept_prob(m, w) ** 2) <= 1e-12
+
+    def test_alphabet_mismatch(self):
+        m = random_qfac(np.random.default_rng(23), 2, 2)
+        with pytest.raises(ValueError):
+            parallel_qfac(m, random_qfac(np.random.default_rng(23), 2, 2, alphabet=("a", "c")))
+
+
+def reachable_pairs(m1, m2):
+    """Fixpoint of the pair image under every symbol, from the initial pair."""
+    reached, grown = set(), {(m1.initial_classical, m2.initial_classical)}
+    while grown - reached:
+        reached |= grown
+        grown = reached | {(m1.transitions[(s1, a)], m2.transitions[(s2, a)]) for s1, s2 in reached for a in m1.alphabet}
+    return {f"({s1},{s2})" for s1, s2 in reached}
+
+
+def product_pairs():
+    rng = np.random.default_rng(29)
+    pairs = [(random_qfac(rng, int(rng.integers(1, 4)), 2), random_qfac(rng, int(rng.integers(2, 4)), 2))
+             for _ in range(10)]
+    return [*pairs, (build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0))]
+
+
+class TestAccessibleProduct:
+    """The composite keeps the classical pairs reachable from the initial
+    pair, in the all-pairs reference's order, and the reference's word function."""
+
+    def test_states_are_the_reachable_pairs_in_reference_order(self):
+        trimmed = 0
+        for m1, m2 in product_pairs():
+            comp, ref = parallel_qfac(m1, m2), ref_parallel_qfac(m1, m2)
+            reached = reachable_pairs(m1, m2)
+            assert comp.classical_states == tuple(s for s in ref.classical_states if s in reached)
+            assert comp.initial_classical == ref.initial_classical
+            trimmed += len(comp.classical_states) < len(ref.classical_states)
+        assert trimmed >= 4
+
+    def test_acceptance_and_equivalence_match_reference(self):
+        for m1, m2 in product_pairs():
+            comp, ref = parallel_qfac(m1, m2), ref_parallel_qfac(m1, m2)
+            for w in words_up_to(m1.alphabet, 5):
+                assert qfac_accept_prob(comp, w) == qfac_accept_prob(ref, w)
+            assert equiv_qfac(comp, ref).equivalent
+
+    def test_document_byte_identical_when_every_pair_is_reachable(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            m = random_qfac(rng, int(rng.integers(1, 4)), 2)
+            trivial = qfac_from_mo(always_accept_mo(m.alphabet))
+            for m1, m2 in ((m, trivial), (trivial, m)):
+                ref = ref_parallel_qfac(m1, m2)
+                if set(ref.classical_states) == reachable_pairs(m1, m2):
+                    assert dumps(parallel_qfac(m1, m2)) == dumps(ref)
+        eg1 = build_eg1(2, 0.95, seed=0)
+        trivial = qfac_from_mo(always_accept_mo(eg1.alphabet))
+        assert dumps(parallel_qfac(eg1, trivial)) == dumps(ref_parallel_qfac(eg1, trivial))

@@ -448,8 +448,11 @@ class TestOperatorForm:
     def test_composition_pair_peak_below_one_dense_matrix(self):
         eg1, egadd = build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0)
         left, right = parallel_qfac(eg1, egadd), parallel_qfac(egadd, eg1)
-        n = len(left.classical_states) * left.dim ** 2
+        # The bound is one dense matrix of the all-pairs product; the
+        # composites keep only the 6 reachable of its 36 classical pairs.
+        n = len(eg1.classical_states) * len(egadd.classical_states) * (eg1.dim * egadd.dim) ** 2
         assert n == 576
+        assert len(left.classical_states) == len(right.classical_states) == 6
         tracemalloc.start()
         try:
             verdict = equiv_qfac(left, right)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdes.blm import blm_eval, compile_mm_to_rblm
+from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, to_rblm
 from qdes.cli import main
 from qdes.fixtures import build_eg1, build_eg2, dfa_bounded_zeros
 from qdes.models import mm_accept_prob
@@ -20,7 +20,7 @@ from qdes.serialize import (
     to_document,
 )
 
-from helpers import random_mm, random_mo, random_qfac, words_up_to
+from helpers import random_mm, random_mo, random_qfac, random_unitary, words_up_to
 
 
 def all_kinds(rng):
@@ -114,6 +114,25 @@ class TestDocumentErrors:
         path.write_text(json.dumps(doc))
         assert main(["prob", str(path), "0"]) == 2
         assert "real-valued" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_real_rblm_loads_float64(self):
+        b = to_rblm(build_eg1(1, 0.95, seed=0))
+        again = loads(dumps(b))
+        for got, want in ((again.pi, b.pi), (again.eta, b.eta), *((again.matrices[a], b.matrices[a]) for a in b.alphabet)):
+            assert want.dtype == got.dtype == np.float64
+            assert np.array_equal(got, want)
+        assert dumps(again) == dumps(b)
+
+    def test_complex_rblm_loads_complex(self):
+        b = to_rblm(build_eg1(1, 0.95, seed=0))
+        t = random_unitary(np.random.default_rng(37), b.n)
+        rotated = Rblm(b.alphabet, t @ b.pi, {a: t @ m @ t.conj().T for a, m in b.matrices.items()}, b.eta @ t.conj().T)
+        again = loads(dumps(rotated))
+        assert again.pi.dtype == again.eta.dtype == np.complex128
+        assert all(m.dtype == np.complex128 for m in again.matrices.values())
+        assert np.array_equal(again.matrices["0"], rotated.matrices["0"])
+        for w in words_up_to(b.alphabet, 3):
+            assert abs(blm_eval(again, w) - blm_eval(b, w)) <= 1e-12
 
     def test_parse_error_carries_position(self):
         with pytest.raises(json.JSONDecodeError) as err:
