@@ -36,7 +36,7 @@ from .equivalence import (
     k_equiv_bruteforce,
     minimize,
 )
-from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
+from .composition import parallel_dfa, parallel_mo, parallel_qfac
 from .supervisory import (
     ClosedLoop,
     ControllabilityResult,

@@ -4,7 +4,8 @@ Every subcommand reads automaton files, writes one canonical JSON result
 document to standard output, and exits 0 when the query was decided or
 computed, 1 when a checked property fails or a counterexample was found,
 and 2 on input errors and on computations it cannot finish (out of
-memory, a value inside an isolation band, a probability outside [0, 1]).
+memory, a value inside an isolation band, a probability outside [0, 1],
+a fixture search that certifies no automaton).
 ``QDES_TOL`` overrides the default tolerance of commands that take one;
 a tolerance that is not finite and positive is an input error.
 """
@@ -16,11 +17,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fixtures, serialize
 from .blm import evaluator
-from .composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
+from .composition import parallel_dfa, parallel_mo, parallel_qfac
 from .equivalence import DEFAULT_EQUIV_TOL, check_tol, equiv, k_equiv_bruteforce
 from .models import Dfa, MmQfa, MoQfa, Qfac, _mm_accept_prob_products
 from .supervisory import (
@@ -100,41 +99,11 @@ def cmd_equiv(args) -> int:
 def cmd_compose(args) -> int:
     a = serialize.load(args.file1)
     b = serialize.load(args.file2)
-    if args.classical:
-        if not (isinstance(a, Dfa) and isinstance(b, Dfa)):
-            raise ValueError("--classical composition expects two dfa documents")
-        composed = parallel_classical(
-            ClassicalMatrixAutomaton.from_dfa(a), ClassicalMatrixAutomaton.from_dfa(b)
-        )
-        doc = serialize.to_document(_classical_to_dfa(a, b, composed))
-    elif isinstance(a, Qfac) and isinstance(b, Qfac):
-        doc = serialize.to_document(parallel_qfac(a, b))
-    elif isinstance(a, MoQfa) and isinstance(b, MoQfa):
-        doc = serialize.to_document(parallel_mo(a, b))
-    else:
-        raise ValueError(
-            "compose supports qfac+qfac, mo-qfa+mo-qfa, or --classical with two dfas"
-        )
-    _emit(doc)
+    compose = {Dfa: parallel_dfa, MoQfa: parallel_mo, Qfac: parallel_qfac}.get(type(a))
+    if compose is None or type(b) is not type(a):
+        raise ValueError("compose supports two dfa, two mo-qfa or two qfac documents")
+    _emit(serialize.to_document(compose(a, b)))
     return 0
-
-
-def _classical_to_dfa(a: Dfa, b: Dfa, g) -> Dfa:
-    names = [f"({p},{q})" for p in a.states for q in b.states]
-    transitions = {}
-    for sym, mat in g.matrices.items():
-        for i, s in enumerate(names):
-            row = np.flatnonzero(mat[i])
-            if len(row) != 1:
-                raise ValueError("composite is not deterministic")
-            transitions[(s, sym)] = names[int(row[0])]
-    return Dfa(
-        states=tuple(names),
-        alphabet=tuple(g.alphabet),
-        transitions=transitions,
-        initial=names[int(np.flatnonzero(g.initial)[0])],
-        accepting=frozenset(names[i] for i in np.flatnonzero(g.marked)),
-    )
 
 
 def _load_spec(plant, uncontrollable_text: str, cutpoint=0.0, isolation=None) -> ControlSpec:
@@ -289,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="parallel composition of two plants")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--classical", action="store_true", help="matrix-form composition of two dfas")
     p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("decide-controllability", help="exact controllability decision")
@@ -341,7 +309,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (FileNotFoundError, json.JSONDecodeError, serialize.SerializationError,
             serialize.ValidationFailedError, ValueError, TypeError, KeyError,
-            ArithmeticError, MemoryError, RecursionError) as e:
+            ArithmeticError, MemoryError, RecursionError, fixtures.FixtureSearchError) as e:
         _emit({"error": f"{type(e).__name__}: {e}"})
         return 2
 

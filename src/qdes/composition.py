@@ -3,98 +3,90 @@
 Quantum plants over a shared alphabet compose by tensoring every
 component; the composite acceptance probability is the product of the
 component probabilities.  Alphabets are compared as sets, and the
-composite reads the first plant's symbol order.  Hybrid plants compose
-to the accessible part of their product, as in classical DES
-(G1 || G2 = Ac(G1 x G2)): only the classical pairs reachable from the
-initial pair become states.  Classical automata compose in matrix form
-over possibly different alphabets: shared events tensor both transition
-matrices, private events tensor with an identity factor; that product
-keeps every pair.
+composite reads the first plant's symbol order.  Plants with classical
+states, hybrid automata and DFAs, compose to the accessible part of
+their product, as in classical DES (G1 || G2 = Ac(G1 x G2)): one search
+keeps the pairs reachable from the initial pair, in the order of the
+first plant's states, then the second's, and one namer writes each pair
+as ``(p,q)``.  DFAs may have different alphabets: a shared event moves
+both components, a private event only its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .linalg import Projector, tensor
 from .models import Dfa, MoQfa, Qfac
 
+Pair = tuple[str, str]
 
-@dataclass(frozen=True, eq=False)
-class ClassicalMatrixAutomaton:
-    """Finite automaton in 0/1 matrix form.
 
-    States are basis vectors; entry (i, j) of an event matrix is 1 iff
-    the event moves state i to state j.  Indicator vectors are rows and
-    multiply from the left, so nondeterministic automata fit too.
+def _pair_name(p: str, q: str) -> str:
+    r"""``(p,q)``, with ``\`` and ``,`` backslash-escaped inside each name,
+    so no two pairs share a name; names without them stay as they are.
+
+    >>> print(_pair_name("a,b", "a"), _pair_name("a", "b,a"), _pair_name("a", "b"))
+    (a\,b,a) (a,b\,a) (a,b)
     """
-
-    n: int
-    alphabet: tuple[str, ...]
-    matrices: Mapping[str, np.ndarray]
-    initial: np.ndarray
-    marked: np.ndarray
-
-    @classmethod
-    def from_dfa(cls, d: Dfa) -> "ClassicalMatrixAutomaton":
-        index = {q: i for i, q in enumerate(d.states)}
-        n = len(d.states)
-        matrices = {}
-        for a in d.alphabet:
-            m = np.zeros((n, n), dtype=int)
-            for q in d.states:
-                m[index[q], index[d.transitions[(q, a)]]] = 1
-            matrices[a] = m
-        initial = np.zeros(n, dtype=int)
-        initial[index[d.initial]] = 1
-        marked = np.zeros(n, dtype=int)
-        for q in d.accepting:
-            marked[index[q]] = 1
-        return cls(n, d.alphabet, matrices, initial, marked)
-
-    def run_indicator(self, w: Sequence[str]) -> np.ndarray:
-        """0/1 indicator of the states reachable on ``w`` (boolean semiring)."""
-        v = self.initial.copy()
-        for sym in w:
-            if sym not in self.matrices:
-                raise ValueError(f"event {sym!r} not in alphabet")
-            v = (v @ self.matrices[sym] > 0).astype(int)
-        return v
-
-    def marks(self, w: Sequence[str]) -> bool:
-        return bool(np.any(self.run_indicator(w) & self.marked))
+    p, q = (s.replace("\\", "\\\\").replace(",", "\\,") for s in (p, q))
+    return f"({p},{q})"
 
 
-def parallel_classical(
-    g1: ClassicalMatrixAutomaton, g2: ClassicalMatrixAutomaton
-) -> ClassicalMatrixAutomaton:
-    """Matrix-form parallel composition over the union alphabet.
+def _accessible_pairs(states1: Sequence[str], states2: Sequence[str], start: Pair, alphabet: Sequence[str],
+                      step: Callable[[Pair, str], Pair]) -> tuple[list[Pair], dict[Pair, str]]:
+    """The pairs reachable from ``start`` under ``step``, and their names.
 
-    Shared events synchronize (tensor of both matrices); events private
-    to one component interleave (tensor with the identity of the other).
+    A breadth-first search over ``step(pair, symbol)``; the pairs come
+    out in the all-pairs order of ``states1``, then ``states2``.
     """
-    shared = set(g1.alphabet) & set(g2.alphabet)
-    union = tuple(dict.fromkeys((*g1.alphabet, *g2.alphabet)))
-    i1 = np.eye(g1.n, dtype=int)
-    i2 = np.eye(g2.n, dtype=int)
-    matrices = {}
-    for a in union:
-        if a in shared:
-            matrices[a] = np.kron(g1.matrices[a], g2.matrices[a])
-        elif a in g1.matrices:
-            matrices[a] = np.kron(g1.matrices[a], i2)
-        else:
-            matrices[a] = np.kron(i1, g2.matrices[a])
-    return ClassicalMatrixAutomaton(
-        n=g1.n * g2.n,
-        alphabet=union,
-        matrices=matrices,
-        initial=np.kron(g1.initial, g2.initial),
-        marked=np.kron(g1.marked, g2.marked),
+    seen, queue = {start}, deque([start])
+    while queue:
+        pair = queue.popleft()
+        for a in alphabet:
+            nxt = step(pair, a)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    order1 = {s: i for i, s in enumerate(states1)}
+    order2 = {s: i for i, s in enumerate(states2)}
+    pairs = sorted(seen, key=lambda p: (order1[p[0]], order2[p[1]]))
+    return pairs, {p: _pair_name(*p) for p in pairs}
+
+
+def parallel_dfa(d1: Dfa, d2: Dfa) -> Dfa:
+    """Parallel composition of DFAs over the union of their alphabets.
+
+    A shared event moves both components and a private event moves only
+    its own, so the composite accepts a word exactly when each component
+    accepts the word's restriction to its own alphabet.  Only the pairs
+    reachable from the initial pair become states; a counter composed
+    with itself stays on the diagonal, and a private event interleaves:
+
+    >>> from qdes.fixtures import dfa_bounded_zeros
+    >>> d = dfa_bounded_zeros(1)
+    >>> parallel_dfa(d, d).states
+    ('(z0,z0)', '(z1,z1)', '(dead,dead)')
+    >>> flip = Dfa(("u", "v"), ("x",), {("u", "x"): "v", ("v", "x"): "u"}, "u", frozenset({"u"}))
+    >>> both = parallel_dfa(d, flip)
+    >>> both.alphabet, both.transitions[("(z0,u)", "x")], both.transitions[("(z0,u)", "0")]
+    (('0', '1', 'x'), '(z0,v)', '(z1,u)')
+    """
+    alphabet = tuple(dict.fromkeys((*d1.alphabet, *d2.alphabet)))
+    own1, own2 = set(d1.alphabet), set(d2.alphabet)
+
+    def step(pair: Pair, a: str) -> Pair:
+        p, q = pair
+        return (d1.transitions[(p, a)] if a in own1 else p, d2.transitions[(q, a)] if a in own2 else q)
+
+    pairs, name = _accessible_pairs(d1.states, d2.states, (d1.initial, d2.initial), alphabet, step)
+    return Dfa(
+        states=tuple(name[p] for p in pairs),
+        alphabet=alphabet,
+        transitions={(name[p], a): name[step(p, a)] for p in pairs for a in alphabet},
+        initial=name[(d1.initial, d2.initial)],
+        accepting=frozenset(name[(p, q)] for p, q in pairs if p in d1.accepting and q in d2.accepting),
     )
 
 
@@ -129,10 +121,9 @@ def parallel_qfac(m1: Qfac, m2: Qfac) -> Qfac:
     Classical states pair up, unitaries and measurements tensor, and the
     composite accepts exactly when both components accept, which makes
     the acceptance probability the product of the components'.  Only
-    the pairs reachable from the initial pair are kept (a breadth-first
-    search over the transition pairs), in the all-pairs order of
-    ``m1``'s states, then ``m2``'s; no word reaches the others, so no
-    acceptance probability changes.  The two counters below read the
+    the classical pairs reachable from the initial pair are kept, in the
+    all-pairs order of ``m1``'s states, then ``m2``'s; no word reaches
+    the others, so no acceptance probability changes.  The two counters below read the
     same 0/1 symbols and stay in step, so 6 of their 36 pairs remain:
 
     >>> from qdes.fixtures import build_eg1, build_egadd
@@ -144,34 +135,21 @@ def parallel_qfac(m1: Qfac, m2: Qfac) -> Qfac:
     """
     alphabet = _shared_alphabet(m1, m2)
     start = (m1.initial_classical, m2.initial_classical)
-    seen, queue = {start}, deque([start])
-    while queue:
-        s1, s2 = queue.popleft()
-        for a in alphabet:
-            nxt = (m1.transitions[(s1, a)], m2.transitions[(s2, a)])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    order1 = {s: i for i, s in enumerate(m1.classical_states)}
-    order2 = {s: i for i, s in enumerate(m2.classical_states)}
-    pairs = sorted(seen, key=lambda p: (order1[p[0]], order2[p[1]]))
-    name = {p: f"({p[0]},{p[1]})" for p in pairs}
-    states = tuple(name[p] for p in pairs)
+
+    def step(pair: Pair, a: str) -> Pair:
+        return m1.transitions[(pair[0], a)], m2.transitions[(pair[1], a)]
+
+    pairs, name = _accessible_pairs(m1.classical_states, m2.classical_states, start, alphabet, step)
     stacks = {
         a: tensor([m1.unitaries[(s1, a)] for s1, _ in pairs], [m2.unitaries[(s2, a)] for _, s2 in pairs])
         for a in alphabet
     }
-    transitions, unitaries = {}, {}
-    for i, (s1, s2) in enumerate(pairs):
-        for a in alphabet:
-            transitions[(states[i], a)] = name[(m1.transitions[(s1, a)], m2.transitions[(s2, a)])]
-            unitaries[(states[i], a)] = stacks[a][i]
     return Qfac(
-        classical_states=states,
+        classical_states=tuple(name[p] for p in pairs),
         alphabet=alphabet,
         initial_classical=name[start],
         initial_quantum=tensor(m1.initial_quantum, m2.initial_quantum),
-        transitions=transitions,
-        unitaries=unitaries,
+        transitions={(name[p], a): name[step(p, a)] for p in pairs for a in alphabet},
+        unitaries={(name[p], a): stacks[a][i] for i, p in enumerate(pairs) for a in alphabet},
         accepting={name[p]: _product_projector(m1.accepting[p[0]], m2.accepting[p[1]]) for p in pairs},
     )

@@ -15,6 +15,7 @@ evaluation is safe, and what is derived from it is computed once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -435,6 +436,11 @@ def _validate_partition(parts: dict[str, Projector], dim: int, violations: list[
         violations.append(f"partition: indices {sorted(missing)} not covered")
 
 
+def _validate_distinct(names: Sequence[str], what: str, violations: list[str]):
+    if len(set(names)) < len(names):
+        violations.append(f"duplicate {what} {[name for name, count in Counter(names).items() if count > 1]}")
+
+
 def validate(automaton, tol: float | None = None) -> list[str]:
     """Check every type invariant; return one message per violation.
 
@@ -452,9 +458,13 @@ def validate(automaton, tol: float | None = None) -> list[str]:
 
     So an explicit call is only needed at another tolerance.
     """
+    if not isinstance(automaton, (Dfa, MoQfa, MmQfa, Qfac)):
+        raise TypeError(f"not an automaton: {type(automaton).__name__}")
     violations: list[str] = []
+    _validate_distinct(automaton.alphabet, "alphabet symbols", violations)
     if isinstance(automaton, Dfa):
         d = automaton
+        _validate_distinct(d.states, "states", violations)
         if d.initial not in d.states:
             violations.append(f"initial state {d.initial!r} not among states")
         for q in d.accepting:
@@ -468,8 +478,6 @@ def validate(automaton, tol: float | None = None) -> list[str]:
                     violations.append(f"transition ({q!r}, {a!r}) targets unknown state")
         return violations
 
-    if not isinstance(automaton, (MoQfa, MmQfa, Qfac)):
-        raise TypeError(f"not an automaton: {type(automaton).__name__}")
     m = automaton
     t = (tol if tol is not None else DEFAULT_TOL) * max(1.0, float(m.dim))
     if isinstance(m, MoQfa):
@@ -493,6 +501,7 @@ def validate(automaton, tol: float | None = None) -> list[str]:
         _validate_partition(parts, m.dim, violations)
         return violations
 
+    _validate_distinct(m.classical_states, "classical states", violations)
     if m.initial_classical not in m.classical_states:
         violations.append(f"initial classical state {m.initial_classical!r} unknown")
     for s in m.classical_states:

@@ -104,6 +104,17 @@ def random_qfac(rng, k, n, alphabet=("a", "b")):
     )
 
 
+def random_dfa(rng, k, alphabet=("a", "b")):
+    states = tuple(f"q{i}" for i in range(k))
+    return Dfa(
+        states=states,
+        alphabet=tuple(alphabet),
+        transitions={(q, a): states[rng.integers(0, k)] for q in states for a in alphabet},
+        initial=states[0],
+        accepting=frozenset(q for q in states if rng.random() < 0.5),
+    )
+
+
 def random_rblm(rng, n, alphabet=("a", "b")):
     """Real-entried bilinear machine; real entries keep the word function real."""
     scale = 1.0 / np.sqrt(n)
@@ -188,6 +199,25 @@ def ref_parallel_qfac(m1: Qfac, m2: Qfac) -> Qfac:
         transitions=transitions,
         unitaries=unitaries,
         accepting=accepting,
+    )
+
+
+def ref_parallel_dfa(d1: Dfa, d2: Dfa) -> Dfa:
+    """The all-pairs DFA composition over the union alphabet: every pair is
+    a state, reachable or not, in the order of ``d1``'s states, then ``d2``'s;
+    an event outside a component's alphabet leaves that component where it is."""
+    alphabet = tuple(dict.fromkeys((*d1.alphabet, *d2.alphabet)))
+    name = {(p, q): f"({p},{q})" for p in d1.states for q in d2.states}
+
+    def move(d, state, a):
+        return d.transitions[(state, a)] if a in d.alphabet else state
+
+    return Dfa(
+        states=tuple(name.values()),
+        alphabet=alphabet,
+        transitions={(s, a): name[(move(d1, p, a), move(d2, q, a))] for (p, q), s in name.items() for a in alphabet},
+        initial=name[(d1.initial, d2.initial)],
+        accepting=frozenset(s for (p, q), s in name.items() if p in d1.accepting and q in d2.accepting),
     )
 
 

@@ -65,6 +65,16 @@ class TestValidateCommand:
         code, out = run(capsys, "validate", str(bad))
         assert code == 1 and not out["valid"] and out["violations"]
 
+    @pytest.mark.parametrize("field,violation", [("states", "duplicate states ['z0']"),
+                                                 ("alphabet", "duplicate alphabet symbols ['0']")])
+    def test_duplicate_names_exit_one(self, capsys, tmp_path, field, violation):
+        doc = to_document(dfa_bounded_zeros(1))
+        doc[field].append(doc[field][0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", str(bad))
+        assert code == 1 and out["violations"] == [violation]
+
     def test_missing_file_exit_two(self, capsys):
         code, out = run(capsys, "validate", "/nonexistent.json")
         assert code == 2 and "error" in out
@@ -155,15 +165,34 @@ class TestComposeCommand:
         d = dfa_bounded_zeros(1)
         p = tmp_path / "d.json"
         save(d, p)
-        code, doc = run(capsys, "compose", str(p), str(p), "--classical")
+        code, doc = run(capsys, "compose", str(p), str(p))
         assert code == 0 and doc["kind"] == "dfa"
-        assert len(doc["states"]) == 9
+        # Only the diagonal of the 9 pairs is reachable.
+        assert doc["states"] == ["(z0,z0)", "(z1,z1)", "(dead,dead)"]
+
+    def test_measure_once_composition(self, capsys, tmp_path):
+        p = tmp_path / "mo.json"
+        save(random_mo(np.random.default_rng(3), 2), p)
+        code, doc = run(capsys, "compose", str(p), str(p))
+        assert code == 0 and doc["kind"] == "mo-qfa" and doc["dim"] == 4
 
     def test_mixed_kinds_rejected(self, capsys, tmp_path, eg2_file):
         d = tmp_path / "d.json"
         save(dfa_bounded_zeros(1), d)
         code, doc = run(capsys, "compose", eg2_file, str(d))
         assert code == 2
+        q = tmp_path / "q.json"
+        save(random_qfac(np.random.default_rng(7), 2, 2), q)
+        for pair in ((str(d), str(q)), (str(q), str(d)), (eg2_file, eg2_file)):
+            code, doc = run(capsys, "compose", *pair)
+            assert code == 2 and doc["error"].startswith("ValueError: ")
+
+    def test_classical_flag_is_gone(self, capsys, tmp_path):
+        p = tmp_path / "d.json"
+        save(dfa_bounded_zeros(1), p)
+        with pytest.raises(SystemExit) as exit_:
+            main(["compose", str(p), str(p), "--classical"])
+        assert exit_.value.code == 2
 
     def test_classical_composition_different_alphabets(self, capsys, tmp_path):
         from qdes.models import Dfa
@@ -179,7 +208,7 @@ class TestComposeCommand:
         pl, pr = tmp_path / "l.json", tmp_path / "r.json"
         save(left, pl)
         save(right, pr)
-        code, doc = run(capsys, "compose", str(pl), str(pr), "--classical")
+        code, doc = run(capsys, "compose", str(pl), str(pr))
         assert code == 0
         assert sorted(doc["alphabet"]) == ["0", "1", "x"]
         # private events interleave: x only moves the right component
@@ -360,14 +389,15 @@ JSON_VALUES = st.recursive(
 #: The fuzzed commands, given the malformed document's path and the stock one's.
 FUZZED_COMMANDS = {
     "validate": lambda path, stock: ["validate", path],
+    "compose": lambda path, stock: ["compose", path, stock],
     "equiv-brute-k": lambda path, stock: ["equiv", path, stock, "--brute-k", "3"],
 }
 
 
 class TestValidateFuzz:
     """One field of a stock document, or one entry of a field, set to any JSON
-    value: ``qdes validate``, and ``qdes equiv --brute-k`` against the stock
-    document, answer 0, 1 or 2 with one JSON document."""
+    value: ``qdes validate``, and ``qdes equiv --brute-k`` and ``qdes compose``
+    against the stock document, answer 0, 1 or 2 with one JSON document."""
 
     @pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
     @pytest.mark.parametrize("kind", sorted(STOCK_DOCUMENTS))
@@ -428,6 +458,12 @@ class TestExampleCommand:
             "-o", str(tmp_path / "x.json"),
         )
         assert code == 2 and "prime" in doc["error"]
+
+    def test_failed_fixture_search_exit_two(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code, doc = run(capsys, "example", "af-modp", "--N", "5", "--epsilon", "0.001", "-o", str(out))
+        assert code == 2 and doc["error"].startswith("FixtureSearchError: ")
+        assert not out.exists()
 
 
 class TestMinimizeCommand:

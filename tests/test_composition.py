@@ -2,28 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdes.composition import ClassicalMatrixAutomaton, parallel_classical, parallel_mo, parallel_qfac
+from qdes.composition import parallel_dfa, parallel_mo, parallel_qfac
 from qdes.equivalence import equiv_qfac
 from qdes.fixtures import build_eg1, build_egadd, dfa_bounded_zeros
 from qdes.linalg import Projector
-from qdes.models import Dfa, MoQfa, dfa_accepts, mo_accept_prob, qfac_accept_prob, qfac_from_mo, validate
+from qdes.models import Dfa, MoQfa, dfa_accepts, mo_accept_prob, qfac_accept_prob, qfac_from_dfa, qfac_from_mo, validate
 from qdes.serialize import dumps
 
-from helpers import random_mo, random_qfac, ref_parallel_qfac, words_up_to
-
-
-def cyclic_dfa(n, event="a"):
-    states = tuple(f"q{i}" for i in range(n))
-    return ClassicalMatrixAutomaton.from_dfa(
-        Dfa(
-            states=states,
-            alphabet=(event,),
-            transitions={(f"q{i}", event): f"q{(i + 1) % n}" for i in range(n)},
-            initial="q0",
-            accepting=frozenset({"q0"}),
-        )
-    )
+from helpers import random_dfa, random_mo, random_qfac, ref_parallel_dfa, ref_parallel_qfac, words_up_to
 
 
 def always_accept_mo(alphabet):
@@ -36,50 +25,123 @@ def always_accept_mo(alphabet):
     )
 
 
+def dfa_pairs():
+    """Random DFA pairs that share one or two events; most have private events too."""
+    rng = np.random.default_rng(37)
+    pairs = []
+    for i in range(24):
+        shared = ("a", "b")[: 1 + i % 2]
+        own1, own2 = ("x",)[: (i // 2) % 2], ("y", "z")[: (i // 4) % 3]
+        pairs.append((random_dfa(rng, int(rng.integers(1, 5)), (*shared, *own1)),
+                      random_dfa(rng, int(rng.integers(1, 5)), (*own2, *shared))))
+    return pairs
+
+
+def pair_of(d1, d2):
+    """The component states of each composite state name (no name here holds a comma)."""
+    return {f"({p},{q})": (p, q) for p in d1.states for q in d2.states}
+
+
+def reached(d):
+    """The states of ``d`` reachable from its initial state (fixpoint of the image)."""
+    states, grown = set(), {d.initial}
+    while grown - states:
+        states |= grown
+        grown = states | {d.transitions[(q, a)] for q in states for a in d.alphabet}
+    return states
+
+
 class TestClassical:
-    def test_shared_event_is_tensor(self):
-        g = cyclic_dfa(2)
-        comp = parallel_classical(g, g)
-        np.testing.assert_array_equal(comp.matrices["a"], np.kron(g.matrices["a"], g.matrices["a"]))
+    def test_shared_event_moves_both_components(self):
+        for d1, d2 in dfa_pairs():
+            comp, pair = parallel_dfa(d1, d2), pair_of(d1, d2)
+            for s in comp.states:
+                p, q = pair[s]
+                for a in set(d1.alphabet) & set(d2.alphabet):
+                    assert pair[comp.transitions[(s, a)]] == (d1.transitions[(p, a)], d2.transitions[(q, a)])
 
-    def test_equal_alphabets_degenerate_to_plain_tensor(self):
-        g1 = ClassicalMatrixAutomaton.from_dfa(dfa_bounded_zeros(1))
-        g2 = ClassicalMatrixAutomaton.from_dfa(dfa_bounded_zeros(2))
-        comp = parallel_classical(g1, g2)
-        for sym in ("0", "1"):
-            np.testing.assert_array_equal(comp.matrices[sym], np.kron(g1.matrices[sym], g2.matrices[sym]))
-        np.testing.assert_array_equal(comp.initial, np.kron(g1.initial, g2.initial))
-        np.testing.assert_array_equal(comp.marked, np.kron(g1.marked, g2.marked))
+    def test_private_event_moves_one_component(self):
+        moved = 0
+        for d1, d2 in dfa_pairs():
+            comp, pair = parallel_dfa(d1, d2), pair_of(d1, d2)
+            for s in comp.states:
+                p, q = pair[s]
+                for a in set(d1.alphabet) - set(d2.alphabet):
+                    assert pair[comp.transitions[(s, a)]] == (d1.transitions[(p, a)], q)
+                    moved += 1
+                for a in set(d2.alphabet) - set(d1.alphabet):
+                    assert pair[comp.transitions[(s, a)]] == (p, d2.transitions[(q, a)])
+                    moved += 1
+        assert moved >= 20
 
-    def test_private_events_get_identity_factor(self):
-        g1 = cyclic_dfa(2, "a")
-        g2 = cyclic_dfa(3, "b")
-        comp = parallel_classical(g1, g2)
-        np.testing.assert_array_equal(comp.matrices["a"], np.kron(g1.matrices["a"], np.eye(3, dtype=int)))
-        np.testing.assert_array_equal(comp.matrices["b"], np.kron(np.eye(2, dtype=int), g2.matrices["b"]))
+    def test_accepts_exactly_when_each_factor_accepts_its_restriction(self):
+        for d1, d2 in dfa_pairs():
+            comp = parallel_dfa(d1, d2)
+            assert comp.alphabet == tuple(dict.fromkeys((*d1.alphabet, *d2.alphabet)))
+            for w in words_up_to(comp.alphabet, 4):
+                own1 = [a for a in w if a in d1.alphabet]
+                own2 = [a for a in w if a in d2.alphabet]
+                assert dfa_accepts(comp, w) == (dfa_accepts(d1, own1) and dfa_accepts(d2, own2))
 
-    def test_composite_tracks_componentwise_simulation(self):
-        rng = np.random.default_rng(3)
-        g1, g2 = cyclic_dfa(2), cyclic_dfa(3)
-        comp = parallel_classical(g1, g2)
-        for _ in range(20):
-            w = ["a"] * int(rng.integers(0, 8))
-            v1 = g1.run_indicator(w)
-            v2 = g2.run_indicator(w)
-            np.testing.assert_array_equal(comp.run_indicator(w), np.kron(v1, v2))
+    def test_states_are_the_reachable_pairs_in_reference_order(self):
+        trimmed = 0
+        for d1, d2 in dfa_pairs():
+            comp, ref = parallel_dfa(d1, d2), ref_parallel_dfa(d1, d2)
+            keep = reached(ref)
+            assert comp.states == tuple(s for s in ref.states if s in keep)
+            assert comp.initial == ref.initial
+            assert comp.accepting == ref.accepting & keep
+            assert dict(comp.transitions) == {(s, a): t for (s, a), t in ref.transitions.items() if s in keep}
+            trimmed += len(comp.states) < len(ref.states)
+        assert trimmed >= 4
 
-    def test_marked_set_is_product(self):
+    def test_counter_with_itself_stays_on_the_diagonal(self):
         d = dfa_bounded_zeros(1)
-        g = ClassicalMatrixAutomaton.from_dfa(d)
-        comp = parallel_classical(g, g)
+        comp = parallel_dfa(d, d)
+        assert comp.states == ("(z0,z0)", "(z1,z1)", "(dead,dead)")
         for w in words_up_to(("0", "1"), 4):
-            assert comp.marks(w) == (dfa_accepts(d, w) and dfa_accepts(d, w))
+            assert dfa_accepts(comp, w) == dfa_accepts(d, w)
 
-    def test_entries_stay_binary(self):
-        g1, g2 = cyclic_dfa(2), cyclic_dfa(2, "b")
-        comp = parallel_classical(g1, g2)
-        for m in comp.matrices.values():
-            assert set(np.unique(m)) <= {0, 1}
+
+def comma_named_pair():
+    """States ("a,b", "a") and ("c", "b,c"), each alternating on one symbol:
+    written plainly as "(p,q)", both reachable pairs would read "(a,b,c)"."""
+    def alternating(first, second):
+        return Dfa((first, second), ("0",), {(first, "0"): second, (second, "0"): first}, first, frozenset({first}))
+    return alternating("a,b", "a"), alternating("c", "b,c")
+
+
+class TestPairNames:
+    def test_comma_names_do_not_collide(self):
+        d1, d2 = comma_named_pair()
+        for comp, states, evaluate in (
+            (parallel_dfa(d1, d2), "states", dfa_accepts),
+            (parallel_qfac(qfac_from_dfa(d1), qfac_from_dfa(d2)), "classical_states", qfac_accept_prob),
+        ):
+            assert getattr(comp, states) == ("(a\\,b,c)", "(a,b\\,c)")
+            assert [evaluate(comp, w) for w in ((), ("0",), ("0", "0"))] == [1.0, 0.0, 1.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_escaped_names_stay_distinct(self, data):
+        names = st.lists(st.text(alphabet="ab,\\()", max_size=4), min_size=4, max_size=4, unique=True)
+        plain = [random_dfa(np.random.default_rng(data.draw(st.integers(0, 99), label=f"seed{i}")), 4, ("0", "1"))
+                 for i in (1, 2)]
+        named = [renamed(d, data.draw(names, label=f"names{i}")) for i, d in zip((1, 2), plain)]
+        for compose, wrap, states in ((parallel_dfa, lambda d: d, "states"),
+                                      (parallel_qfac, qfac_from_dfa, "classical_states")):
+            comp = compose(*map(wrap, named))
+            out = getattr(comp, states)
+            assert len(set(out)) == len(out) == len(getattr(compose(*map(wrap, plain)), states))
+            assert validate(comp) == []
+
+
+def renamed(d, names):
+    """``d`` with its i-th state called ``names[i]``."""
+    new = dict(zip(d.states, names))
+    return Dfa(tuple(new[q] for q in d.states), d.alphabet,
+               {(new[q], a): new[t] for (q, a), t in d.transitions.items()},
+               new[d.initial], frozenset(new[q] for q in d.accepting))
 
 
 class TestMeasureOnceComposition:

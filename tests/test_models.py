@@ -327,6 +327,24 @@ class TestValidate:
         assert any("missing" in p for p in err.value.violations)
 
 
+    @pytest.mark.parametrize("kind", ["dfa", "mo-qfa", "mm-qfa", "qfac"])
+    def test_duplicate_alphabet_symbol(self, kind):
+        m = {"dfa": dfa_bounded_zeros(1), "mo-qfa": rotation_mo(0.3), "mm-qfa": build_eg2(1, 0.5),
+             "qfac": build_eg1(1, 0.95)}[kind]
+        with pytest.raises(ValidationFailedError) as err:
+            dataclasses.replace(m, alphabet=(*m.alphabet, m.alphabet[0]))
+        assert err.value.violations == ["duplicate alphabet symbols ['0']"]
+
+    def test_duplicate_state_names(self):
+        with pytest.raises(ValidationFailedError) as err:
+            Dfa(("x", "x"), ("a",), {("x", "a"): "x"}, "x", frozenset())
+        assert err.value.violations == ["duplicate states ['x']"]
+        m = random_qfac(np.random.default_rng(41), 2, 2)
+        with pytest.raises(ValidationFailedError) as err:
+            dataclasses.replace(m, classical_states=("s0", "s1", "s0"))
+        assert err.value.violations == ["duplicate classical states ['s0']"]
+
+
 class TestBatchedUnitaryCheck:
     """``_validate_unitaries`` checks the well-shaped unitaries in one batch;
     it gives the messages, in the order, of the one-at-a-time loop."""
