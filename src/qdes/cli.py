@@ -141,7 +141,10 @@ def cmd_decide_controllability(args) -> int:
             args.oracle_horizon,
         )
         doc["oracle_holds"] = oracle.holds
-        doc["oracle_agrees"] = oracle.holds == result.holds
+        doc["oracle_symbol"] = oracle.symbol
+        doc["oracle_counterexample"] = _word_str(oracle.word)
+        # two failures agree only on the same witness: the decision promises the oracle's
+        doc["oracle_agrees"] = (oracle.holds, oracle.word, oracle.symbol) == (result.holds, result.word, result.symbol)
         if not doc["oracle_agrees"]:
             _emit(doc)
             return 1
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--uncontrollable", required=True, help="comma-separated events")
     p.add_argument("--tol")
-    p.add_argument("--oracle-horizon", type=int, default=None, help="also sweep exhaustively to this depth")
+    p.add_argument("--oracle-horizon", type=int, default=None, help="also sweep exhaustively to this depth and compare verdicts and witnesses")
     p.set_defaults(fn=cmd_decide_controllability)
 
     p = sub.add_parser("simulate-loop", help="closed-loop values along a word")

@@ -303,12 +303,34 @@ class Qfac(_Checked):
         return int(self.initial_quantum.shape[0])
 
 
+def _live_states(m: Qfac) -> frozenset[str]:
+    """The classical states from which some state with a nonempty accepting
+    projector is reachable over ``m.alphabet``: the coaccessible part that
+    ``Trim`` keeps.  A word in any other state reads 0 and so does every
+    extension of it."""
+    preds: dict[str, set[str]] = {}
+    for (s, _), t in m.transitions.items():
+        preds.setdefault(t, set()).add(s)
+    live = {s for s in m.classical_states if m.accepting[s].subset}
+    frontier = list(live)
+    while frontier:
+        for s in preds.get(frontier.pop(), ()):
+            if s not in live:
+                live.add(s)
+                frontier.append(s)
+    return frozenset(live)
+
+
 def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
-    """Thread the classical state and quantum product, then measure."""
+    """Thread the classical state and quantum product, then measure; a word
+    that enters a state that is not live reads 0.0 from there on."""
     _check_symbols(x, m.alphabet)
+    live = m._memo(_live_states)
     s = m.initial_classical
     v = np.asarray(m.initial_quantum, dtype=complex)
     for sym in x:
+        if s not in live:
+            return 0.0
         v = m.unitaries[(s, sym)] @ v
         s = m.transitions[(s, sym)]
     return clamp_probability(
@@ -319,34 +341,49 @@ def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
 def qfac_levels(m: Qfac, alphabet: Sequence[str], horizon: int) -> Levels:
     """``qfac_accept_prob`` of every word up to the horizon, one array per length.
 
-    Carries one quantum column per word of the current length, grouped by
-    classical state, so a level costs one ``U[(s, a)] @ V[:, cols_s]``
-    per classical state and symbol; only two lengths of columns are held
-    at a time.
+    A level holds, for each live classical state (see ``_live_states``),
+    one ``(rows, dim)`` block of quantum states and each row's index in
+    ``words_upto`` order.  A level's values are one projected-norm
+    reduction per block; the children of block ``s`` under the j-th
+    symbol ``a`` are ``rows @ U[(s, a)].T``, written straight into the
+    preallocated block of ``transitions[(s, a)]`` at indices
+    ``index * len(alphabet) + j``.  Words in a state that is not live
+    are never carried and read exactly 0; only two lengths of blocks are
+    held at a time.
     """
     check_horizon(horizon)
+    live, k = m._memo(_live_states), len(alphabet)
+    moves = []  # (s, j, U[(s, a)].T, target) between live states; the empty word reads no symbol
     if horizon:
         _check_symbols(alphabet, m.alphabet)
-    index = {s: i for i, s in enumerate(m.classical_states)}
-    v = np.asarray(m.initial_quantum, dtype=complex)[:, None]
-    cls = np.array([index[m.initial_classical]])
+        moves = [(s, j, m.unitaries[(s, a)].T, t)
+                 for s in m.classical_states if s in live
+                 for j, a in enumerate(alphabet) if (t := m.transitions[(s, a)]) in live]
+    blocks = {}
+    if m.initial_classical in live:
+        start = np.asarray(m.initial_quantum, dtype=complex)[None, :]
+        blocks[m.initial_classical] = (start, np.zeros(1, dtype=np.intp))
     for length in range(horizon + 1):
-        groups = [(s, np.flatnonzero(cls == i)) for s, i in index.items()]
-        groups = [(s, cols) for s, cols in groups if cols.size]
-        values = np.empty(cls.size)
-        for s, cols in groups:
-            values[cols] = projected_norms_sq(m.accepting[s], v[:, cols])
+        values = np.zeros(k ** length)
+        for s, (rows, index) in blocks.items():
+            values[index] = projected_norms_sq(m.accepting[s], rows.T)
         yield clamp_level(values, alphabet, length, "classical-hybrid")
         if length == horizon:
             return
-        nv = np.empty((m.dim, cls.size, len(alphabet)), dtype=complex)
-        ncls = np.empty((cls.size, len(alphabet)), dtype=cls.dtype)
-        for s, cols in groups:
-            block = v[:, cols]
-            for j, a in enumerate(alphabet):
-                nv[:, cols, j] = m.unitaries[(s, a)] @ block
-                ncls[cols, j] = index[m.transitions[(s, a)]]
-        v, cls = nv.reshape(m.dim, -1), ncls.ravel()
+        sizes = Counter()
+        for s, _, _, t in moves:
+            if s in blocks:
+                sizes[t] += blocks[s][1].size
+        children = {t: (np.empty((n, m.dim), dtype=complex), np.empty(n, dtype=np.intp)) for t, n in sizes.items()}
+        filled = Counter()
+        for s, j, u, t in moves:
+            if s in blocks:
+                (rows, index), (child_rows, child_index) = blocks[s], children[t]
+                lo, hi = filled[t], filled[t] + index.size
+                np.matmul(rows, u, out=child_rows[lo:hi])
+                child_index[lo:hi] = index * k + j
+                filled[t] = hi
+        blocks = children
 
 
 def qfac_from_mo(m: MoQfa) -> Qfac:

@@ -14,7 +14,7 @@ import numpy as np
 
 from qdes.blm import Rblm, absorb_symbol, blm_eval
 from qdes.equivalence import EquivalenceVerdict
-from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq, tensor
+from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq, projected_norms_sq, tensor
 from qdes.models import (
     END_MARKER,
     Dfa,
@@ -22,6 +22,8 @@ from qdes.models import (
     MoQfa,
     Qfac,
     _check_symbols,
+    check_horizon,
+    clamp_level,
     clamp_probability,
     qfac_from_dfa,
     qfac_from_mo,
@@ -102,6 +104,29 @@ def random_qfac(rng, k, n, alphabet=("a", "b")):
         unitaries=unitaries,
         accepting=accepting,
     )
+
+
+def hand_qfac(rng, d, alphabet, moves, accepting, initial="s0"):
+    """A hybrid automaton on hand-given classical moves, ``{state: targets in
+    alphabet order}``, with random unitaries and initial state of dimension
+    ``d``; ``accepting`` maps a state to its accepting indices (default none)."""
+    return Qfac(
+        classical_states=tuple(moves),
+        alphabet=tuple(alphabet),
+        initial_classical=initial,
+        initial_quantum=random_state(rng, d),
+        transitions={(s, a): t for s, targets in moves.items() for a, t in zip(alphabet, targets, strict=True)},
+        unitaries={(s, a): random_unitary(rng, d) for s in moves for a in alphabet},
+        accepting={s: Projector(frozenset(accepting.get(s, ())), d) for s in moves},
+    )
+
+
+def random_live_qfac(rng, k, d, alphabet):
+    """A random hybrid automaton whose every classical state accepts on a nonempty projector."""
+    states = [f"s{i}" for i in range(k)]
+    moves = {s: [states[i] for i in rng.integers(0, k, size=len(alphabet))] for s in states}
+    accepting = {s: {int(i) for i in rng.choice(d, size=rng.integers(1, d + 1), replace=False)} for s in states}
+    return hand_qfac(rng, d, alphabet, moves, accepting)
 
 
 def random_dfa(rng, k, alphabet=("a", "b")):
@@ -317,6 +342,45 @@ def ref_nonblocking(cl, cutpoint, radius, horizon, tol=1e-9):
         return any(marked((*s, *t)) >= lhs - tol for t in words_up_to(marked.alphabet, horizon))
 
     return all(reached(s) for s in words_up_to(marked.alphabet, horizon))
+
+
+def ref_qfac_accept_prob(m, x):
+    """The hybrid evaluator's loop that reads every symbol, whatever the classical state."""
+    _check_symbols(x, m.alphabet)
+    s = m.initial_classical
+    v = np.asarray(m.initial_quantum, dtype=complex)
+    for sym in x:
+        v = m.unitaries[(s, sym)] @ v
+        s = m.transitions[(s, sym)]
+    return clamp_probability(projected_norm_sq(m.accepting[s], v), f"(classical-hybrid, word {''.join(x)!r})")
+
+
+def ref_qfac_levels(m, alphabet, horizon):
+    """The column-grouped hybrid level kernel: one quantum column per word of
+    every classical state, gathered and scattered by state at each level."""
+    check_horizon(horizon)
+    if horizon:
+        _check_symbols(alphabet, m.alphabet)
+    index = {s: i for i, s in enumerate(m.classical_states)}
+    v = np.asarray(m.initial_quantum, dtype=complex)[:, None]
+    cls = np.array([index[m.initial_classical]])
+    for length in range(horizon + 1):
+        groups = [(s, np.flatnonzero(cls == i)) for s, i in index.items()]
+        groups = [(s, cols) for s, cols in groups if cols.size]
+        values = np.empty(cls.size)
+        for s, cols in groups:
+            values[cols] = projected_norms_sq(m.accepting[s], v[:, cols])
+        yield clamp_level(values, alphabet, length, "classical-hybrid")
+        if length == horizon:
+            return
+        nv = np.empty((m.dim, cls.size, len(alphabet)), dtype=complex)
+        ncls = np.empty((cls.size, len(alphabet)), dtype=cls.dtype)
+        for s, cols in groups:
+            block = v[:, cols]
+            for j, a in enumerate(alphabet):
+                nv[:, cols, j] = m.unitaries[(s, a)] @ block
+                ncls[cols, j] = index[m.transitions[(s, a)]]
+        v, cls = nv.reshape(m.dim, -1), ncls.ravel()
 
 
 def ref_mm_accept_prob(m, w):

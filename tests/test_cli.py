@@ -25,6 +25,7 @@ from qdes.fixtures import (
     dfa_bounded_zeros,
 )
 from qdes.serialize import load, save, to_document
+from qdes.supervisory import ControllabilityResult
 
 from helpers import random_mo, random_qfac, refuse_to_compile
 
@@ -236,6 +237,29 @@ class TestControllabilityCommands:
         )
         assert code == 1 and not doc["holds"] and doc["symbol"] == "1"
         assert doc["lhs"] > doc["rhs"] + 1e-9
+
+    def test_oracle_witness_matches_the_decision(self, capsys, tmp_path):
+        plant = build_eg1(2, 0.95, seed=0)
+        target = build_spec_variant(plant, plant.classical_states[-1])
+        transitions = {**target.transitions, ("s1", "0"): plant.classical_states[-1]}
+        pp, tp = tmp_path / "p.json", tmp_path / "t.json"
+        save(plant, pp)
+        save(dataclasses.replace(target, transitions=transitions), tp)
+        argv = ["decide-controllability", str(pp), str(tp), "--uncontrollable", "0,1", "--oracle-horizon", "4"]
+        code, doc = run(capsys, *argv)
+        assert code == 1 and not doc["holds"] and not doc["oracle_holds"] and doc["oracle_agrees"]
+        assert (doc["oracle_counterexample"], doc["oracle_symbol"]) == (doc["counterexample"], doc["symbol"]) == ("0", "0")
+
+    def test_different_witnesses_disagree(self, capsys, monkeypatch, eg1_pair):
+        plant, target = eg1_pair
+        other = ControllabilityResult(False, ("2",), "0", 1.0, 0.0)
+        monkeypatch.setattr("qdes.cli.decide_controllability", lambda *a, **kw: other)
+        monkeypatch.setattr("qdes.cli.check_controllability_exhaustive",
+                            lambda *a, **kw: ControllabilityResult(False, ("2",), "1", 1.0, 0.0))
+        code, doc = run(capsys, "decide-controllability", plant, target, "--uncontrollable", "0,1",
+                        "--oracle-horizon", "2")
+        assert code == 1 and not doc["oracle_agrees"]
+        assert (doc["oracle_counterexample"], doc["oracle_symbol"]) == ("2", "1")
 
     def test_unknown_event_exit_two(self, capsys, eg1_pair):
         plant, target = eg1_pair

@@ -1,5 +1,6 @@
 """Level evaluators and the sweeps built on them, against the word-by-word references."""
 
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -9,7 +10,19 @@ from qdes.blm import Rblm, blm_eval, blm_levels, evaluator, levels, to_rblm
 from qdes.cli import main
 from qdes.equivalence import equiv_rblm, k_equiv_bruteforce
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant, dfa_bounded_zeros
-from qdes.models import Qfac, prefix_maxima, qfac_accept_prob, word_at, words_upto
+from qdes import models
+from qdes.models import (
+    Dfa,
+    Qfac,
+    _live_states,
+    prefix_maxima,
+    qfac_accept_prob,
+    qfac_from_dfa,
+    qfac_from_mo,
+    qfac_levels,
+    word_at,
+    words_upto,
+)
 from qdes.serialize import save
 from qdes.supervisory import (
     LEVEL_MARGIN,
@@ -29,6 +42,9 @@ from qdes.supervisory import (
 )
 
 from helpers import (
+    hand_qfac,
+    random_dfa,
+    random_live_qfac,
     random_mm,
     random_mo,
     random_qfac,
@@ -40,6 +56,8 @@ from helpers import (
     ref_k_equiv,
     ref_marking_conditions,
     ref_nonblocking,
+    ref_qfac_accept_prob,
+    ref_qfac_levels,
     words_up_to,
 )
 
@@ -455,3 +473,139 @@ class TestControlSpecAlphabet:
     def test_alphabet_stored_as_tuple(self):
         spec = ControlSpec(["0", "1"], frozenset({"1"}), frozenset({"0"}))
         assert spec.alphabet == ("0", "1")
+
+
+# --------------------------------------------------------------------------
+# The hybrid block kernel: blocks of quantum states per live classical
+# state, against the column-grouped kernel it replaced and the evaluator.
+
+#: Moves of a hybrid over A3 with a non-accepting absorbing sink; s2 accepts
+#: nowhere but reaches s0, so s0, s1 and s2 are live and the sink is not.
+SINK_MOVES = {"s0": ("s1", "sink", "s0"), "s1": ("s2", "s0", "sink"),
+              "s2": ("s0", "s2", "s1"), "sink": ("sink", "sink", "sink")}
+SINK_ACCEPTING = {"s0": {0}, "s1": {1, 2}}
+
+
+def kernel_cases():
+    rng = np.random.default_rng(18)
+    return {
+        "sink": hand_qfac(rng, 3, A3, SINK_MOVES, SINK_ACCEPTING),
+        "dead-initial": hand_qfac(rng, 3, A3, SINK_MOVES, SINK_ACCEPTING, initial="sink"),
+        # u is live and unreachable, v accepts and is unreachable
+        "unreachable": hand_qfac(rng, 2, A3, {"s0": ("s1", "s0", "s1"), "s1": ("s0", "s1", "s0"),
+                                               "u": ("s0", "u", "s1"), "v": ("v", "v", "v")},
+                                 {"s1": {0}, "v": {1}}),
+        "all-live": random_live_qfac(rng, 4, 3, A3),
+        "mo-qfa": qfac_from_mo(random_mo(rng, 3, A3)),
+        "dfa": qfac_from_dfa(random_dfa(rng, 4, A3)),
+    }
+
+
+def live_word_counts(m, alphabet, horizon):
+    """The number of words of each length whose classical state is live."""
+    live = _live_states(m)
+    counts = [0] * (horizon + 1)
+    for w in words_upto(alphabet, horizon):
+        s = m.initial_classical
+        for a in w:
+            s = m.transitions[(s, a)]
+        counts[len(w)] += s in live
+    return counts
+
+
+class TestQfacBlockKernel:
+    @pytest.mark.parametrize("alphabet", [("2", "0", "1"), ("1", "0")], ids=["permuted", "subset"])
+    @pytest.mark.parametrize("case", sorted(kernel_cases()))
+    def test_matches_reference_and_evaluator(self, case, alphabet):
+        m = kernel_cases()[case]
+        got = list(qfac_levels(m, alphabet, 8))
+        expected = np.array([qfac_accept_prob(m, w) for w in words_upto(alphabet, 8)])
+        for ref in (np.concatenate(list(ref_qfac_levels(m, alphabet, 8))), expected):
+            assert np.max(np.abs(np.concatenate(got) - ref)) <= 1e-12
+        for h in range(9):
+            shorter = list(qfac_levels(m, alphabet, h))
+            assert len(shorter) == h + 1
+            assert all(np.array_equal(a, b) for a, b in zip(shorter, got))
+
+    def test_dead_initial_state_reads_zero(self):
+        m = kernel_cases()["dead-initial"]
+        assert all(not v.any() for v in qfac_levels(m, A3, 6))
+
+    @pytest.mark.parametrize("case", ["sink", "unreachable", "all-live"])
+    def test_only_live_words_are_carried(self, case, monkeypatch):
+        m = kernel_cases()[case]
+        reduced, original = [], models.projected_norms_sq
+
+        def recording(p, vs):
+            reduced.append(vs.shape[1])
+            return original(p, vs)
+
+        counts = []
+        monkeypatch.setattr(models, "projected_norms_sq", recording)
+        for _ in qfac_levels(m, A3, 6):
+            counts.append(sum(reduced))
+            reduced.clear()
+        assert counts == live_word_counts(m, A3, 6)
+
+    def test_peak_memory_at_most_the_reference(self):
+        m = random_live_qfac(np.random.default_rng(4), 4, 8, A3)
+        assert _live_states(m) == set(m.classical_states)
+
+        def peak(kernel):
+            tracemalloc.start()
+            try:
+                list(kernel(m, A3, 10))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(qfac_levels) <= peak(ref_qfac_levels)
+
+
+class TestLiveStates:
+    def test_chain_into_accepting_state(self):
+        m = hand_qfac(np.random.default_rng(1), 2, ("a", "b"),
+                      {"s0": ("s1", "s0"), "s1": ("s2", "s1"), "s2": ("s2", "s2")}, {"s2": {0}})
+        assert _live_states(m) == {"s0", "s1", "s2"}
+
+    def test_absorbing_sink_is_not_live(self):
+        m = kernel_cases()["sink"]
+        assert _live_states(m) == {"s0", "s1", "s2"}
+
+    def test_live_through_a_symbol_outside_the_sweep(self):
+        # s0 reaches the accepting state only by "b"; a sweep over ("a",) keeps it live
+        m = hand_qfac(np.random.default_rng(2), 2, ("a", "b"), {"s0": ("s0", "acc"), "acc": ("acc", "acc")},
+                      {"acc": {1}})
+        assert _live_states(m) == {"s0", "acc"}
+        got = np.concatenate(list(qfac_levels(m, ("a",), 5)))
+        assert np.array_equal(got, np.zeros(6))
+        assert np.array_equal(got, np.concatenate(list(ref_qfac_levels(m, ("a",), 5))))
+        got = np.concatenate(list(qfac_levels(m, ("a", "b"), 5)))
+        expected = [qfac_accept_prob(m, w) for w in words_upto(("a", "b"), 5)]
+        assert np.max(np.abs(got - expected)) <= 1e-12 and got.any()
+
+    def test_dfa_without_accepting_state(self, monkeypatch):
+        d = Dfa(("q0", "q1"), ("a", "b"), {("q0", "a"): "q1", ("q0", "b"): "q0", ("q1", "a"): "q0",
+                                           ("q1", "b"): "q1"}, "q0", frozenset())
+        m = qfac_from_dfa(d)
+        assert _live_states(m) == frozenset()
+        monkeypatch.setattr(models, "projected_norms_sq", lambda *a: pytest.fail("a block was carried"))
+        assert [v.tolist() for v in qfac_levels(m, ("a", "b"), 3)] == [[0.0] * 2 ** n for n in range(4)]
+
+    def test_memoized_per_automaton(self):
+        m = kernel_cases()["sink"]
+        assert m._memo(_live_states) is m._memo(_live_states)
+
+
+class TestQfacAcceptProbStopsAtDeadState:
+    @pytest.mark.parametrize("plant", [build_eg1(2, 0.95, seed=0), build_egadd(4, 0.98, seed=0)], ids=["eg1", "egadd"])
+    def test_bit_identical_to_the_full_loop(self, plant):
+        assert _live_states(plant) < set(plant.classical_states)
+        for w in words_upto(plant.alphabet, 8):
+            assert qfac_accept_prob(plant, w) == ref_qfac_accept_prob(plant, w)
+
+    def test_unknown_symbol_after_the_dead_state_raises(self):
+        m = kernel_cases()["sink"]
+        assert qfac_accept_prob(m, ("1", "0")) == 0.0
+        with pytest.raises(ValueError, match="not in alphabet"):
+            qfac_accept_prob(m, ("1", "z"))
