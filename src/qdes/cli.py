@@ -143,13 +143,14 @@ def cmd_decide_controllability(args) -> int:
         doc["oracle_holds"] = oracle.holds
         doc["oracle_symbol"] = oracle.symbol
         doc["oracle_counterexample"] = _word_str(oracle.word)
-        # two failures agree only on the same witness: the decision promises the oracle's
-        doc["oracle_agrees"] = (oracle.holds, oracle.word, oracle.symbol) == (result.holds, result.word, result.symbol)
-        if not doc["oracle_agrees"]:
-            _emit(doc)
-            return 1
+        if oracle.holds and not result.holds and len(result.word) > args.oracle_horizon:
+            doc["oracle_agrees"] = None  # the oracle sweeps no history longer than its horizon
+        else:
+            # two failures agree only on the same witness: the decision promises the oracle's
+            doc["oracle_agrees"] = ((oracle.holds, oracle.word, oracle.symbol)
+                                    == (result.holds, result.word, result.symbol))
     _emit(doc)
-    return 0 if result.holds else 1
+    return 0 if result.holds and doc.get("oracle_agrees") is not False else 1
 
 
 def cmd_simulate_loop(args) -> int:
@@ -268,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--uncontrollable", required=True, help="comma-separated events")
     p.add_argument("--tol")
-    p.add_argument("--oracle-horizon", type=int, default=None, help="also sweep exhaustively to this depth and compare verdicts and witnesses")
+    p.add_argument("--oracle-horizon", type=int, default=None,
+                   help="also sweep exhaustively to this depth and compare verdicts and witnesses "
+                        "(agreement is null when the decision's witness is longer)")
     p.set_defaults(fn=cmd_decide_controllability)
 
     p = sub.add_parser("simulate-loop", help="closed-loop values along a word")

@@ -80,9 +80,17 @@ def prefix_maxima(levels: list[np.ndarray], depth: int, symbols: int) -> list[np
     """
     sups = levels
     for _ in range(depth):
-        sups = [np.maximum(f, s.reshape(f.size, symbols).max(axis=1, initial=-np.inf))
-                for f, s in zip(levels, sups[1:])]
+        sups = [_lift(f, s, symbols) for f, s in zip(levels, sups[1:])]
     return sups
+
+
+def _lift(f: np.ndarray, s: np.ndarray, symbols: int) -> np.ndarray:
+    """max(f[i], s[i * symbols + j] over j): a running ``np.maximum`` over
+    the ``symbols`` strided columns of the longer level ``s``."""
+    out = np.maximum(f, s[::symbols])
+    for j in range(1, symbols):
+        np.maximum(out, s[j::symbols], out=out)
+    return out
 
 
 def clamp_probability(raw: float, context: str = "") -> float:
@@ -94,6 +102,14 @@ def clamp_probability(raw: float, context: str = "") -> float:
     if not (-PROB_SANITY_TOL <= raw <= 1.0 + PROB_SANITY_TOL):
         raise ArithmeticError(f"probability {raw!r} outside [0,1] sanity band {context}")
     return min(1.0, max(0.0, raw))
+
+
+def _clamp_word(raw: float, what: str, w: Sequence[str]) -> float:
+    """``clamp_probability`` on the value of the word ``w``; the context naming
+    the word is formatted only for a value outside the sanity band."""
+    if -PROB_SANITY_TOL <= raw <= 1.0 + PROB_SANITY_TOL:
+        return min(1.0, max(0.0, raw))
+    return clamp_probability(raw, f"({what}, word {''.join(w)!r})")
 
 
 def clamp_level(raw: np.ndarray, alphabet: Sequence[str], length: int, what: str) -> np.ndarray:
@@ -217,28 +233,34 @@ class MmQfa(_Checked):
         return int(self.initial.shape[0])
 
 
+def _mm_steps(m: MmQfa) -> Mapping[str, np.ndarray]:
+    """Per symbol, ``$`` included, the matrix ``[U(a)[acc]; P_go U(a)]``: one
+    product gives a step's accept chunk over its first ``len(acc)`` rows and
+    the surviving go state over the rest."""
+    go = np.zeros((m.dim, 1))
+    go[m.going._idx] = 1.0
+    return read_only({a: np.vstack([u[m.accepting._idx], go * u]) for a, u in m.unitaries.items()}, copy=False)
+
+
 def mm_accept_prob(m: MmQfa, w: Sequence[str]) -> float:
     """Measure-many acceptance probability of ``w``.
 
     Runs the single forward pass that carries the surviving "go" state
     and accumulates accept mass after every symbol and after the end
-    marker.  Each step reads the accept mass off the accepting indices
-    and keeps the go part by a 0/1 mask, both built once per call: the
-    same floats as ``projected_norm_sq`` and ``Projector.apply`` without
-    their per-step coercion and checks, whose shapes the constructor has
-    already checked.
+    marker.  Each step is one product with the symbol's matrix from
+    ``_mm_steps`` (kept on the automaton): the same floats as
+    ``projected_norm_sq`` and ``Projector.apply`` on ``U(a) @ going``
+    without their per-step indexing, coercion and checks.
     """
     _check_symbols(w, m.alphabet, forbid=END_MARKER)
-    acc, go = m.accepting._idx, np.zeros(m.dim, dtype=complex)
-    go[m.going._idx] = 1.0
+    steps, acc = m._memo(_mm_steps), m.accepting._idx.size
     total = 0.0
     going = np.asarray(m.initial, dtype=complex)
     for sym in (*w, END_MARKER):
-        v = m.unitaries[sym] @ going
-        c = v[acc]
+        v = steps[sym] @ going
+        c, going = v[:acc], v[acc:]
         total += np.vdot(c, c).real
-        going = v * go
-    return clamp_probability(float(total), f"(measure-many, word {''.join(w)!r})")
+    return _clamp_word(float(total), "measure-many", w)
 
 
 def mm_levels(m: MmQfa, alphabet: Sequence[str], horizon: int) -> Levels:
@@ -321,21 +343,27 @@ def _live_states(m: Qfac) -> frozenset[str]:
     return frozenset(live)
 
 
-def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
-    """Thread the classical state and quantum product, then measure; a word
-    that enters a state that is not live reads 0.0 from there on."""
-    _check_symbols(x, m.alphabet)
+def _qfac_steps(m: Qfac) -> Mapping[str, Mapping[str, tuple[np.ndarray, str]]]:
+    """Per live classical state (see ``_live_states``), symbol -> ``(U(s, a), δ(s, a))``."""
     live = m._memo(_live_states)
+    return read_only({s: read_only({a: (m.unitaries[(s, a)], m.transitions[(s, a)]) for a in m.alphabet})
+                      for s in m.classical_states if s in live})
+
+
+def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
+    """Thread the classical state and quantum product, then measure; each step
+    is one lookup in ``_qfac_steps`` (kept on the automaton) and one product,
+    and a word that enters a state that is not live reads 0.0 from there on."""
+    _check_symbols(x, m.alphabet)
+    steps = m._memo(_qfac_steps)
     s = m.initial_classical
     v = np.asarray(m.initial_quantum, dtype=complex)
     for sym in x:
-        if s not in live:
+        if s not in steps:
             return 0.0
-        v = m.unitaries[(s, sym)] @ v
-        s = m.transitions[(s, sym)]
-    return clamp_probability(
-        projected_norm_sq(m.accepting[s], v), f"(classical-hybrid, word {''.join(x)!r})"
-    )
+        u, s = steps[s][sym]
+        v = u @ v
+    return _clamp_word(projected_norm_sq(m.accepting[s], v), "classical-hybrid", x)
 
 
 def qfac_levels(m: Qfac, alphabet: Sequence[str], horizon: int) -> Levels:

@@ -383,6 +383,16 @@ def ref_qfac_levels(m, alphabet, horizon):
         v, cls = nv.reshape(m.dim, -1), ncls.ravel()
 
 
+def ref_prefix_maxima(levels, depth, symbols):
+    """The reshape-and-reduce lift: each round takes a row maximum over the
+    ``symbols`` children of every word of the longer level."""
+    sups = levels
+    for _ in range(depth):
+        sups = [np.maximum(f, s.reshape(f.size, symbols).max(axis=1, initial=-np.inf))
+                for f, s in zip(levels, sups[1:])]
+    return sups
+
+
 def ref_mm_accept_prob(m, w):
     """The measure-many forward pass through ``Projector.apply`` and ``projected_norm_sq``."""
     _check_symbols(w, m.alphabet, forbid=END_MARKER)

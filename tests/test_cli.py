@@ -238,17 +238,30 @@ class TestControllabilityCommands:
         assert code == 1 and not doc["holds"] and doc["symbol"] == "1"
         assert doc["lhs"] > doc["rhs"] + 1e-9
 
-    def test_oracle_witness_matches_the_decision(self, capsys, tmp_path):
+    @staticmethod
+    def dead_state_variant(tmp_path, state):
+        """eg1 N=2 and its spec variant with ``(state, "0")`` sent to the dead state, saved."""
         plant = build_eg1(2, 0.95, seed=0)
         target = build_spec_variant(plant, plant.classical_states[-1])
-        transitions = {**target.transitions, ("s1", "0"): plant.classical_states[-1]}
+        transitions = {**target.transitions, (state, "0"): plant.classical_states[-1]}
         pp, tp = tmp_path / "p.json", tmp_path / "t.json"
         save(plant, pp)
         save(dataclasses.replace(target, transitions=transitions), tp)
-        argv = ["decide-controllability", str(pp), str(tp), "--uncontrollable", "0,1", "--oracle-horizon", "4"]
-        code, doc = run(capsys, *argv)
+        return ["decide-controllability", str(pp), str(tp), "--uncontrollable", "0,1", "--oracle-horizon"]
+
+    def test_oracle_witness_matches_the_decision(self, capsys, tmp_path):
+        code, doc = run(capsys, *self.dead_state_variant(tmp_path, "s1"), "4")
         assert code == 1 and not doc["holds"] and not doc["oracle_holds"] and doc["oracle_agrees"]
         assert (doc["oracle_counterexample"], doc["oracle_symbol"]) == (doc["counterexample"], doc["symbol"]) == ("0", "0")
+
+    def test_witness_beyond_the_horizon_is_out_of_reach(self, capsys, tmp_path):
+        argv = self.dead_state_variant(tmp_path, "s3")
+        code, doc = run(capsys, *argv, "2")
+        assert code == 1 and (doc["counterexample"], doc["symbol"]) == ("000", "0")
+        assert doc["oracle_holds"] and doc["oracle_agrees"] is None
+        code, doc = run(capsys, *argv, "4")
+        assert code == 1 and not doc["oracle_holds"] and doc["oracle_agrees"] is True
+        assert (doc["oracle_counterexample"], doc["oracle_symbol"]) == ("000", "0")
 
     def test_different_witnesses_disagree(self, capsys, monkeypatch, eg1_pair):
         plant, target = eg1_pair

@@ -56,6 +56,7 @@ from helpers import (
     ref_k_equiv,
     ref_marking_conditions,
     ref_nonblocking,
+    ref_prefix_maxima,
     ref_qfac_accept_prob,
     ref_qfac_levels,
     words_up_to,
@@ -280,13 +281,26 @@ class TestMarkingMatchesReference:
 
     def test_prefix_sups_equal_prefix_sup(self):
         rng = np.random.default_rng(9)
-        for K in (lang(random_qfac(rng, 2, 2, A3)), crisp_target(3), lang(build_eg2(2, 0.5))):
+        one_letter = lang(random_qfac(rng, 2, 2, ("0",)))
+        for K in (lang(random_qfac(rng, 2, 2, A3)), crisp_target(3), lang(build_eg2(2, 0.5)), one_letter):
             alphabet = K.alphabet
             for horizon in (0, 1, 2, 3):
                 sups = prefix_maxima(list(K.levels(alphabet, 2 * horizon + 1)), horizon, len(alphabet))
                 assert len(sups) == horizon + 2
                 expected = [prefix_sup(K, s, horizon) for s in words_up_to(alphabet, horizon + 1)]
                 assert np.max(np.abs(np.concatenate(sups) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("symbols", [1, 2, 3])
+    def test_strided_lift_equals_the_row_maximum(self, symbols):
+        rng = np.random.default_rng(symbols)
+        for depth in range(4):
+            for length in range(depth, depth + 4):
+                # quarter steps give ties between a word and its children
+                levels = [rng.integers(0, 5, size=symbols ** n) / 4 for n in range(length + 1)]
+                for lv in (levels, [rng.random(symbols ** n) for n in range(length + 1)]):
+                    got, expected = prefix_maxima(lv, depth, symbols), ref_prefix_maxima(lv, depth, symbols)
+                    assert len(got) == len(expected) == length + 1 - depth
+                    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def closed_loop_outcome(fn, *args):
@@ -603,6 +617,15 @@ class TestQfacAcceptProbStopsAtDeadState:
         assert _live_states(plant) < set(plant.classical_states)
         for w in words_upto(plant.alphabet, 8):
             assert qfac_accept_prob(plant, w) == ref_qfac_accept_prob(plant, w)
+
+    def test_bit_identical_on_live_hybrids_and_embeddings(self):
+        rng = np.random.default_rng(19)
+        cases = [random_live_qfac(rng, k, d, A3) for k, d in ((1, 2), (3, 3), (4, 5))]
+        cases += [qfac_from_mo(random_mo(rng, d, A3)) for d in (1, 4)]
+        cases += [qfac_from_dfa(random_dfa(rng, k, A3)) for k in (2, 5)]
+        for m in cases:
+            for w in words_upto(A3, 6):
+                assert qfac_accept_prob(m, w) == ref_qfac_accept_prob(m, w)
 
     def test_unknown_symbol_after_the_dead_state_raises(self):
         m = kernel_cases()["sink"]

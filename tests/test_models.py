@@ -8,7 +8,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from qdes.fixtures import build_eg1, build_eg2, dfa_bounded_zeros, eg2_rate
+from qdes.fixtures import build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
 from qdes.linalg import Projector, projected_norm_sq
 from qdes.models import (
     Dfa,
@@ -23,7 +23,7 @@ from qdes.models import (
     qfac_from_mo,
     validate,
 )
-from qdes.models import _mm_accept_prob_products, _validate_unitaries
+from qdes.models import _live_states, _mm_accept_prob_products, _mm_steps, _qfac_steps, _validate_unitaries
 from qdes.serialize import to_document
 
 from helpers import random_mm, random_mo, random_qfac, ref_mm_accept_prob, ref_validate_unitaries, words_up_to
@@ -257,6 +257,46 @@ class TestImmutable:
         initial[:] = [0.0, 5.0]
         assert set(m.unitaries) == {"0"}
         assert validate(m) == [] and mo_accept_prob(m, ("0", "0")) == 1.0
+
+
+STEP_TABLE_CASES = {
+    "eg1": lambda: build_eg1(2, 0.95),
+    "egadd": lambda: build_egadd(4, 0.98),
+    "eg2": lambda: build_eg2(3, 0.5),
+    "mo-embedding": lambda: qfac_from_mo(random_mo(np.random.default_rng(5), 3)),
+    "dfa-embedding": lambda: qfac_from_dfa(dfa_bounded_zeros(2)),
+}
+
+
+def assert_table_read_only(table):
+    """No entry of a step table can be replaced, and none of its matrices written."""
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = table[key]
+    for entry in table.values():
+        if isinstance(entry, Mapping):
+            assert_table_read_only(entry)
+            continue
+        u = entry[0] if isinstance(entry, tuple) else entry
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = u[0, 0]
+
+
+class TestStepTables:
+    """The evaluators' step tables are built on first evaluation, never with the automaton."""
+
+    @pytest.mark.parametrize("case", sorted(STEP_TABLE_CASES))
+    def test_built_on_first_evaluation_only(self, case):
+        m = STEP_TABLE_CASES[case]()
+        assert not {_mm_steps, _qfac_steps} & set(m.__dict__.get("_derived", {}))
+        mm = isinstance(m, MmQfa)
+        build, evaluate = (_mm_steps, mm_accept_prob) if mm else (_qfac_steps, qfac_accept_prob)
+        word = m.alphabet[:1] * 3
+        value = evaluate(m, word)
+        table = m._derived[build]
+        assert evaluate(m, word) == value and m._memo(build) is table
+        assert set(table) == (set(m.unitaries) if mm else set(_live_states(m)))
+        assert_table_read_only(table)
 
 
 class TestValidate:
