@@ -31,25 +31,20 @@ import numpy as np
 from .linalg import dagger, tensor
 from .models import (
     END_MARKER,
-    Dfa,
     Levels,
     MmQfa,
-    MoQfa,
     Qfac,
     Word,
+    _as_hybrid,
     _Checked,
     _check_symbols,
+    _clamp_word,
     check_horizon,
     clamp_level,
-    clamp_probability,
-    dfa_accepts,
     freeze,
     mm_accept_prob,
     mm_levels,
-    mo_accept_prob,
     qfac_accept_prob,
-    qfac_from_dfa,
-    qfac_from_mo,
     qfac_levels,
     word_at,
 )
@@ -120,7 +115,8 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
     """``blm_eval`` of every word up to the horizon, one array per length.
 
     Advances one state column per word, ``V <- M(a) V`` for every symbol
-    ``a``, and holds only two lengths of columns at a time.
+    ``a``, and holds only two lengths of columns at a time; over an empty
+    alphabet every level past the empty word is empty.
     """
     check_horizon(horizon)
     if horizon:
@@ -129,7 +125,8 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
     eta = np.asarray(b.eta)
     for length in range(horizon + 1):
         if length:
-            v = np.stack([b.matrices[a] @ v for a in alphabet], axis=2).reshape(b.n, -1)
+            moved = [b.matrices[a] @ v for a in alphabet]
+            v = np.stack(moved, axis=2).reshape(b.n, -1) if moved else v[:, :0]
         vals = eta @ v
         bad = np.flatnonzero(np.abs(vals.imag) > REAL_TOL)
         if len(bad):
@@ -293,14 +290,7 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
 
 def rblm_probability(b: Rblm, w: Sequence[str]) -> float:
     """Evaluate a compiled machine and clamp to [0, 1] like the direct evaluators."""
-    return clamp_probability(blm_eval(b, w), f"(bilinear, word {''.join(w)!r})")
-
-
-def _as_hybrid(a):
-    """Measure-once automata and DFAs as their hybrid embeddings, kept on them; other kinds as they are."""
-    if isinstance(a, (MoQfa, Dfa)):
-        return a._memo(qfac_from_mo if isinstance(a, MoQfa) else qfac_from_dfa)
-    return a
+    return _clamp_word(blm_eval(b, w), "bilinear", w)
 
 
 def to_rblm(a) -> Rblm:
@@ -373,18 +363,17 @@ def levels(a, alphabet: Sequence[str], horizon: int) -> Levels:
 def evaluator(a) -> Callable[[Word], float]:
     """The direct acceptance-probability evaluator of any automaton kind.
 
+    Measure-once automata and DFAs go through their hybrid embeddings,
+    so a DFA's values are exactly 0.0 and 1.0, as ``dfa_accepts`` says.
     The closures look the evaluators up by module name at call time, so
     a rebinding of those names (a tracer, a test double) still sees
     every call.
     """
     if isinstance(a, MmQfa):
         return lambda w: mm_accept_prob(a, w)
-    if isinstance(a, Qfac):
-        return lambda w: qfac_accept_prob(a, w)
-    if isinstance(a, MoQfa):
-        return lambda w: mo_accept_prob(a, w)
     if isinstance(a, Rblm):
         return lambda w: rblm_probability(a, w)
-    if isinstance(a, Dfa):
-        return lambda w: 1.0 if dfa_accepts(a, w) else 0.0
+    a = _as_hybrid(a)
+    if isinstance(a, Qfac):
+        return lambda w: qfac_accept_prob(a, w)
     raise TypeError(f"no evaluator for {type(a).__name__}")

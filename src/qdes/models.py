@@ -204,12 +204,9 @@ class MoQfa(_Checked):
 
 
 def mo_accept_prob(m: MoQfa, w: Sequence[str]) -> float:
-    """Probability of accepting ``w``: project the final state onto the accepting set."""
-    _check_symbols(w, m.alphabet)
-    v = np.asarray(m.initial, dtype=complex)
-    for sym in w:
-        v = m.unitaries[sym] @ v
-    return clamp_probability(projected_norm_sq(m.accepting, v), f"(measure-once, word {''.join(w)!r})")
+    """Probability of accepting ``w``: ``qfac_accept_prob`` on the one-classical-state
+    hybrid embedding (``_as_hybrid``), which is built once and kept on ``m``."""
+    return qfac_accept_prob(_as_hybrid(m), w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,23 +264,25 @@ def mm_levels(m: MmQfa, alphabet: Sequence[str], horizon: int) -> Levels:
     """``mm_accept_prob`` of every word up to the horizon, one array per length.
 
     Carries one surviving "go" column per word of the current length and
-    the accept mass each word has gathered; only two lengths of columns
-    are held at a time.
+    the accept mass each word has gathered.  Each level is one batched
+    product with the symbols' matrices from ``_mm_steps``: its first
+    ``len(acc)`` rows are the accept chunks and the rest the go states of
+    the children.  Only two lengths of columns are held at a time.
     """
     check_horizon(horizon)
+    steps, acc, k = m._memo(_mm_steps), m.accepting._idx.size, len(alphabet)
     if horizon:
         _check_symbols(alphabet, m.alphabet, forbid=END_MARKER)
-    go_mask = np.zeros((m.dim, 1))
-    go_mask[list(m.going.indices)] = 1.0
+        table = np.array([steps[a] for a in alphabet]).reshape(k, acc + m.dim, m.dim)
     going = np.asarray(m.initial, dtype=complex)[:, None]
     mass = np.zeros(1)
     for length in range(horizon + 1):
         if length:
-            steps = [m.unitaries[a] @ going for a in alphabet]
-            mass = np.stack([mass + projected_norms_sq(m.accepting, v) for v in steps], axis=1).ravel()
-            going = np.stack([go_mask * v for v in steps], axis=2).reshape(m.dim, -1)
-        final = projected_norms_sq(m.accepting, m.unitaries[END_MARKER] @ going)
-        yield clamp_level(mass + final, alphabet, length, "measure-many")
+            moved = (table @ going).transpose(1, 2, 0).reshape(acc + m.dim, -1)
+            c, going = moved[:acc], moved[acc:]
+            mass = np.repeat(mass, k) + np.einsum("ij,ij->j", c.conj(), c).real
+        c = (steps[END_MARKER] @ going)[:acc]
+        yield clamp_level(mass + np.einsum("ij,ij->j", c.conj(), c).real, alphabet, length, "measure-many")
 
 
 def _mm_accept_prob_products(m: MmQfa, w: Sequence[str]) -> float:
@@ -363,7 +362,8 @@ def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
             return 0.0
         u, s = steps[s][sym]
         v = u @ v
-    return _clamp_word(projected_norm_sq(m.accepting[s], v), "classical-hybrid", x)
+    c = v[m.accepting[s]._idx]
+    return _clamp_word(float(np.vdot(c, c).real), "classical-hybrid", x)
 
 
 def qfac_levels(m: Qfac, alphabet: Sequence[str], horizon: int) -> Levels:
@@ -380,15 +380,14 @@ def qfac_levels(m: Qfac, alphabet: Sequence[str], horizon: int) -> Levels:
     held at a time.
     """
     check_horizon(horizon)
-    live, k = m._memo(_live_states), len(alphabet)
+    steps, k = m._memo(_qfac_steps), len(alphabet)
     moves = []  # (s, j, U[(s, a)].T, target) between live states; the empty word reads no symbol
     if horizon:
         _check_symbols(alphabet, m.alphabet)
-        moves = [(s, j, m.unitaries[(s, a)].T, t)
-                 for s in m.classical_states if s in live
-                 for j, a in enumerate(alphabet) if (t := m.transitions[(s, a)]) in live]
+        moves = [(s, j, row[a][0].T, t) for s, row in steps.items()
+                 for j, a in enumerate(alphabet) if (t := row[a][1]) in steps]
     blocks = {}
-    if m.initial_classical in live:
+    if m.initial_classical in steps:
         start = np.asarray(m.initial_quantum, dtype=complex)[None, :]
         blocks[m.initial_classical] = (start, np.zeros(1, dtype=np.intp))
     for length in range(horizon + 1):
@@ -446,6 +445,13 @@ def qfac_from_dfa(d: Dfa) -> Qfac:
             for s in d.states
         },
     )
+
+
+def _as_hybrid(a):
+    """Measure-once automata and DFAs as their hybrid embeddings, kept on them; other kinds as they are."""
+    if isinstance(a, (MoQfa, Dfa)):
+        return a._memo(qfac_from_mo if isinstance(a, MoQfa) else qfac_from_dfa)
+    return a
 
 
 def _validate_unitaries(pairs, dim, tol, violations, what):

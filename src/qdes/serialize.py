@@ -6,6 +6,8 @@ sorted keys, two-space indentation, floats printed with 17 significant
 digits (which round-trips doubles exactly), numeric leaf lists inlined.
 Loading builds the automaton, which checks its invariants, so a
 document that violates them raises ``models.ValidationFailedError``.
+A dimension or a projector index must be a JSON integer; a float, a
+string or a bool there raises ``SerializationError``.
 Bilinear machines are real-valued: an ``rblm`` document may omit the old
 ``real_valued`` field or set it true, and any other value is refused.  A
 machine whose entries all have imaginary part exactly 0 loads as float64,
@@ -196,59 +198,54 @@ def _items(value, where: str):
     return value.items()
 
 
+def _table(value, where: str) -> dict:
+    """A JSON object of JSON objects as one dict keyed by (outer key, inner key)."""
+    return {(s, a): v for s, row in _items(value, where) for a, v in _items(row, f"{where} {s}")}
+
+
+def _int(value, where: str) -> int:
+    """A JSON integer; a float, a string or a bool is refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SerializationError(f"{where}: expected a JSON integer, got {type(value).__name__}")
+    return value
+
+
+def _projector(indices, dim: int, where: str) -> Projector:
+    """The projector onto a JSON list of integer basis indices."""
+    if not isinstance(indices, list):
+        raise SerializationError(f"{where}: expected a list of indices, got {type(indices).__name__}")
+    return Projector(frozenset(_int(i, f"{where} index") for i in indices), dim)
+
+
 def from_document(doc: dict):
     """Reconstruct an automaton from its document; building it checks its invariants."""
     if not isinstance(doc, dict):
         raise SerializationError("document must be a JSON object")
     kind = _need(doc, "kind", "document")
     if kind == "dfa":
-        states = tuple(_need(doc, "states", "dfa"))
-        transitions = {}
-        for q, row in _items(_need(doc, "transitions", "dfa"), "dfa transitions"):
-            for a, nxt in _items(row, f"dfa transitions {q}"):
-                transitions[(q, a)] = nxt
         return Dfa(
-            states=states,
+            states=tuple(_need(doc, "states", "dfa")),
             alphabet=tuple(_need(doc, "alphabet", "dfa")),
-            transitions=transitions,
+            transitions=_table(_need(doc, "transitions", "dfa"), "dfa transitions"),
             initial=_need(doc, "initial", "dfa"),
             accepting=frozenset(_need(doc, "accepting", "dfa")),
         )
-    if kind == "mo-qfa":
-        dim = int(_need(doc, "dim", "mo-qfa"))
-        return MoQfa(
-            alphabet=tuple(_need(doc, "alphabet", "mo-qfa")),
+    if kind in ("mo-qfa", "mm-qfa"):
+        dim = _int(_need(doc, "dim", kind), f"{kind} dim")
+        parts = ("accepting", "rejecting", "going") if kind == "mm-qfa" else ("accepting", "rejecting")
+        return (MmQfa if kind == "mm-qfa" else MoQfa)(
+            alphabet=tuple(_need(doc, "alphabet", kind)),
             unitaries={
-                a: _parse_cmat(u, f"unitary {a}")
-                for a, u in _items(_need(doc, "unitaries", "mo-qfa"), "mo-qfa unitaries")
+                a: _parse_cmat(u, f"unitary {a}") for a, u in _items(_need(doc, "unitaries", kind), f"{kind} unitaries")
             },
-            initial=_parse_cvec(_need(doc, "initial", "mo-qfa"), "initial"),
-            accepting=Projector(frozenset(_need(doc, "accepting", "mo-qfa")), dim),
-            rejecting=Projector(frozenset(_need(doc, "rejecting", "mo-qfa")), dim),
-        )
-    if kind == "mm-qfa":
-        dim = int(_need(doc, "dim", "mm-qfa"))
-        return MmQfa(
-            alphabet=tuple(_need(doc, "alphabet", "mm-qfa")),
-            unitaries={
-                a: _parse_cmat(u, f"unitary {a}")
-                for a, u in _items(_need(doc, "unitaries", "mm-qfa"), "mm-qfa unitaries")
-            },
-            initial=_parse_cvec(_need(doc, "initial", "mm-qfa"), "initial"),
-            accepting=Projector(frozenset(_need(doc, "accepting", "mm-qfa")), dim),
-            rejecting=Projector(frozenset(_need(doc, "rejecting", "mm-qfa")), dim),
-            going=Projector(frozenset(_need(doc, "going", "mm-qfa")), dim),
+            initial=_parse_cvec(_need(doc, "initial", kind), "initial"),
+            **{part: _projector(_need(doc, part, kind), dim, f"{kind} {part}") for part in parts},
         )
     if kind == "qfac":
-        dim = int(_need(doc, "dim", "qfac"))
-        transitions = {}
-        for s, row in _items(_need(doc, "transitions", "qfac"), "qfac transitions"):
-            for a, nxt in _items(row, f"qfac transitions {s}"):
-                transitions[(s, a)] = nxt
-        unitaries = {}
-        for s, row in _items(_need(doc, "unitaries", "qfac"), "qfac unitaries"):
-            for a, u in _items(row, f"qfac unitaries {s}"):
-                unitaries[(s, a)] = _parse_cmat(u, f"unitary ({s},{a})")
+        dim = _int(_need(doc, "dim", "qfac"), "qfac dim")
+        transitions = _table(_need(doc, "transitions", "qfac"), "qfac transitions")
+        unitaries = {(s, a): _parse_cmat(u, f"unitary ({s},{a})")
+                     for (s, a), u in _table(_need(doc, "unitaries", "qfac"), "qfac unitaries").items()}
         return Qfac(
             classical_states=tuple(_need(doc, "classical_states", "qfac")),
             alphabet=tuple(_need(doc, "alphabet", "qfac")),
@@ -257,7 +254,7 @@ def from_document(doc: dict):
             transitions=transitions,
             unitaries=unitaries,
             accepting={
-                s: Projector(frozenset(idx), dim)
+                s: _projector(idx, dim, f"qfac accepting {s}")
                 for s, idx in _items(_need(doc, "accepting", "qfac"), "qfac accepting")
             },
         )

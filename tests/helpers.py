@@ -405,6 +405,34 @@ def ref_mm_accept_prob(m, w):
     return clamp_probability(total)
 
 
+def ref_mo_accept_prob(m, w):
+    """The measure-once loop on the automaton itself, without its hybrid embedding."""
+    _check_symbols(w, m.alphabet)
+    v = np.asarray(m.initial, dtype=complex)
+    for sym in w:
+        v = m.unitaries[sym] @ v
+    return clamp_probability(projected_norm_sq(m.accepting, v), f"(measure-once, word {''.join(w)!r})")
+
+
+def ref_mm_levels(m, alphabet, horizon):
+    """The measure-many level kernel on the raw unitaries: one product per
+    symbol, then a projected-norm reduction and a go mask on its columns."""
+    check_horizon(horizon)
+    if horizon:
+        _check_symbols(alphabet, m.alphabet, forbid=END_MARKER)
+    go_mask = np.zeros((m.dim, 1))
+    go_mask[list(m.going.indices)] = 1.0
+    going = np.asarray(m.initial, dtype=complex)[:, None]
+    mass = np.zeros(1)
+    for length in range(horizon + 1):
+        if length:
+            steps = [m.unitaries[a] @ going for a in alphabet]
+            mass = np.stack([mass + projected_norms_sq(m.accepting, v) for v in steps], axis=1).ravel()
+            going = np.stack([go_mask * v for v in steps], axis=2).reshape(m.dim, -1)
+        final = projected_norms_sq(m.accepting, m.unitaries[END_MARKER] @ going)
+        yield clamp_level(mass + final, alphabet, length, "measure-many")
+
+
 def ref_validate_unitaries(pairs, dim, tol, what="unitary"):
     """The one-unitary-at-a-time check that ``models._validate_unitaries`` batches."""
     violations = []

@@ -11,6 +11,7 @@ from qdes.blm import (
     compile_qfac_to_rblm,
     hermitian_basis,
     linear_form,
+    rblm_probability,
     to_rblm,
 )
 from qdes.composition import parallel_qfac
@@ -53,6 +54,15 @@ class TestEval:
         )
         with pytest.raises(ArithmeticError):
             blm_eval(b, ("a",))
+
+
+class TestRblmProbability:
+    def test_clamps_rounding_noise(self):
+        assert rblm_probability(scalar_machine(1.0 + 1e-12), ("a",)) == 1.0
+
+    def test_corrupt_value_names_the_word(self):
+        with pytest.raises(ArithmeticError, match=r"\(bilinear, word 'aa'\)"):
+            rblm_probability(scalar_machine(2.0), ("a", "a"))
 
 
 class TestAbsorb:

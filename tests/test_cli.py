@@ -24,10 +24,12 @@ from qdes.fixtures import (
     build_spec_variant,
     dfa_bounded_zeros,
 )
+from qdes.linalg import Projector
+from qdes.models import MmQfa
 from qdes.serialize import load, save, to_document
 from qdes.supervisory import ControllabilityResult
 
-from helpers import random_mo, random_qfac, refuse_to_compile
+from helpers import random_mo, random_qfac, random_state, random_unitary, refuse_to_compile
 
 
 def run(capsys, *argv):
@@ -114,6 +116,18 @@ class TestEquivCommand:
 
     def test_brute_force_mode(self, capsys, eg2_file):
         code, doc = run(capsys, "equiv", eg2_file, eg2_file, "--brute-k", "3")
+        assert code == 0 and doc["equivalent"] and doc["word_bound"] == 3
+
+    @pytest.mark.parametrize("kind", ["mm-qfa", "rblm"])
+    def test_brute_force_over_the_empty_alphabet(self, capsys, tmp_path, kind):
+        rng = np.random.default_rng(9)
+        m = MmQfa((), {"$": random_unitary(rng, 3)}, random_state(rng, 3), Projector(frozenset({0}), 3),
+                  Projector(frozenset({1}), 3), Projector(frozenset({2}), 3))
+        automaton = m if kind == "mm-qfa" else compile_mm_to_rblm(m)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save(automaton, first)
+        save(automaton, second)
+        code, doc = run(capsys, "equiv", str(first), str(second), "--brute-k", "3")
         assert code == 0 and doc["equivalent"] and doc["word_bound"] == 3
 
     def test_alphabet_in_another_order(self, capsys, tmp_path):
@@ -404,6 +418,45 @@ class TestListWhereObjectExpected:
         for argv in (["validate", str(path)], ["prob", str(path), ""]):
             code, out = run(capsys, *argv)
             assert code == 2 and "expected a JSON object" in out["error"]
+
+
+#: An integer field of each quantum kind's document, by its path.
+INTEGER_FIELDS = [
+    ("mo-qfa", ("dim",)),
+    ("mo-qfa", ("rejecting", 0)),
+    ("mm-qfa", ("dim",)),
+    ("mm-qfa", ("accepting", 0)),
+    ("qfac", ("dim",)),
+    ("qfac", ("accepting", "s0", 0)),
+]
+
+
+class TestIntegerFields:
+    """A dimension or a basis index that is not a JSON integer is refused, never rounded or parsed."""
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, "2", True], ids=["fraction", "integral-float", "string", "bool"])
+    @pytest.mark.parametrize("kind,field", INTEGER_FIELDS, ids=["/".join((k, *map(str, f))) for k, f in INTEGER_FIELDS])
+    def test_validate_and_prob_exit_two(self, capsys, tmp_path, kind, field, value):
+        doc = to_document(KINDS[kind]())
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        assert isinstance(parent[field[-1]], int)
+        parent[field[-1]] = value
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["prob", str(path), ""]):
+            code, out = run(capsys, *argv)
+            assert code == 2 and out["error"].startswith("SerializationError: ")
+            assert "expected a JSON integer" in out["error"]
+
+    def test_index_list_that_is_a_string_exit_two(self, capsys, tmp_path):
+        doc = to_document(build_eg2(2, 0.5))
+        doc["accepting"] = "2"
+        path = tmp_path / "mm.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2 and "expected a list of indices" in out["error"]
 
 
 #: The saved document of a stock automaton of each kind.

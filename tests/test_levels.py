@@ -15,6 +15,7 @@ from qdes.models import (
     Dfa,
     Qfac,
     _live_states,
+    mm_levels,
     prefix_maxima,
     qfac_accept_prob,
     qfac_from_dfa,
@@ -55,6 +56,7 @@ from helpers import (
     ref_decision_preconditions,
     ref_k_equiv,
     ref_marking_conditions,
+    ref_mm_levels,
     ref_nonblocking,
     ref_prefix_maxima,
     ref_qfac_accept_prob,
@@ -99,6 +101,12 @@ class TestLevelValues:
             assert [v.size for v in got] == [len(alphabet) ** n for n in range(7)]
             expected = np.array([f(w) for w in words_upto(alphabet, 6)])
             assert np.max(np.abs(np.concatenate(got) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["dfa", "mo-qfa", "mm-qfa", "qfac", "rblm"])
+    def test_empty_sweep_alphabet(self, kind):
+        automaton = five_kinds(np.random.default_rng(12))[kind]
+        got = [v.tolist() for v in levels(automaton, (), 3)]
+        assert got == [[evaluator(automaton)(())], [], [], []]
 
     def test_raw_bilinear_values(self):
         b = random_rblm(np.random.default_rng(5), 4)
@@ -487,6 +495,27 @@ class TestControlSpecAlphabet:
     def test_alphabet_stored_as_tuple(self):
         spec = ControlSpec(["0", "1"], frozenset({"1"}), frozenset({"0"}))
         assert spec.alphabet == ("0", "1")
+
+
+# --------------------------------------------------------------------------
+# The measure-many level kernel on the kept step table, against the kernel
+# on the raw unitaries that it replaced.
+
+
+class TestMmLevelsStepTable:
+    @pytest.mark.parametrize("n,lam", [(1, 0.5), (2, 0.5), (3, 0.3), (5, 0.5), (6, 0.9)])
+    def test_equal_to_the_reference_on_eg2(self, n, lam):
+        m = build_eg2(n, lam)
+        for alphabet in (m.alphabet, m.alphabet[::-1], m.alphabet[:1]):
+            for got, want in zip(mm_levels(m, alphabet, 8), ref_mm_levels(m, alphabet, 8), strict=True):
+                assert np.array_equal(got, want)
+
+    def test_close_to_the_reference_on_random_automata(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 3, 5):
+            m = random_mm(rng, n, A3)
+            got = np.concatenate(list(mm_levels(m, A3, 6)))
+            assert np.max(np.abs(got - np.concatenate(list(ref_mm_levels(m, A3, 6))))) <= 1e-12
 
 
 # --------------------------------------------------------------------------

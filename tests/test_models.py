@@ -8,7 +8,8 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from qdes.fixtures import build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
+from qdes.blm import evaluator
+from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
 from qdes.linalg import Projector, projected_norm_sq
 from qdes.models import (
     Dfa,
@@ -26,7 +27,16 @@ from qdes.models import (
 from qdes.models import _live_states, _mm_accept_prob_products, _mm_steps, _qfac_steps, _validate_unitaries
 from qdes.serialize import to_document
 
-from helpers import random_mm, random_mo, random_qfac, ref_mm_accept_prob, ref_validate_unitaries, words_up_to
+from helpers import (
+    random_dfa,
+    random_mm,
+    random_mo,
+    random_qfac,
+    ref_mm_accept_prob,
+    ref_mo_accept_prob,
+    ref_validate_unitaries,
+    words_up_to,
+)
 
 
 def rotation_mo(theta):
@@ -91,6 +101,55 @@ class TestMeasureOnce:
         )
         assert validate(m) == []
         assert mo_accept_prob(m, ()) == 1.0
+
+
+class TestMeasureOnceThroughEmbedding:
+    """``mo_accept_prob`` runs the hybrid evaluator on the kept embedding,
+    with the floats of the measure-once loop on the automaton itself."""
+
+    @pytest.mark.parametrize("p,eps", [(5, 0.3), (7, 0.2), (11, 0.2)])
+    def test_equal_to_the_loop_on_af_modp(self, p, eps):
+        m = build_af_modp(p, eps)
+        for w in words_up_to(m.alphabet, 2 * p):
+            assert mo_accept_prob(m, w) == ref_mo_accept_prob(m, w)
+
+    def test_equal_to_the_loop_on_random_automata(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 5):
+            m = random_mo(rng, n, ("a", "b", "c"))
+            for w in words_up_to(m.alphabet, 6):
+                assert mo_accept_prob(m, w) == ref_mo_accept_prob(m, w)
+
+    def test_embedding_built_once_and_kept(self):
+        m = random_mo(np.random.default_rng(24), 3)
+        assert qfac_from_mo not in m.__dict__.get("_derived", {})
+        mo_accept_prob(m, ("a",))
+        hybrid = m._derived[qfac_from_mo]
+        mo_accept_prob(m, ("b", "a"))
+        assert m._memo(qfac_from_mo) is hybrid
+
+
+class TestDfaEvaluator:
+    """``blm.evaluator`` reads a DFA through its kept hybrid embedding."""
+
+    CASES = {
+        "bounded-zeros-1": lambda: dfa_bounded_zeros(1),
+        "bounded-zeros-3": lambda: dfa_bounded_zeros(3),
+        "random-2": lambda: random_dfa(np.random.default_rng(2), 2),
+        "random-5": lambda: random_dfa(np.random.default_rng(5), 5, ("a", "b", "c")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equal_to_dfa_accepts(self, case):
+        d = self.CASES[case]()
+        f = evaluator(d)
+        for w in words_up_to(d.alphabet, 6):
+            assert f(w) == float(dfa_accepts(d, w))
+        assert qfac_from_dfa in d._derived
+
+    def test_unknown_symbol(self):
+        with pytest.raises(ValueError, match="not in alphabet"):
+            evaluator(dfa_bounded_zeros(1))(("0", "x"))
 
 
 class TestMeasureMany:

@@ -90,6 +90,14 @@ class TestDocumentErrors:
         with pytest.raises(SerializationError, match="initial"):
             from_document(doc)
 
+    @pytest.mark.parametrize("field,value", [("dim", 3.9), ("dim", "3"), ("dim", False), ("accepting", [2.7]),
+                                             ("accepting", ["2"]), ("going", [True]), ("rejecting", "1")])
+    def test_integer_fields_not_coerced(self, field, value):
+        doc = to_document(build_eg2(2, 0.5))
+        doc[field] = value
+        with pytest.raises(SerializationError, match=f"mm-qfa {field}"):
+            from_document(doc)
+
     def test_validation_failure_names_symbol(self):
         doc = to_document(build_eg2(2, 0.5))
         doc["unitaries"]["0"] = [[[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
