@@ -34,6 +34,9 @@ DEFAULT_EQUIV_TOL = 1e-7
 #: dropped direction moves no word function value by a decidable amount.
 MINIMIZE_TOL = 1e-10
 
+#: The most words ``k_equiv_bruteforce`` enumerates; above it the oracle refuses.
+BRUTEFORCE_MAX_WORDS = 2_000_000
+
 
 def check_tol(tol: float) -> None:
     """Refuse a tolerance under which a decision is wrong: NaN passes every
@@ -95,21 +98,23 @@ def explore_span(
     (('b',), 0)
 
     Returns the basis as orthonormal rows (``k x len(start)``) and the
-    ``(word, row)`` found, or None.  The buffers double as ``k`` grows,
-    rather than holding ``len(start)`` rows, square in the dimension.
-    Their dtype follows the whole form: that of ``start`` and the rows,
-    widened to complex by the first complex step inserted, so the real
-    forms of automata run in float64 and nothing complex is cast to real.
-    A tolerance that is not finite and positive is refused.
+    ``(word, row)`` found, or None.  One buffer holds the rows and then
+    the conjugated basis rows, so one product gives the row values and
+    the projection coefficients: ``conj(q) @ x`` is the coefficient of
+    ``x`` on ``q``.  It doubles as ``k`` grows, rather than holding
+    ``len(start)`` rows, square in the dimension.  Its dtype follows the
+    whole form: that of ``start`` and the rows, widened to complex by the
+    first complex step inserted, so the real forms of automata run in
+    float64, where every ``conj`` is the array itself, and nothing
+    complex is cast to real.  A tolerance that is not finite and positive
+    is refused.
     """
     check_tol(tol)
     n = start.shape[0]
     rows = np.empty((0, n)) if functionals is None else np.asarray(functionals)
     m = rows.shape[0]
-    # The rows above the conjugated basis rows, so one product gives the row
-    # values and the projection coefficients: conj(q @ conj(x)) == conj(q) @ x.
-    basis = np.empty((min(n, 8), n), dtype=np.result_type(start, rows, float))
-    lead = np.concatenate([rows, np.empty_like(basis)])
+    buf = np.empty((m + min(n, 8), n), dtype=np.result_type(start, rows, float))
+    buf[:m] = rows
     k = 0
     # A queued word holds its parent's vector and its last symbol; the
     # child is computed when popped, so the queue keeps no extra vectors.
@@ -117,31 +122,33 @@ def explore_span(
     while queue:
         word, parent, sym = queue.popleft()
         x = parent if sym is None else step(parent, sym)
-        p = lead[: m + k] @ x
+        p = buf[: m + k] @ x
         # A handful of rows: Python scalars test them faster than numpy calls.
         for row, value in enumerate(p[:m].tolist()):
             if abs(value) > tol:
-                return basis[:k], (word, row)
-        q = basis[:k]
-        residual = x - p[m:] @ q
+                return buf[m: m + k].conj(), (word, row)
+        c = buf[m: m + k]
+        residual = x - (p[m:].conj() @ c).conj()
         bound = tol * max(1.0, math.sqrt(np.vdot(x, x).real))
         if math.sqrt(np.vdot(residual, residual).real) <= bound:
             continue
         # A second pass restores the orthogonality lost to cancellation; it
         # can only shrink the residual, so a pruned vector skips it.
-        residual = residual - (lead[m: m + k] @ residual) @ q
+        residual = residual - ((c @ residual).conj() @ c).conj()
         rnorm = math.sqrt(np.vdot(residual, residual).real)
         if rnorm > bound:
-            if residual.dtype != basis.dtype:
-                basis, lead = basis.astype(residual.dtype), lead.astype(residual.dtype)
-            if k == basis.shape[0]:
-                grow = np.empty((min(n, 2 * k) - k, n), dtype=basis.dtype)
-                basis, lead = np.concatenate([basis, grow]), np.concatenate([lead, grow])
-            basis[k] = residual / rnorm
-            lead[m + k] = np.conj(basis[k])
+            if residual.dtype != buf.dtype:
+                buf = buf.astype(residual.dtype)
+                # Rows inserted while real widen with +0 imaginary parts;
+                # conjugated they hold -0 there, so the returned basis
+                # keeps q's +0, bit for bit.
+                np.conjugate(buf[m: m + k], out=buf[m: m + k])
+            if m + k == buf.shape[0]:
+                buf = np.concatenate([buf, np.empty((min(n, 2 * k) - k, n), dtype=buf.dtype)])
+            buf[m + k] = (residual / rnorm).conj()
             k += 1
             queue.extend(((*word, a), x, a) for a in alphabet)
-    return basis[:k], None
+    return buf[m: m + k].conj(), None
 
 
 def equiv_rblm(b1: Rblm | LinearForm, b2: Rblm | LinearForm, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
@@ -181,7 +188,7 @@ def _reachable_part(f: Rblm | LinearForm) -> Rblm:
     the span is invariant under every step and Q Q^H fixes it.
     """
     rows, _ = explore_span(np.asarray(f.pi), lambda x, a: f.apply(a, x), tuple(sorted(f.alphabet)), MINIMIZE_TOL)
-    q, qh = rows.T, np.conj(rows)
+    q, qh = rows.T, rows.conj()
     return Rblm(f.alphabet, qh @ f.pi, {a: qh @ f.apply(a, q) for a in f.alphabet}, np.asarray(f.eta) @ q)
 
 
@@ -212,22 +219,17 @@ def _minimal(a) -> Rblm:
     return freeze(_transpose(_reachable_part(_transpose(_reachable_part(linear_form(a))))), copy=False)
 
 
-def k_equiv_bruteforce(
-    a1,
-    a2,
-    k: int,
-    tol: float = DEFAULT_EQUIV_TOL,
-    max_words: int = 2_000_000,
-) -> EquivalenceVerdict:
+def k_equiv_bruteforce(a1, a2, k: int, tol: float = DEFAULT_EQUIV_TOL) -> EquivalenceVerdict:
     """Exhaustively compare the word functions on every word of length <= k.
 
     This is the independent oracle for the span procedure; it guards
-    against combinatorial blowup with a configurable cap on the number
-    of enumerated words.  It takes two automata of any kind, or bilinear
-    machines, mixed freely: an automaton's values come from the direct
-    level evaluator ``blm.levels`` and its counterexample value from
-    ``blm.evaluator``, so no compiled machine is formed; a bilinear
-    machine keeps its raw, unclamped ``blm_levels`` and ``blm_eval``.
+    against combinatorial blowup with a cap, ``BRUTEFORCE_MAX_WORDS``, on
+    the number of enumerated words.  It takes two automata of any kind,
+    or bilinear machines, mixed freely: an automaton's values come from
+    the direct level evaluator ``blm.levels`` and its counterexample
+    value from ``blm.evaluator``, so no compiled machine is formed; a
+    bilinear machine keeps its raw, unclamped ``blm_levels`` and
+    ``blm_eval``.
     The counterexample is the shortlex-least word whose values differ by
     more than ``tol``, and ``f1``/``f2`` are the values there.
     """
@@ -236,8 +238,8 @@ def k_equiv_bruteforce(
         raise ValueError("equivalence requires identical alphabets")
     alphabet = tuple(sorted(a1.alphabet))
     total = sum(len(alphabet) ** i for i in range(k + 1))
-    if total > max_words:
-        raise ValueError(f"would enumerate {total} words, above the cap {max_words}")
+    if total > BRUTEFORCE_MAX_WORDS:
+        raise ValueError(f"would enumerate {total} words, above the cap {BRUTEFORCE_MAX_WORDS}")
     (levels1, value1), (levels2, value2) = (_direct(a, alphabet, k) for a in (a1, a2))
     for length, (f1, f2) in enumerate(zip(levels1, levels2)):
         far = np.flatnonzero(np.abs(f1 - f2) > tol)

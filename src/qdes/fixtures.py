@@ -125,6 +125,11 @@ def residue_sweep(m: MoQfa, p: int) -> list[float]:
     return probs
 
 
+#: The search limits of ``build_af_modp``: blocks, and seeded draws per block count.
+AF_MODP_MAX_BLOCKS = 64
+AF_MODP_TRIES_PER_BLOCK = 500
+
+
 def _worst_residue(p: int, ks: np.ndarray) -> float:
     """The certificate on the candidate multipliers ``ks``: the largest squared
     mean of cos(2 pi k t / p) over the residues t = 1 .. p-1, one row per t."""
@@ -132,14 +137,7 @@ def _worst_residue(p: int, ks: np.ndarray) -> float:
     return float((amp * amp).max())
 
 
-def build_af_modp(
-    p: int,
-    eps: float,
-    seed: int = 0,
-    accept_multiples: bool = True,
-    max_blocks: int = 64,
-    tries_per_block: int = 500,
-) -> MoQfa:
+def build_af_modp(p: int, eps: float, seed: int = 0, accept_multiples: bool = True) -> MoQfa:
     """Mod-p rotation automaton over {0} with a certified error bound.
 
     With ``accept_multiples`` the automaton accepts 0^t with probability
@@ -155,8 +153,8 @@ def build_af_modp(
     if not (0.0 < eps < 1.0):
         raise ValueError("error bound must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
-    for d in range(1, max_blocks + 1):
-        for _ in range(tries_per_block):
+    for d in range(1, AF_MODP_MAX_BLOCKS + 1):
+        for _ in range(AF_MODP_TRIES_PER_BLOCK):
             if d <= p - 1:
                 ks = rng.choice(np.arange(1, p), size=d, replace=False)
             else:
@@ -175,7 +173,7 @@ def build_af_modp(
             if ok:
                 return m
     raise FixtureSearchError(
-        f"no multiplier set certified eps={eps} for p={p} within {max_blocks} blocks"
+        f"no multiplier set certified eps={eps} for p={p} within {AF_MODP_MAX_BLOCKS} blocks"
     )
 
 

@@ -7,11 +7,15 @@ digits (which round-trips doubles exactly), numeric leaf lists inlined.
 Loading builds the automaton, which checks its invariants, so a
 document that violates them raises ``models.ValidationFailedError``.
 A dimension or a projector index must be a JSON integer; a float, a
-string or a bool there raises ``SerializationError``.
+string or a bool there raises ``SerializationError``.  An alphabet, a
+state list and a DFA's accepting states must be JSON lists of strings;
+a string there is refused, never split into its characters.
 Bilinear machines are real-valued: an ``rblm`` document may omit the old
-``real_valued`` field or set it true, and any other value is refused.  A
-machine whose entries all have imaginary part exactly 0 loads as float64,
-as the compilers build it; any other loads as complex128.
+``real_valued`` field or set it true, and any other value is refused.
+Its ``n`` must be the length of ``pi`` and ``eta`` and the size of every
+n x n matrix, one per alphabet symbol.  A machine whose entries all have
+imaginary part exactly 0 loads as float64, as the compilers build it;
+any other loads as complex128.
 """
 
 from __future__ import annotations
@@ -112,7 +116,10 @@ def _parse_cvec(data, where: str) -> np.ndarray:
 def _parse_cmat(data, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SerializationError(f"{where}: expected a non-empty list of rows")
-    return np.array([_parse_cvec(row, where) for row in data], dtype=complex)
+    rows = [_parse_cvec(row, where) for row in data]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise SerializationError(f"{where}: rows of unequal length")
+    return np.array(rows, dtype=complex)
 
 
 def to_document(automaton) -> dict:
@@ -210,6 +217,16 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _names(value, where: str) -> tuple[str, ...]:
+    """A JSON list of strings; a string, or a list holding anything else, is refused."""
+    if not isinstance(value, list):
+        raise SerializationError(f"{where}: expected a list of strings, got {type(value).__name__}")
+    for item in value:
+        if not isinstance(item, str):
+            raise SerializationError(f"{where}: expected a list of strings, got an entry of type {type(item).__name__}")
+    return tuple(value)
+
+
 def _projector(indices, dim: int, where: str) -> Projector:
     """The projector onto a JSON list of integer basis indices."""
     if not isinstance(indices, list):
@@ -224,17 +241,17 @@ def from_document(doc: dict):
     kind = _need(doc, "kind", "document")
     if kind == "dfa":
         return Dfa(
-            states=tuple(_need(doc, "states", "dfa")),
-            alphabet=tuple(_need(doc, "alphabet", "dfa")),
+            states=_names(_need(doc, "states", "dfa"), "dfa states"),
+            alphabet=_names(_need(doc, "alphabet", "dfa"), "dfa alphabet"),
             transitions=_table(_need(doc, "transitions", "dfa"), "dfa transitions"),
             initial=_need(doc, "initial", "dfa"),
-            accepting=frozenset(_need(doc, "accepting", "dfa")),
+            accepting=frozenset(_names(_need(doc, "accepting", "dfa"), "dfa accepting")),
         )
     if kind in ("mo-qfa", "mm-qfa"):
         dim = _int(_need(doc, "dim", kind), f"{kind} dim")
         parts = ("accepting", "rejecting", "going") if kind == "mm-qfa" else ("accepting", "rejecting")
         return (MmQfa if kind == "mm-qfa" else MoQfa)(
-            alphabet=tuple(_need(doc, "alphabet", kind)),
+            alphabet=_names(_need(doc, "alphabet", kind), f"{kind} alphabet"),
             unitaries={
                 a: _parse_cmat(u, f"unitary {a}") for a, u in _items(_need(doc, "unitaries", kind), f"{kind} unitaries")
             },
@@ -247,8 +264,8 @@ def from_document(doc: dict):
         unitaries = {(s, a): _parse_cmat(u, f"unitary ({s},{a})")
                      for (s, a), u in _table(_need(doc, "unitaries", "qfac"), "qfac unitaries").items()}
         return Qfac(
-            classical_states=tuple(_need(doc, "classical_states", "qfac")),
-            alphabet=tuple(_need(doc, "alphabet", "qfac")),
+            classical_states=_names(_need(doc, "classical_states", "qfac"), "qfac classical_states"),
+            alphabet=_names(_need(doc, "alphabet", "qfac"), "qfac alphabet"),
             initial_classical=_need(doc, "initial_classical", "qfac"),
             initial_quantum=_parse_cvec(_need(doc, "initial_quantum", "qfac"), "initial_quantum"),
             transitions=transitions,
@@ -261,12 +278,22 @@ def from_document(doc: dict):
     if kind == "rblm":
         if doc.get("real_valued", True) is not True:
             raise SerializationError("rblm: only real-valued machines are supported")
-        alphabet = tuple(_need(doc, "alphabet", "rblm"))
+        alphabet = _names(_need(doc, "alphabet", "rblm"), "rblm alphabet")
+        n = _int(_need(doc, "n", "rblm"), "rblm n")
         pi = _parse_cvec(_need(doc, "pi", "rblm"), "pi")
         matrices = {
-            a: _parse_cmat(m, f"matrix {a}") for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
+            a: _parse_cmat(m, f"rblm matrix {a}") for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
         }
         eta = _parse_cvec(_need(doc, "eta", "rblm"), "eta")
+        for field, v in (("pi", pi), ("eta", eta)):
+            if len(v) != n:
+                raise SerializationError(f"rblm {field}: expected n = {n} entries, got {len(v)}")
+        if sorted(matrices) != sorted(alphabet):
+            raise SerializationError(
+                f"rblm matrices: expected one matrix per alphabet symbol {list(alphabet)}, got {sorted(matrices)}")
+        for a, m in matrices.items():
+            if m.shape != (n, n):
+                raise SerializationError(f"rblm matrix {a}: expected {n} x {n}, got {m.shape[0]} x {m.shape[1]}")
         if not any(np.any(x.imag) for x in (pi, eta, *matrices.values())):
             pi, eta = pi.real.copy(), eta.real.copy()
             matrices = {a: m.real.copy() for a, m in matrices.items()}

@@ -26,7 +26,7 @@ from qdes.fixtures import (
 )
 from qdes.linalg import Projector
 from qdes.models import MmQfa
-from qdes.serialize import load, save, to_document
+from qdes.serialize import SerializationError, from_document, load, save, to_document
 from qdes.supervisory import ControllabilityResult
 
 from helpers import random_mo, random_qfac, random_state, random_unitary, refuse_to_compile
@@ -457,6 +457,65 @@ class TestIntegerFields:
         path.write_text(json.dumps(doc))
         code, out = run(capsys, "validate", str(path))
         assert code == 2 and "expected a list of indices" in out["error"]
+
+
+#: A field of each kind's document that must be a JSON list of strings.
+NAME_FIELDS = [
+    ("dfa", "alphabet"),
+    ("dfa", "states"),
+    ("dfa", "accepting"),
+    ("mo-qfa", "alphabet"),
+    ("mm-qfa", "alphabet"),
+    ("qfac", "alphabet"),
+    ("qfac", "classical_states"),
+    ("rblm", "alphabet"),
+]
+
+
+class TestNameFields:
+    """An alphabet or a state list that is not a JSON list of strings is refused,
+    never split into characters or coerced: ``"alphabet": "01"`` once loaded
+    as ``('0', '1')``."""
+
+    @pytest.mark.parametrize("value", [lambda names: "".join(names), lambda names: [7, *names[1:]]],
+                             ids=["string", "non-string-entry"])
+    @pytest.mark.parametrize("kind,field", NAME_FIELDS, ids=["/".join(f) for f in NAME_FIELDS])
+    def test_library_validate_and_prob_exit_two(self, capsys, tmp_path, kind, field, value):
+        doc = to_document(KINDS[kind]())
+        assert doc[field] and all(isinstance(name, str) for name in doc[field])
+        doc[field] = value(doc[field])
+        with pytest.raises(SerializationError, match=f"{kind} {field}: expected a list of strings"):
+            from_document(doc)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["prob", str(path), ""]):
+            code, out = run(capsys, *argv)
+            assert code == 2 and out["error"].startswith(f"SerializationError: {kind} {field}: ")
+
+
+class TestRblmShape:
+    """An ``rblm`` document's ``n`` is read, and its vectors and matrices must match it."""
+
+    @pytest.mark.parametrize("message,change", [
+        ("rblm pi: expected n = 999 entries, got 10", lambda doc: doc.update(n=999)),
+        ("rblm n: expected a JSON integer, got float", lambda doc: doc.update(n=10.0)),
+        ("rblm matrix 1: expected 10 x 10, got 9 x 10", lambda doc: doc["matrices"]["1"].pop()),
+        ("rblm matrix 0: expected 10 x 10, got 10 x 9", lambda doc: [row.pop() for row in doc["matrices"]["0"]]),
+        ("rblm matrix 0: rows of unequal length", lambda doc: doc["matrices"]["0"][3].pop()),
+        ("rblm matrices: expected one matrix per alphabet symbol", lambda doc: doc["matrices"].pop("1")),
+        ("rblm matrices: expected one matrix per alphabet symbol", lambda doc: doc.update(alphabet=["0", "1", "0"])),
+    ], ids=["n-999", "float-n", "short-matrix", "narrow-matrix", "ragged-matrix", "missing-matrix", "repeated-symbol"])
+    def test_mismatch_names_the_field(self, capsys, tmp_path, message, change):
+        doc = to_document(KINDS["rblm"]())
+        assert doc["n"] == 10
+        change(doc)
+        with pytest.raises(SerializationError, match=message):
+            from_document(doc)
+        path = tmp_path / "rblm.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["prob", str(path), ""]):
+            code, out = run(capsys, *argv)
+            assert code == 2 and out["error"].startswith(f"SerializationError: {message}")
 
 
 #: The saved document of a stock automaton of each kind.

@@ -8,6 +8,7 @@ from qdes import blm, equivalence, models, supervisory
 from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, to_rblm
 from qdes.composition import parallel_qfac
 from qdes.equivalence import (
+    BRUTEFORCE_MAX_WORDS,
     EquivalenceVerdict,
     equiv,
     equiv_mm_qfa,
@@ -218,8 +219,9 @@ class TestBruteForce:
     def test_cap_guard(self):
         rng = np.random.default_rng(9)
         b = random_rblm(rng, 2)
-        with pytest.raises(ValueError):
-            k_equiv_bruteforce(b, b, 40, max_words=1000)
+        # 2^41 - 1 words, far above the cap.
+        with pytest.raises(ValueError, match=f"above the cap {BRUTEFORCE_MAX_WORDS}"):
+            k_equiv_bruteforce(b, b, 40)
 
     def test_agreement_with_span_procedure(self):
         rng = np.random.default_rng(11)
@@ -304,9 +306,7 @@ class TestAutomatonEquivalence:
         m1 = machine({2, 3}, {1, 4})
         m2 = machine({2, 4}, {1, 3})
         assert equiv_mm_qfa(m1, m2).equivalent
-        brute = k_equiv_bruteforce(
-            compile_mm_to_rblm(m1), compile_mm_to_rblm(m2), 5, max_words=200
-        )
+        brute = k_equiv_bruteforce(compile_mm_to_rblm(m1), compile_mm_to_rblm(m2), 5)
         assert brute.equivalent
 
     def test_hybrid_self(self):
@@ -336,7 +336,6 @@ class TestAutomatonEquivalence:
             compile_qfac_to_rblm(qfac_from_mo(mo)),
             compile_qfac_to_rblm(qfac_from_mo(phased)),
             4,
-            max_words=100,
         )
         assert brute.equivalent
 
@@ -461,6 +460,32 @@ class TestOperatorForm:
             tracemalloc.stop()
         assert verdict.equivalent
         assert peak < n * n * np.dtype(complex).itemsize
+
+    def test_decision_peak_holds_the_basis_once(self, monkeypatch):
+        plant = build_eg1(4, 0.5, seed=0)
+        target = build_spec_variant(plant, plant.classical_states[-1])
+        spec = ControlSpec(("0", "1", "2"), frozenset({"2"}), frozenset({"0", "1"}))
+        assert minimize(target).n == minimize(plant).n == 46
+        shapes = []
+
+        def counted(*args):
+            basis, hit = explore_span(*args)
+            shapes.append(basis.shape)
+            return basis, hit
+
+        monkeypatch.setattr(supervisory, "explore_span", counted)
+        tracemalloc.start()
+        try:
+            decided = decide_controllability(target, plant, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decided.holds and shapes == [(75, 2 * 46 * 46)]
+        # One k x n buffer of basis rows, doubling as it grows, and the
+        # returned basis: about 4 k n floats.  A second, conjugated copy of
+        # the basis rows, with its own doubling, read 6.5 k n.
+        k, n = shapes[0]
+        assert peak < 5 * k * n * np.dtype(float).itemsize
 
 
 def graded_machine():

@@ -68,8 +68,10 @@ class TestModPRotation:
             build_af_modp(12, 0.2)
 
     def test_unattainable_bound_raises(self):
+        # At p = 5 the residue means satisfy amp(1) + amp(2) = -1/2 for any
+        # multipliers, so max amp^2 >= 1/16: no search certifies 0.001.
         with pytest.raises(FixtureSearchError):
-            build_af_modp(5, 0.001, max_blocks=2, tries_per_block=20)
+            build_af_modp(5, 0.001)
 
     def test_certificate_bitwise_equal_to_per_residue_loop(self):
         rng = np.random.default_rng(29)
