@@ -132,6 +132,7 @@ def cmd_decide_controllability(args) -> int:
         "counterexample": _word_str(result.word),
         "lhs": result.lhs,
         "rhs": result.rhs,
+        "witness_confirmed": result.confirmed,
     }
     if args.oracle_horizon is not None:
         oracle = check_controllability_exhaustive(

@@ -11,6 +11,14 @@ Words are sequences of symbol strings; alphabets are explicit.  Every
 automaton is checked by ``validate`` when it is built and cannot change
 afterwards, so evaluators and compilers never re-check it, concurrent
 evaluation is safe, and what is derived from it is computed once.
+
+The per-word hybrid and measure-many evaluators keep a *trail* on the
+automaton: the last word evaluated and the evaluator's state after each
+of its prefixes (see ``_resume``).  A call resumes from its longest
+common prefix with that word, so a run of words that share prefixes,
+like a shortlex scan or the histories of a closed loop, costs about one
+step per word, and every value is the same float as a run from the
+empty word.
 """
 
 from __future__ import annotations
@@ -42,6 +50,11 @@ PROB_SANITY_TOL = 1e-9
 
 #: One value array per word length, in ``words_upto`` order.
 Levels = Iterator[np.ndarray]
+
+#: Most complex entries an evaluator trail keeps per automaton (about 1 MiB):
+#: each recorded state counts its vector's entries plus 16 for its Python
+#: objects, and a word's prefixes past the cap are not recorded.
+TRAIL_ENTRIES = 1 << 16
 
 
 def check_horizon(horizon: int) -> None:
@@ -159,6 +172,37 @@ class _Checked:
         return memo[build] if build in memo else memo.setdefault(build, build(self))
 
 
+def _resume(m: _Checked, w: Sequence[str], start, step, table, width: int):
+    """The evaluator state after ``w``, or None where ``step`` stops early.
+
+    ``m``'s trail holds the last word evaluated on it and the state after
+    each of that word's prefixes.  The run starts from the state after
+    the longest common prefix of ``w`` with that word (``start`` when
+    there is none) and applies ``step(table, state, symbol)`` to the
+    rest, so it makes the same products in the same order as a run from
+    the empty word.  The trail is then replaced whole, never changed in
+    place, so a concurrent caller reads a consistent snapshot; it records
+    at most ``TRAIL_ENTRIES // (width + 16)`` states, for states of
+    ``width`` entries, and none after a stop.
+    It lives in ``m.__dict__``, outside the fields, so a pickle, a deep
+    copy or ``dataclasses.replace`` starts without one.
+    """
+    word, states = m.__dict__.get("_trail", ((), ()))
+    k, limit = 0, min(len(word), len(w), len(states) - 1)
+    while k < limit and word[k] == w[k]:
+        k += 1
+    kept = list(states[:k + 1]) if states else [start]
+    state, cap = kept[-1], max(1, TRAIL_ENTRIES // (width + 16))
+    for sym in w[k:]:
+        state = step(table, state, sym)
+        if state is None:
+            break
+        if len(kept) < cap:
+            kept.append(state)
+    m.__dict__["_trail"] = (tuple(w), tuple(kept))
+    return state
+
+
 def _check_symbols(w: Sequence[str], alphabet: Iterable[str], forbid: str | None = None):
     allowed = set(alphabet)
     for sym in w:
@@ -239,24 +283,34 @@ def _mm_steps(m: MmQfa) -> Mapping[str, np.ndarray]:
     return read_only({a: np.vstack([u[m.accepting._idx], go * u]) for a, u in m.unitaries.items()}, copy=False)
 
 
+def _mm_step(table, state, sym):
+    """One measure-many step on ``(going, total)``: the symbol's product from
+    ``_mm_steps`` splits into the accept chunk, whose mass joins the total,
+    and the surviving go state."""
+    steps, acc = table
+    going, total = state
+    v = steps[sym] @ going
+    c = v[:acc]
+    total += np.vdot(c, c).real
+    return v[acc:], total
+
+
 def mm_accept_prob(m: MmQfa, w: Sequence[str]) -> float:
     """Measure-many acceptance probability of ``w``.
 
     Runs the single forward pass that carries the surviving "go" state
     and accumulates accept mass after every symbol and after the end
-    marker.  Each step is one product with the symbol's matrix from
-    ``_mm_steps`` (kept on the automaton): the same floats as
-    ``projected_norm_sq`` and ``Projector.apply`` on ``U(a) @ going``
-    without their per-step indexing, coercion and checks.
+    marker, resumed from the trail (see ``_resume``) before the marker.
+    Each step is one product with the symbol's matrix from ``_mm_steps``
+    (kept on the automaton): the same floats as ``projected_norm_sq`` and
+    ``Projector.apply`` on ``U(a) @ going`` without their per-step
+    indexing, coercion and checks.
     """
     _check_symbols(w, m.alphabet, forbid=END_MARKER)
-    steps, acc = m._memo(_mm_steps), m.accepting._idx.size
-    total = 0.0
-    going = np.asarray(m.initial, dtype=complex)
-    for sym in (*w, END_MARKER):
-        v = steps[sym] @ going
-        c, going = v[:acc], v[acc:]
-        total += np.vdot(c, c).real
+    acc = m.accepting._idx.size
+    table = (m._memo(_mm_steps), acc)
+    state = _resume(m, w, (np.asarray(m.initial, dtype=complex), 0.0), _mm_step, table, m.dim + acc)
+    _, total = _mm_step(table, state, END_MARKER)
     return _clamp_word(float(total), "measure-many", w)
 
 
@@ -349,19 +403,26 @@ def _qfac_steps(m: Qfac) -> Mapping[str, Mapping[str, tuple[np.ndarray, str]]]:
                       for s in m.classical_states if s in live})
 
 
+def _qfac_step(steps, state, sym):
+    """One hybrid step on ``(s, v)`` through ``_qfac_steps``; None from a state that is not live."""
+    s, v = state
+    if s not in steps:
+        return None
+    u, t = steps[s][sym]
+    return t, u @ v
+
+
 def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
     """Thread the classical state and quantum product, then measure; each step
     is one lookup in ``_qfac_steps`` (kept on the automaton) and one product,
-    and a word that enters a state that is not live reads 0.0 from there on."""
+    resumed from the trail (see ``_resume``), and a word that enters a
+    state that is not live reads 0.0 from there on."""
     _check_symbols(x, m.alphabet)
-    steps = m._memo(_qfac_steps)
-    s = m.initial_classical
-    v = np.asarray(m.initial_quantum, dtype=complex)
-    for sym in x:
-        if s not in steps:
-            return 0.0
-        u, s = steps[s][sym]
-        v = u @ v
+    start = (m.initial_classical, np.asarray(m.initial_quantum, dtype=complex))
+    state = _resume(m, x, start, _qfac_step, m._memo(_qfac_steps), m.dim)
+    if state is None:
+        return 0.0
+    s, v = state
     c = v[m.accepting[s]._idx]
     return _clamp_word(float(np.vdot(c, c).real), "classical-hybrid", x)
 

@@ -113,7 +113,10 @@ def _parse_cvec(data, where: str) -> np.ndarray:
         raise SerializationError(f"{where}: expected a list of [re, im] pairs ({e})")
 
 
-def _parse_cmat(data, where: str) -> np.ndarray:
+def _parse_cmat(data, where: str, empty: bool = False) -> np.ndarray:
+    """A complex matrix from its rows; ``[]`` reads as the 0 x 0 matrix only if ``empty``."""
+    if empty and data == []:
+        return np.zeros((0, 0), dtype=complex)
     if not isinstance(data, list) or not data:
         raise SerializationError(f"{where}: expected a non-empty list of rows")
     rows = [_parse_cvec(row, where) for row in data]
@@ -282,7 +285,8 @@ def from_document(doc: dict):
         n = _int(_need(doc, "n", "rblm"), "rblm n")
         pi = _parse_cvec(_need(doc, "pi", "rblm"), "pi")
         matrices = {
-            a: _parse_cmat(m, f"rblm matrix {a}") for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
+            a: _parse_cmat(m, f"rblm matrix {a}", empty=n == 0)
+            for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
         }
         eta = _parse_cvec(_need(doc, "eta", "rblm"), "eta")
         for field, v in (("pi", pi), ("eta", eta)):

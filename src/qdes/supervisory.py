@@ -30,7 +30,7 @@ the few histories the levels do not settle with a margin.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, islice, pairwise, product, tee
 from typing import Callable, Iterator, Mapping, Sequence
@@ -374,13 +374,21 @@ def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[Admiss
 
 @dataclass(frozen=True)
 class ControllabilityResult:
-    """Outcome of a controllability check; the witness fields are set on failure."""
+    """Outcome of a controllability check; the witness fields are set on failure.
+
+    ``confirmed`` is set by ``decide_controllability`` on a failure:
+    whether the direct evaluators find ``lhs - rhs > tol``, so that the
+    witness breaks the inequality as stated.  It is None when the check
+    holds and on the oracle's results, and results compare without it,
+    so a decision equals the oracle's result on the same witness.
+    """
 
     holds: bool
     word: Word | None = None
     symbol: str | None = None
     lhs: float | None = None
     rhs: float | None = None
+    confirmed: bool | None = field(default=None, compare=False)
 
 
 def check_controllability_exhaustive(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,
@@ -449,10 +457,11 @@ def decide_controllability(
     nonzero gap, and the first failing event in sorted order at that word.
 
     On failure ``lhs = min(target(s), plant(s sigma))`` and
-    ``rhs = target(s sigma)`` come from the direct evaluators.  The two
-    sides differ by ``(H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))``,
-    so a witness with ``lhs <= rhs`` means a reduction precondition
-    fails at that word.  A tolerance that is not finite and positive is refused.
+    ``rhs = target(s sigma)`` come from the direct evaluators, and
+    ``confirmed`` says whether ``lhs - rhs > tol``.  The two sides
+    differ by ``(H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))``, so an
+    unconfirmed witness means a reduction precondition fails at that
+    word.  A tolerance that is not finite and positive is refused.
     """
     check_tol(tol)
     h, m = minimize(target), minimize(plant)
@@ -480,7 +489,8 @@ def decide_controllability(
     word, sigma = hit[0], events[hit[1]]
     f_target, f_plant = evaluator(target), evaluator(plant)
     ext = (*word, sigma)
-    return ControllabilityResult(False, word, sigma, min(f_target(word), f_plant(ext)), f_target(ext))
+    lhs, rhs = min(f_target(word), f_plant(ext)), f_target(ext)
+    return ControllabilityResult(False, word, sigma, lhs, rhs, lhs - rhs > tol)
 
 
 def check_decision_preconditions(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,

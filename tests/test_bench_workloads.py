@@ -1,8 +1,11 @@
-"""One checked pass of the benchmark's in-process workloads, untimed.
+"""Two checked passes of the benchmark's in-process workloads, untimed.
 
 The harness in ``bench/`` calls the library by name, some of it through
 ``getattr``; a name it needs that goes missing, or an answer it checks
-that changes, fails here rather than in a benchmark run.
+that changes, fails here rather than in a benchmark run.  The second
+pass runs the same operations on the same automata, as a timed run
+does, so what the library keeps on an automaton between calls (linear
+forms, minimal machines, evaluator trails) is checked across operations.
 """
 
 import importlib.util
@@ -33,7 +36,9 @@ def workloads():
 
 
 @pytest.mark.parametrize("name", ["exact", "sweep"])
-def test_one_pass_checks(workloads, name):
+def test_two_passes_check(workloads, name):
     setup, ops = getattr(workloads, f"setup_{name}"), getattr(workloads, f"ops_{name}")
-    failures = {op.label: problem for op in ops(qdes, setup(qdes, 0)) if (problem := op.check(op.run())) is not None}
-    assert failures == {}
+    run = ops(qdes, setup(qdes, 0))
+    for pass_no in (1, 2):
+        failures = {op.label: problem for op in run if (problem := op.check(op.run())) is not None}
+        assert failures == {}, f"pass {pass_no}"

@@ -239,7 +239,7 @@ class TestControllabilityCommands:
             "--uncontrollable", "0,1", "--oracle-horizon", "4",
         )
         assert code == 0 and doc["holds"] and doc["oracle_agrees"]
-        assert doc["lhs"] is None and doc["rhs"] is None
+        assert doc["lhs"] is None and doc["rhs"] is None and doc["witness_confirmed"] is None
 
     def test_decide_violation(self, capsys, tmp_path):
         plant = build_eg2(2, 0.5)
@@ -250,7 +250,7 @@ class TestControllabilityCommands:
             capsys, "decide-controllability", str(pp), str(tp), "--uncontrollable", "1"
         )
         assert code == 1 and not doc["holds"] and doc["symbol"] == "1"
-        assert doc["lhs"] > doc["rhs"] + 1e-9
+        assert doc["lhs"] > doc["rhs"] + 1e-9 and doc["witness_confirmed"] is True
 
     @staticmethod
     def dead_state_variant(tmp_path, state):
@@ -267,6 +267,20 @@ class TestControllabilityCommands:
         code, doc = run(capsys, *self.dead_state_variant(tmp_path, "s1"), "4")
         assert code == 1 and not doc["holds"] and not doc["oracle_holds"] and doc["oracle_agrees"]
         assert (doc["oracle_counterexample"], doc["oracle_symbol"]) == (doc["counterexample"], doc["symbol"]) == ("0", "0")
+
+    def test_dead_state_witness_confirmed(self, capsys, tmp_path):
+        code, doc = run(capsys, *self.dead_state_variant(tmp_path, "s1"), "4")
+        assert code == 1 and doc["witness_confirmed"] is True and doc["lhs"] > doc["rhs"]
+
+    def test_witness_unconfirmed_when_target_exceeds_plant(self, capsys, tmp_path):
+        # Roles swapped: eg1 is the target and the (s0, "0")-cut variant the
+        # plant, so the target exceeds the plant at 0000 and the witness's
+        # sides read lhs 0 <= rhs; the exit code is the decision's.
+        argv = self.dead_state_variant(tmp_path, "s0")
+        argv[1], argv[2] = argv[2], argv[1]
+        code, doc = run(capsys, *argv[:-1])
+        assert code == 1 and not doc["holds"] and (doc["counterexample"], doc["symbol"]) == ("000", "0")
+        assert doc["lhs"] == 0.0 and doc["rhs"] > 0.9 and doc["witness_confirmed"] is False
 
     def test_witness_beyond_the_horizon_is_out_of_reach(self, capsys, tmp_path):
         argv = self.dead_state_variant(tmp_path, "s3")

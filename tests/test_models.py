@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
+import threading
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -9,7 +11,16 @@ import numpy as np
 import pytest
 
 from qdes.blm import evaluator
-from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
+from qdes import models
+from qdes.fixtures import (
+    build_af_modp,
+    build_eg1,
+    build_eg2,
+    build_egadd,
+    build_spec_variant,
+    dfa_bounded_zeros,
+    eg2_rate,
+)
 from qdes.linalg import Projector, projected_norm_sq
 from qdes.models import (
     Dfa,
@@ -34,6 +45,7 @@ from helpers import (
     random_qfac,
     ref_mm_accept_prob,
     ref_mo_accept_prob,
+    ref_qfac_accept_prob,
     ref_validate_unitaries,
     words_up_to,
 )
@@ -356,6 +368,158 @@ class TestStepTables:
         assert evaluate(m, word) == value and m._memo(build) is table
         assert set(table) == (set(m.unitaries) if mm else set(_live_states(m)))
         assert_table_read_only(table)
+
+
+def trailed(kind):
+    """An automaton of ``kind``, its evaluator, the reference loop, and the
+    automaton that carries the evaluator's trail."""
+    rng = np.random.default_rng(43)
+    if kind == "eg1":
+        m = build_eg1(2, 0.95, seed=0)
+        return m, lambda w: qfac_accept_prob(m, w), lambda w: ref_qfac_accept_prob(m, w), m
+    if kind == "eg1-spec":
+        m = build_spec_variant(build_eg1(2, 0.95, seed=1), "s5")
+        return m, lambda w: qfac_accept_prob(m, w), lambda w: ref_qfac_accept_prob(m, w), m
+    if kind == "qfac":
+        m = random_qfac(rng, 3, 3)
+        return m, lambda w: qfac_accept_prob(m, w), lambda w: ref_qfac_accept_prob(m, w), m
+    if kind == "eg2":
+        m = build_eg2(3, 0.5)
+        return m, lambda w: mm_accept_prob(m, w), lambda w: ref_mm_accept_prob(m, w), m
+    if kind == "mm":
+        m = random_mm(rng, 4)
+        return m, lambda w: mm_accept_prob(m, w), lambda w: ref_mm_accept_prob(m, w), m
+    if kind == "mo":
+        m = random_mo(rng, 3)
+        return m, lambda w: mo_accept_prob(m, w), lambda w: ref_mo_accept_prob(m, w), qfac_from_mo
+    d = dfa_bounded_zeros(2)
+    return d, evaluator(d), lambda w: float(dfa_accepts(d, w)), qfac_from_dfa
+
+
+def trail_of(m, holder):
+    """The trail on ``m``, or on its kept hybrid embedding when ``holder`` is the function that builds it."""
+    carrier = m._memo(holder) if callable(holder) else holder
+    return carrier.__dict__.get("_trail")
+
+
+TRAIL_KINDS = ["eg1", "eg1-spec", "qfac", "eg2", "mm", "mo", "dfa"]
+
+
+def word_orders(alphabet, horizon, seed=0):
+    rng = np.random.default_rng(seed)
+    words = list(words_up_to(alphabet, horizon))
+    mixed = []
+    for _ in range(150):
+        w, other = (words[i] for i in rng.integers(len(words), size=2))
+        mixed += [w, w, w[:rng.integers(len(w) + 1)], (*w, *other), w]
+    return {"shortlex": words, "reversed": words[::-1], "mixed": mixed}
+
+
+class TestTrail:
+    """The evaluators resume from the last word's shared prefix and give the
+    floats of a run from the empty word, whatever the order of the words."""
+
+    @pytest.mark.parametrize("order", ["shortlex", "reversed", "mixed"])
+    @pytest.mark.parametrize("kind", TRAIL_KINDS)
+    def test_equal_to_the_reference_loop(self, kind, order):
+        m, f, ref, _ = trailed(kind)
+        for w in word_orders(m.alphabet, 6 if len(m.alphabet) == 2 else 5)[order]:
+            assert f(w) == ref(w), w
+
+    def test_two_automata_called_alternately(self):
+        runs = [trailed(kind) for kind in ("eg1", "eg1-spec", "eg2", "mo", "mm")]
+        orders = [word_orders(m.alphabet, 5, seed)["mixed"] for seed, (m, *_) in enumerate(runs)]
+        for i in range(len(orders[0])):
+            for (m, f, ref, _), words in zip(runs, orders):
+                w = words[i % len(words)]
+                assert f(w) == ref(w), (type(m).__name__, w)
+
+    @pytest.mark.parametrize("kind", TRAIL_KINDS)
+    def test_bad_symbol_raises_and_keeps_values_right(self, kind):
+        m, f, ref, holder = trailed(kind)
+        w = m.alphabet * 3
+        assert f(w) == ref(w)
+        before = trail_of(m, holder)
+        for bad in ((*w[:4], "x"), ("x", *w), (*w, "x", *w)):
+            with pytest.raises(ValueError, match="not in alphabet"):
+                f(bad)
+        assert trail_of(m, holder) is before
+        for v in (w, w[:5], (*w[:4], *reversed(w)), ()):
+            assert f(v) == ref(v)
+
+    def test_end_marker_inside_a_word_raises(self):
+        m, f, ref, _ = trailed("eg2")
+        assert f(("0", "1")) == ref(("0", "1"))
+        with pytest.raises(ValueError, match="may not appear"):
+            f(("0", "$", "1"))
+        assert f(("0", "1", "1")) == ref(("0", "1", "1"))
+
+    def test_words_through_the_dead_state(self):
+        m, f, ref, _ = trailed("eg1")
+        dead = m.classical_states[-1]
+        assert dead not in _live_states(m)
+        for w in (tuple("00000"), tuple("0000012"), tuple("000"), tuple("00000111"), tuple("0101"), tuple("01011")):
+            assert f(w) == ref(w)
+        # The run stops in the dead state and records nothing after it.
+        assert f(tuple("1111100000")) == 0.0
+        word, states = m._trail
+        assert word == tuple("1111100000") and len(states) == 6 and states[-1][0] == dead
+        assert f(tuple("11111000")) == 0.0 and f(tuple("1111")) == ref(tuple("1111"))
+
+    @pytest.mark.parametrize("kind", TRAIL_KINDS)
+    def test_words_longer_than_the_cap(self, kind, monkeypatch):
+        m, f, ref, holder = trailed(kind)
+        carrier = m._memo(holder) if callable(holder) else m
+        monkeypatch.setattr(models, "TRAIL_ENTRIES", 4 * (carrier.dim + 16) + 3)
+        words = word_orders(m.alphabet, 9, seed=5)["mixed"][:200]
+        for w in words:
+            assert f(w) == ref(w)
+            assert len(trail_of(m, holder)[1]) <= 4
+
+    def test_real_cap_on_a_long_word(self):
+        d, f, ref, holder = trailed("dfa")
+        w = ("1",) * 5000
+        assert f(w) == ref(w) == 1.0
+        word, states = trail_of(d, holder)
+        assert word == w and len(states) == models.TRAIL_ENTRIES // (1 + 16)
+        assert f((*w[:-1], "0")) == ref((*w[:-1], "0")) and f((*w, "0", "0", "0")) == 0.0
+
+    @pytest.mark.parametrize("kind", TRAIL_KINDS)
+    def test_no_trail_after_build_or_copy(self, kind):
+        m, f, _, holder = trailed(kind)
+        carrier = m._memo(holder) if callable(holder) else m
+        assert "_trail" not in carrier.__dict__ and "_trail" not in m.__dict__
+        f(m.alphabet * 2)
+        assert trail_of(m, holder) is not None
+        for other in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), dataclasses.replace(m)):
+            assert "_trail" not in other.__dict__ and "_derived" not in other.__dict__
+        if callable(holder):
+            assert "_trail" not in m.__dict__
+
+    @pytest.mark.parametrize("kind", ["eg1", "eg2", "mo"])
+    def test_two_threads_interleaved(self, kind):
+        m, f, ref, _ = trailed(kind)
+        orders = word_orders(m.alphabet, 5, seed=7)
+        sequences = [orders["shortlex"], orders["reversed"], orders["mixed"]]
+        expected = [[ref(w) for w in seq] for seq in sequences]
+        got = [None] * len(sequences)
+        start = threading.Barrier(len(sequences))
+
+        def work(i):
+            start.wait()
+            got[i] = [f(w) for w in sequences[i]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sequences))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
 
 class TestValidate:

@@ -131,6 +131,24 @@ class TestDocumentErrors:
             assert np.array_equal(got, want)
         assert dumps(again) == dumps(b)
 
+    def test_zero_state_rblm_round_trips(self, tmp_path, capsys):
+        zero = Rblm(("0",), np.zeros(0), {"0": np.zeros((0, 0))}, np.zeros(0))
+        again = loads(dumps(zero))
+        assert again.n == 0 and again.matrices["0"].shape == (0, 0) and dumps(again) == dumps(zero)
+        assert blm_eval(again, ("0", "0")) == 0.0
+        path = tmp_path / "zero.json"
+        save(zero, path)
+        assert main(["prob", str(path), "00"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+    def test_empty_matrix_refused_unless_zero_states(self):
+        b = compile_mm_to_rblm(build_eg2(1, 0.5))
+        with pytest.raises(SerializationError, match="non-empty list of rows"):
+            from_document({**to_document(b), "matrices": {**to_document(b)["matrices"], "0": []}})
+        doc = to_document(random_mo(np.random.default_rng(3), 2))
+        with pytest.raises(SerializationError, match="non-empty list of rows"):
+            from_document({**doc, "unitaries": {**doc["unitaries"], "a": []}})
+
     def test_complex_rblm_loads_complex(self):
         b = to_rblm(build_eg1(1, 0.95, seed=0))
         t = random_unitary(np.random.default_rng(37), b.n)

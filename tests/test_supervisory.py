@@ -264,8 +264,22 @@ class TestDecideControllability:
         assert not decided.holds and not oracle.holds
         assert (decided.word, decided.symbol) == (oracle.word, oracle.symbol) and decided.symbol == "1"
         # The witness is reported in the terms of the min-inequality.
-        assert decided.lhs > decided.rhs + 1e-9
+        assert decided.lhs > decided.rhs + 1e-9 and decided.confirmed is True
         assert decided.lhs == oracle.lhs and decided.rhs == oracle.rhs
+        assert oracle.confirmed is None
+
+    def test_witness_unconfirmed_with_roles_swapped(self):
+        # eg2 as the target of its own spec: the target exceeds the plant
+        # at 10, a failed precondition, so the witness's sides do not
+        # break the inequality.
+        plant_aut, target_aut, _, _ = decay_pair()
+        decided = decide_controllability(plant_aut, target_aut, spec2())
+        assert not decided.holds and (decided.word, decided.symbol) == (("1",), "0")
+        assert decided.lhs == 0.0 and decided.rhs > 0.7 and decided.confirmed is False
+
+    def test_holding_decision_has_no_confirmation(self):
+        plant_aut, target_aut, _, _ = decay_pair()
+        assert decide_controllability(target_aut, plant_aut, spec2()).confirmed is None
 
     def test_zero_target_holds(self):
         plant_aut = build_eg2(2, 0.5)
