@@ -99,11 +99,10 @@ class LinearForm:
 
 def blm_eval(b: Rblm | LinearForm, w: Sequence[str]) -> float:
     """Word function value ``eta @ M(w_m) ... M(w_1) @ pi``, of a machine or a linear form."""
-    allowed = set(b.alphabet)
     v = np.asarray(b.pi)
     for sym in w:
-        if sym not in allowed:
-            raise ValueError(f"symbol {sym!r} not in alphabet {sorted(allowed)}")
+        if sym not in b.alphabet:
+            raise ValueError(f"symbol {sym!r} not in alphabet {sorted(set(b.alphabet))}")
         v = b.apply(sym, v)
     val = complex(np.asarray(b.eta) @ v)
     if abs(val.imag) > REAL_TOL:
@@ -120,7 +119,7 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
     """
     check_horizon(horizon)
     if horizon:
-        _check_symbols(alphabet, b.alphabet)
+        _check_symbols(alphabet, frozenset(b.alphabet))
     v = np.asarray(b.pi)[:, None]
     eta = np.asarray(b.eta)
     for length in range(horizon + 1):
@@ -291,22 +290,6 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
 def rblm_probability(b: Rblm, w: Sequence[str]) -> float:
     """Evaluate a compiled machine and clamp to [0, 1] like the direct evaluators."""
     return _clamp_word(blm_eval(b, w), "bilinear", w)
-
-
-def to_rblm(a) -> Rblm:
-    """The dense bilinear machine of any automaton kind; the one kind-to-machine map.
-
-    Measure-once automata and DFAs go through their one-classical-state
-    and trivial-quantum-part hybrid embeddings.
-    """
-    if isinstance(a, Rblm):
-        return a
-    if isinstance(a, MmQfa):
-        return compile_mm_to_rblm(a)
-    a = _as_hybrid(a)
-    if isinstance(a, Qfac):
-        return compile_qfac_to_rblm(a)
-    raise TypeError(f"no bilinear form for {type(a).__name__}")
 
 
 def linear_form(a) -> Rblm | LinearForm:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -152,14 +152,16 @@ def freeze(obj, copy: bool = True):
 
 class _Checked:
     """Base of the four automaton kinds: building one freezes it, then runs
-    ``validate`` at the default tolerance and raises ``ValidationFailedError``
-    on a violation; ``_memo`` keeps what is derived from it, computed once."""
+    ``validate`` and raises ``ValidationFailedError`` on a violation;
+    ``_memo`` keeps what is derived from it, computed once, and
+    ``_symbols`` is its alphabet as a frozenset, for ``_check_symbols``."""
 
     def __post_init__(self):
         freeze(self)
         problems = validate(self)
         if problems:
             raise ValidationFailedError(problems)
+        self.__dict__["_symbols"] = frozenset(self.alphabet)
 
     def __reduce__(self):
         """Pickle and deep-copy as a rebuild from the fields, with plain dicts."""
@@ -203,8 +205,11 @@ def _resume(m: _Checked, w: Sequence[str], start, step, table, width: int):
     return state
 
 
-def _check_symbols(w: Sequence[str], alphabet: Iterable[str], forbid: str | None = None):
-    allowed = set(alphabet)
+def _check_symbols(w: Sequence[str], allowed: frozenset[str], forbid: str | None = None):
+    """Refuse a word with a symbol outside ``allowed``, or equal to ``forbid``
+    (which ``allowed`` never holds), naming the first such symbol."""
+    if allowed.issuperset(w):
+        return
     for sym in w:
         if forbid is not None and sym == forbid:
             raise ValueError(f"symbol {forbid!r} may not appear inside an input word")
@@ -225,7 +230,7 @@ class Dfa(_Checked):
 
 def dfa_accepts(d: Dfa, w: Sequence[str]) -> bool:
     """True iff the extended transition function lands in an accepting state."""
-    _check_symbols(w, d.alphabet)
+    _check_symbols(w, d._symbols)
     state = d.initial
     for sym in w:
         state = d.transitions[(state, sym)]
@@ -306,7 +311,7 @@ def mm_accept_prob(m: MmQfa, w: Sequence[str]) -> float:
     ``Projector.apply`` on ``U(a) @ going`` without their per-step
     indexing, coercion and checks.
     """
-    _check_symbols(w, m.alphabet, forbid=END_MARKER)
+    _check_symbols(w, m._symbols, forbid=END_MARKER)
     acc = m.accepting._idx.size
     table = (m._memo(_mm_steps), acc)
     state = _resume(m, w, (np.asarray(m.initial, dtype=complex), 0.0), _mm_step, table, m.dim + acc)
@@ -326,7 +331,7 @@ def mm_levels(m: MmQfa, alphabet: Sequence[str], horizon: int) -> Levels:
     check_horizon(horizon)
     steps, acc, k = m._memo(_mm_steps), m.accepting._idx.size, len(alphabet)
     if horizon:
-        _check_symbols(alphabet, m.alphabet, forbid=END_MARKER)
+        _check_symbols(alphabet, m._symbols, forbid=END_MARKER)
         table = np.array([steps[a] for a in alphabet]).reshape(k, acc + m.dim, m.dim)
     going = np.asarray(m.initial, dtype=complex)[:, None]
     mass = np.zeros(1)
@@ -417,7 +422,7 @@ def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:
     is one lookup in ``_qfac_steps`` (kept on the automaton) and one product,
     resumed from the trail (see ``_resume``), and a word that enters a
     state that is not live reads 0.0 from there on."""
-    _check_symbols(x, m.alphabet)
+    _check_symbols(x, m._symbols)
     start = (m.initial_classical, np.asarray(m.initial_quantum, dtype=complex))
     state = _resume(m, x, start, _qfac_step, m._memo(_qfac_steps), m.dim)
     if state is None:
@@ -444,7 +449,7 @@ def qfac_levels(m: Qfac, alphabet: Sequence[str], horizon: int) -> Levels:
     steps, k = m._memo(_qfac_steps), len(alphabet)
     moves = []  # (s, j, U[(s, a)].T, target) between live states; the empty word reads no symbol
     if horizon:
-        _check_symbols(alphabet, m.alphabet)
+        _check_symbols(alphabet, m._symbols)
         moves = [(s, j, row[a][0].T, t) for s, row in steps.items()
                  for j, a in enumerate(alphabet) if (t := row[a][1]) in steps]
     blocks = {}
@@ -573,13 +578,12 @@ def _validate_distinct(names: Sequence[str], what: str, violations: list[str]):
         violations.append(f"duplicate {what} {[name for name, count in Counter(names).items() if count > 1]}")
 
 
-def validate(automaton, tol: float | None = None) -> list[str]:
+def validate(automaton) -> list[str]:
     """Check every type invariant; return one message per violation.
 
-    An empty list means the automaton is well formed at the given
-    tolerance (default: 1e-9 scaled by the dimension).  Every automaton
-    runs this check at the default tolerance when it is built, and one
-    that fails is never built:
+    An empty list means the automaton is well formed at tolerance
+    ``linalg.DEFAULT_TOL`` scaled by the dimension.  Every automaton
+    runs this check when it is built, and one that fails is never built:
 
     >>> from qdes.linalg import Projector
     >>> MoQfa(("a",), {"a": np.diag([1.0, 2.0])}, np.array([1.0, 0.0]),
@@ -587,8 +591,6 @@ def validate(automaton, tol: float | None = None) -> list[str]:
     Traceback (most recent call last):
     ...
     qdes.models.ValidationFailedError: invalid automaton: unitary a: non-unitary (max deviation 3.000e+00)
-
-    So an explicit call is only needed at another tolerance.
     """
     if not isinstance(automaton, (Dfa, MoQfa, MmQfa, Qfac)):
         raise TypeError(f"not an automaton: {type(automaton).__name__}")
@@ -611,7 +613,7 @@ def validate(automaton, tol: float | None = None) -> list[str]:
         return violations
 
     m = automaton
-    t = (tol if tol is not None else DEFAULT_TOL) * max(1.0, float(m.dim))
+    t = DEFAULT_TOL * max(1.0, float(m.dim))
     if isinstance(m, MoQfa):
         _validate_unitaries(sorted(m.unitaries.items()), m.dim, t, violations, "unitary")
         missing = set(m.alphabet) - set(m.unitaries)

@@ -12,9 +12,9 @@ pointwise dominated by the plant, both exactly (min of floats).
 Controllability of a target against a plant -- min(target(s), ...) never
 exceeding the target one step later on uncontrollable events -- is
 checked two ways: an exhaustive horizon-bounded sweep (the oracle) and
-an exact algebraic decision that turns the min-inequality into a
-polynomial identity between two product machines over the minimized
-target and plant, and decides it with the span-exploration kernel.
+an exact algebraic decision that turns the min-inequality into one
+product of word functions of the minimized target and plant that must
+vanish, and decides it with the span-exploration kernel.
 
 The horizon sweeps read ``QuantumLanguage.levels``, one value array per
 word length: a few matrix products per length for an automaton, one call
@@ -46,6 +46,10 @@ from .models import Levels, Word, check_horizon, clamp_probability, prefix_maxim
 #: closed-loop sweeps accept it without the per-word evaluators; far above
 #: the rounding gap between level and per-word values.
 LEVEL_MARGIN = 1e-10
+
+#: Slack by which a horizon sweep's comparison must fail before it counts
+#: as a violation, far above the rounding error of the values it compares.
+SWEEP_TOL = 1e-9
 
 
 class QuantumLanguage:
@@ -231,7 +235,8 @@ class ClosedLoop:
     """Controlled system: memoized min-recursion over histories.
 
     The memo is the only mutable state; use one instance per thread or
-    guard it externally.
+    guard it externally.  It is prefix-closed: ``value`` memoizes every
+    prefix of a history, shortest first.
     """
 
     def __init__(self, supervisor):
@@ -239,15 +244,16 @@ class ClosedLoop:
         self._memo: dict[Word, float] = {(): 1.0}
 
     def value(self, s: Sequence[str]) -> float:
+        """The min-recursion at ``s``, resumed from its longest memoized prefix."""
         s = tuple(s)
         if s in self._memo:
             return self._memo[s]
-        acc = self._memo[()]
-        for i in range(len(s)):
+        start = len(s) - 1
+        while s[:start] not in self._memo:
+            start -= 1
+        acc = self._memo[s[:start]]
+        for i in range(start, len(s)):
             prefix = s[: i + 1]
-            if prefix in self._memo:
-                acc = self._memo[prefix]
-                continue
             acc = min(
                 acc,
                 self.supervisor.plant(prefix),
@@ -345,10 +351,10 @@ class AdmissibilityViolation:
     enabled: float
 
 
-def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[AdmissibilityViolation]:
+def check_admissible(supervisor, horizon: int) -> list[AdmissibilityViolation]:
     """List the (history, event) pairs where an uncontrollable event is
     enabled below the plant's feasibility, in history order, then in
-    sorted event order.
+    sorted event order, with slack ``SWEEP_TOL``.
 
     Compares plant level L+1 with the supervisor's enablement level L,
     both from one pass of the plant's levels.  Pairs within
@@ -363,11 +369,11 @@ def check_admissible(supervisor, horizon: int, tol: float = 1e-9) -> list[Admiss
     out = []
     frontier = _plant_steps(supervisor, alphabet, horizon, plant.levels(alphabet, horizon + 1))
     for length, (p, en) in enumerate(frontier):
-        near = p.reshape(-1, k)[:, cols] > en[:, cols] + tol - LEVEL_MARGIN
+        near = p.reshape(-1, k)[:, cols] > en[:, cols] + SWEEP_TOL - LEVEL_MARGIN
         for i, e in np.argwhere(near):
             s = word_at(alphabet, length, int(i))
             f, g = plant((*s, events[e])), supervisor.enablement(s, events[e])
-            if f > g + tol:
+            if f > g + SWEEP_TOL:
                 out.append(AdmissibilityViolation(s, events[e], f, g))
     return out
 
@@ -392,15 +398,15 @@ class ControllabilityResult:
 
 
 def check_controllability_exhaustive(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,
-                                     horizon: int, tol: float = 1e-9) -> ControllabilityResult:
-    """Sweep min(target(s), plant(s sigma)) <= target(s sigma) over the horizon.
+                                     horizon: int) -> ControllabilityResult:
+    """Sweep min(target(s), plant(s sigma)) <= target(s sigma) + SWEEP_TOL over the horizon.
 
     The bounded-horizon oracle for the algebraic decision; shortest
     counterexamples are found first.  The witness's ``lhs`` and ``rhs``
     come from the per-word evaluators.
     """
     check_horizon(horizon)
-    hit = _first_gap(target.levels(spec.alphabet, horizon + 1), plant.levels(spec.alphabet, horizon + 1), spec, tol)
+    hit = _first_gap(target.levels(spec.alphabet, horizon + 1), plant.levels(spec.alphabet, horizon + 1), spec)
     if hit is None:
         return ControllabilityResult(True)
     s, sigma = hit
@@ -419,11 +425,11 @@ def _extensions(upper: Levels, plant: Levels, spec: ControlSpec) -> Iterator[tup
         yield length, u[:, None], u_next.reshape(u.size, k)[:, cols], p_next.reshape(u.size, k)[:, cols]
 
 
-def _first_gap(upper: Levels, plant: Levels, spec: ControlSpec, tol: float) -> tuple[Word, str] | None:
-    """First (s, sigma) in sweep order with min(upper(s), plant(s sigma)) > upper(s sigma) + tol."""
+def _first_gap(upper: Levels, plant: Levels, spec: ControlSpec) -> tuple[Word, str] | None:
+    """First (s, sigma) in sweep order with min(upper(s), plant(s sigma)) > upper(s sigma) + SWEEP_TOL."""
     events = sorted(spec.uncontrollable)
     for length, u, u_ext, p_ext in _extensions(upper, plant, spec):
-        gap = np.minimum(u, p_ext) > u_ext + tol
+        gap = np.minimum(u, p_ext) > u_ext + SWEEP_TOL
         if gap.any():
             i, e = divmod(int(np.argmax(gap)), len(events))
             return word_at(spec.alphabet, length, i), events[e]
@@ -438,30 +444,34 @@ def decide_controllability(
     Requires the reduction preconditions (target monotone along
     uncontrollable extensions and dominated by the plant there); see
     ``check_decision_preconditions``.  Under them, for each
-    uncontrollable event the min-inequality is equivalent to the word
-    functions of two product-sum machines agreeing everywhere:
+    uncontrollable event sigma the min-inequality is equivalent to the
+    word function
 
-        (H  x M_s) + (H_s x H_s)   versus   (H_s x M_s) + (H_s x H)
+        (H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))
 
-    where X_s folds one trailing occurrence of the event into X's final
-    functional.  Both sides share their initial vector and matrices, so
-    one state ``(X1, X2) = (h m^T, h h^T)``, with ``h = H(w) pi_H`` and
-    ``m = M(w) pi_M``, serves both; it advances as ``X1 <- H_a X1 M_a^T``
-    and ``X2 <- H_a X2 H_a^T`` (Van Loan's ``(A x B) vec X = vec(A X B^T)``),
-    and the span kernel tests the difference of the two final
-    functionals on it, one row per event, in one exploration.  Target
-    and plant, of any kind ``blm.linear_form`` maps and with alphabets in
-    any order, are first minimized in operator form, and no Kronecker
-    product of machine matrices is ever formed.  The witness is the
-    oracle's: the shortlex-least word in ``spec.alphabet`` order with a
-    nonzero gap, and the first failing event in sorted order at that word.
+    vanishing on every word s: a Hadamard product of two rational series
+    (Berstel and Reutenauer, *Noncommutative Rational Series*).  It is
+    read on one product state ``X = h g^T``, with ``h = H(w) pi_H`` and
+    ``g = (h, m)`` stacked over ``m = M(w) pi_M``.  The state advances as
+    ``X <- H_a X diag(H_a, M_a)^T``: ``H_a X``, then its first ``r_H``
+    columns times ``H_a^T`` and the rest times ``M_a^T`` (Van Loan's
+    ``(A x B) vec X = vec(A X B^T)``).  Event sigma reads it with the one
+    row ``vec((eta_H - eta_H H_sigma)^T (-eta_H H_sigma, eta_M M_sigma))``,
+    and the span kernel tests every event's row in one exploration, which
+    inserts at most ``r_H (r_H + r_M)`` basis vectors.
+    Target and plant, of any kind ``blm.linear_form`` maps and with
+    alphabets in any order, are first minimized in operator form, and no
+    Kronecker product of machine matrices is ever formed.  The witness
+    is the oracle's: the shortlex-least word in ``spec.alphabet`` order
+    with a nonzero product, and the first failing event in sorted order
+    at that word.
 
     On failure ``lhs = min(target(s), plant(s sigma))`` and
     ``rhs = target(s sigma)`` come from the direct evaluators, and
-    ``confirmed`` says whether ``lhs - rhs > tol``.  The two sides
-    differ by ``(H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))``, so an
-    unconfirmed witness means a reduction precondition fails at that
-    word.  A tolerance that is not finite and positive is refused.
+    ``confirmed`` says whether ``lhs - rhs > tol``.  The product is
+    nonzero also where a factor has the wrong sign, so an unconfirmed
+    witness means a reduction precondition fails at that word.  A
+    tolerance that is not finite and positive is refused.
     """
     check_tol(tol)
     h, m = minimize(target), minimize(plant)
@@ -469,21 +479,19 @@ def decide_controllability(
         raise ValueError("target and plant must share an alphabet")
     if set(spec.alphabet) != set(h.alphabet):
         raise ValueError("control spec alphabet does not match the automata")
-    split = h.n * m.n
+    r, shape = h.n, (h.n, h.n + m.n)
 
     def step(x: np.ndarray, a: str) -> np.ndarray:
-        ha = h.matrices[a]
-        x1 = ha @ x[:split].reshape(h.n, m.n) @ m.matrices[a].T
-        x2 = ha @ x[split:].reshape(h.n, h.n) @ ha.T
-        return np.concatenate([x1.ravel(), x2.ravel()])
+        y = h.matrices[a] @ x.reshape(shape)
+        return np.concatenate([y[:, :r] @ h.matrices[a].T, y[:, r:] @ m.matrices[a].T], axis=1).ravel()
 
     events = sorted(spec.uncontrollable)
-    eta_hs = [h.eta @ h.matrices[e] for e in events]
-    # eta_lhs - eta_rhs on (X1, X2) per event, as row-major vec functionals.
-    gaps = [np.concatenate([np.outer(h.eta - hs, m.eta @ m.matrices[e]).ravel(), np.outer(hs, hs - h.eta).ravel()])
-            for e, hs in zip(events, eta_hs)]
-    start = np.concatenate([np.outer(h.pi, m.pi).ravel(), np.outer(h.pi, h.pi).ravel()])
-    _, hit = explore_span(start, step, spec.alphabet, tol, np.array(gaps)) if events else (None, None)
+    rows = []
+    for e in events:
+        h_e = h.eta @ h.matrices[e]
+        rows.append(np.outer(h.eta - h_e, np.concatenate([-h_e, m.eta @ m.matrices[e]])).ravel())
+    start = np.outer(h.pi, np.concatenate([h.pi, m.pi])).ravel()
+    _, hit = explore_span(start, step, spec.alphabet, tol, np.array(rows)) if events else (None, None)
     if hit is None:
         return ControllabilityResult(True)
     word, sigma = hit[0], events[hit[1]]
@@ -494,16 +502,17 @@ def decide_controllability(
 
 
 def check_decision_preconditions(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,
-                                 horizon: int, tol: float = 1e-9) -> list[str]:
+                                 horizon: int) -> list[str]:
     """Horizon-bounded check of the two inequalities the algebraic
     reduction silently uses: target(s) >= target(s sigma) and
-    plant(s sigma) >= target(s sigma) on uncontrollable events."""
+    plant(s sigma) >= target(s sigma) on uncontrollable events, each
+    with slack ``SWEEP_TOL``."""
     check_horizon(horizon)
     events = sorted(spec.uncontrollable)
     problems = []
     sweep = _extensions(target.levels(spec.alphabet, horizon + 1), plant.levels(spec.alphabet, horizon + 1), spec)
     for length, t, t_ext, p_ext in sweep:
-        rising, above = t_ext > t + tol, t_ext > p_ext + tol
+        rising, above = t_ext > t + SWEEP_TOL, t_ext > p_ext + SWEEP_TOL
         for i, e in np.argwhere(rising | above):
             at = "".join((*word_at(spec.alphabet, length, int(i)), events[e]))
             if rising[i, e]:
@@ -514,14 +523,15 @@ def check_decision_preconditions(target: QuantumLanguage, plant: QuantumLanguage
 
 
 def check_approximation_preconditions(target: QuantumLanguage, plant: QuantumLanguage,
-                                      in_closure: Callable[[Word], bool], horizon: int, tol: float = 1e-9) -> list[str]:
+                                      in_closure: Callable[[Word], bool], horizon: int) -> list[str]:
     """Horizon-bounded hypotheses of the approximate-control guarantee:
     the target never exceeds the plant, and matches it exactly on
-    histories inside the prefix closure of the specification."""
+    histories inside the prefix closure of the specification, both up
+    to ``SWEEP_TOL``."""
     alphabet = target.alphabet
     problems = []
     for length, (t, p) in enumerate(zip(target.levels(alphabet, horizon), plant.levels(alphabet, horizon))):
-        above, differ = t > p + tol, np.abs(t - p) > tol
+        above, differ = t > p + SWEEP_TOL, np.abs(t - p) > SWEEP_TOL
         for i in np.flatnonzero(above | differ):
             s = word_at(alphabet, length, int(i))
             if above[i]:
@@ -568,15 +578,13 @@ def closed_loop_marked(cl: ClosedLoop, cutpoint: float, radius: float) -> Quantu
     return QuantumLanguage(fn, marked.alphabet, "marked closed-loop")
 
 
-def check_nonblocking(
-    cl: ClosedLoop, cutpoint: float, radius: float, horizon: int, tol: float = 1e-9
-) -> bool:
+def check_nonblocking(cl: ClosedLoop, cutpoint: float, radius: float, horizon: int) -> bool:
     """Closed loop equals the prefix closure of its marked part, over the horizon.
 
     The marked value of any extension never exceeds the closed-loop
     value of the history (both facts are exact consequences of the
     min-recursion), so the two-sided comparison collapses to finding one
-    extension whose marked value comes within tol of the history's
+    extension whose marked value comes within ``SWEEP_TOL`` of the history's
     closed-loop value.
 
     The closed-loop and plant levels, from one pass of the plant's
@@ -594,11 +602,11 @@ def check_nonblocking(
 
     def reached(s: Word) -> bool:
         lhs = cl.value(s)
-        return any(marked((*s, *t)) >= lhs - tol for t in words_upto(alphabet, horizon))
+        return any(marked((*s, *t)) >= lhs - SWEEP_TOL for t in words_upto(alphabet, horizon))
 
     def unsettled(length: int, c: np.ndarray, p: np.ndarray) -> Iterator[Word]:
         outside = (p >= hi + LEVEL_MARGIN) | (p <= lo - LEVEL_MARGIN)
-        settled = outside & (np.where(p >= hi, np.minimum(p, c), 0.0) >= c - tol + LEVEL_MARGIN)
+        settled = outside & (np.where(p >= hi, np.minimum(p, c), 0.0) >= c - SWEEP_TOL + LEVEL_MARGIN)
         return (word_at(alphabet, length, int(i)) for i in np.flatnonzero(~settled))
 
     loop_pass, band_pass = tee(cl.supervisor.plant.levels(alphabet, horizon))
@@ -617,7 +625,7 @@ class MarkingResult:
 
 
 def check_marking_conditions(K: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec, horizon: int,
-                             tol: float = 1e-9, pr_K: QuantumLanguage | None = None) -> MarkingResult:
+                             pr_K: QuantumLanguage | None = None) -> MarkingResult:
     """Check the two marked-control conditions over the horizon.
 
     Condition 1 is the controllability inequality for the prefix closure
@@ -643,19 +651,19 @@ def check_marking_conditions(K: QuantumLanguage, plant: QuantumLanguage, spec: C
         prk = list(pr_K.levels(alphabet, horizon + 1))
     p_levels = list(plant.levels(alphabet, horizon + 1))
 
-    hit = _first_gap(iter(prk), iter(p_levels), spec, tol)
+    hit = _first_gap(iter(prk), iter(p_levels), spec)
     if hit is not None:
         return MarkingResult(False, 1, *hit)
 
-    crisp = all((np.minimum(k, np.abs(k - 1.0)) <= tol).all() for k in k_levels)
+    crisp = all((np.minimum(k, np.abs(k - 1.0)) <= SWEEP_TOL).all() for k in k_levels)
     for length, (k, pr, p) in enumerate(zip(k_levels, prk, p_levels)):
         marked = np.where(p >= hi, p, 0.0)
         band = (p < hi) & (p > lo)
         if crisp:
             band &= pr > 0.5
-            wrong = (k > 0.5) != ((pr > 0.5) & (marked > tol))
+            wrong = (k > 0.5) != ((pr > 0.5) & (marked > SWEEP_TOL))
         else:
-            wrong = np.abs(k - np.minimum(pr, marked)) > tol
+            wrong = np.abs(k - np.minimum(pr, marked)) > SWEEP_TOL
         stop = np.flatnonzero(band | wrong)
         if stop.size:
             i = int(stop[0])

@@ -12,8 +12,9 @@ from itertools import product
 
 import numpy as np
 
-from qdes.blm import Rblm, absorb_symbol, blm_eval
-from qdes.equivalence import EquivalenceVerdict
+from qdes import equivalence
+from qdes.blm import Rblm, absorb_symbol, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, evaluator
+from qdes.equivalence import EquivalenceVerdict, check_tol, minimize
 from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq, projected_norms_sq, tensor
 from qdes.models import (
     END_MARKER,
@@ -21,6 +22,7 @@ from qdes.models import (
     MmQfa,
     MoQfa,
     Qfac,
+    _as_hybrid,
     _check_symbols,
     check_horizon,
     clamp_level,
@@ -306,6 +308,56 @@ def ref_marking_conditions(K, plant, spec, horizon, tol=1e-9, pr_K=None):
     return MarkingResult(True)
 
 
+def ref_decide_controllability(target, plant, spec, tol=1e-7):
+    """The decision on two Kronecker states, ``(X1, X2) = (h m^T, h h^T)``,
+    advanced as ``X1 <- H_a X1 M_a^T`` and ``X2 <- H_a X2 H_a^T`` and read
+    per event with the two-term row of the difference between
+    ``(H x M_s) + (H_s x H_s)`` and ``(H_s x M_s) + (H_s x H)``.  The
+    kernel is looked up on ``equivalence`` at call time, so a test that
+    wraps ``explore_span`` sees this exploration too."""
+    check_tol(tol)
+    h, m = minimize(target), minimize(plant)
+    split = h.n * m.n
+
+    def step(x, a):
+        ha = h.matrices[a]
+        x1 = ha @ x[:split].reshape(h.n, m.n) @ m.matrices[a].T
+        x2 = ha @ x[split:].reshape(h.n, h.n) @ ha.T
+        return np.concatenate([x1.ravel(), x2.ravel()])
+
+    events = sorted(spec.uncontrollable)
+    eta_hs = [h.eta @ h.matrices[e] for e in events]
+    gaps = [np.concatenate([np.outer(h.eta - hs, m.eta @ m.matrices[e]).ravel(), np.outer(hs, hs - h.eta).ravel()])
+            for e, hs in zip(events, eta_hs)]
+    start = np.concatenate([np.outer(h.pi, m.pi).ravel(), np.outer(h.pi, h.pi).ravel()])
+    _, hit = equivalence.explore_span(start, step, spec.alphabet, tol, np.array(gaps)) if events else (None, None)
+    if hit is None:
+        return ControllabilityResult(True)
+    word, sigma = hit[0], events[hit[1]]
+    f_target, f_plant = evaluator(target), evaluator(plant)
+    ext = (*word, sigma)
+    lhs, rhs = min(f_target(word), f_plant(ext)), f_target(ext)
+    return ControllabilityResult(False, word, sigma, lhs, rhs, lhs - rhs > tol)
+
+
+def ref_closed_loop_value(supervisor, memo, s):
+    """The closed loop's min-recursion at ``s``, walking every prefix from the
+    empty word: a prefix ``memo`` holds is read from it, any other is computed
+    and memoized.  ``memo`` starts as ``{(): 1.0}``."""
+    s = tuple(s)
+    if s in memo:
+        return memo[s]
+    acc = memo[()]
+    for i in range(len(s)):
+        prefix = s[: i + 1]
+        if prefix in memo:
+            acc = memo[prefix]
+            continue
+        acc = min(acc, supervisor.plant(prefix), supervisor.enablement(s[:i], s[i]))
+        memo[prefix] = acc
+    return acc
+
+
 def ref_af_modp_worst(p, ks):
     """The mod-p certificate's worst squared residue amplitude, one np.mean per residue t."""
     worst = 0.0
@@ -346,7 +398,7 @@ def ref_nonblocking(cl, cutpoint, radius, horizon, tol=1e-9):
 
 def ref_qfac_accept_prob(m, x):
     """The hybrid evaluator's loop that reads every symbol, whatever the classical state."""
-    _check_symbols(x, m.alphabet)
+    _check_symbols(x, frozenset(m.alphabet))
     s = m.initial_classical
     v = np.asarray(m.initial_quantum, dtype=complex)
     for sym in x:
@@ -360,7 +412,7 @@ def ref_qfac_levels(m, alphabet, horizon):
     every classical state, gathered and scattered by state at each level."""
     check_horizon(horizon)
     if horizon:
-        _check_symbols(alphabet, m.alphabet)
+        _check_symbols(alphabet, frozenset(m.alphabet))
     index = {s: i for i, s in enumerate(m.classical_states)}
     v = np.asarray(m.initial_quantum, dtype=complex)[:, None]
     cls = np.array([index[m.initial_classical]])
@@ -395,7 +447,7 @@ def ref_prefix_maxima(levels, depth, symbols):
 
 def ref_mm_accept_prob(m, w):
     """The measure-many forward pass through ``Projector.apply`` and ``projected_norm_sq``."""
-    _check_symbols(w, m.alphabet, forbid=END_MARKER)
+    _check_symbols(w, frozenset(m.alphabet), forbid=END_MARKER)
     total = 0.0
     going = np.asarray(m.initial, dtype=complex)
     for sym in (*w, END_MARKER):
@@ -407,7 +459,7 @@ def ref_mm_accept_prob(m, w):
 
 def ref_mo_accept_prob(m, w):
     """The measure-once loop on the automaton itself, without its hybrid embedding."""
-    _check_symbols(w, m.alphabet)
+    _check_symbols(w, frozenset(m.alphabet))
     v = np.asarray(m.initial, dtype=complex)
     for sym in w:
         v = m.unitaries[sym] @ v
@@ -419,7 +471,7 @@ def ref_mm_levels(m, alphabet, horizon):
     symbol, then a projected-norm reduction and a go mask on its columns."""
     check_horizon(horizon)
     if horizon:
-        _check_symbols(alphabet, m.alphabet, forbid=END_MARKER)
+        _check_symbols(alphabet, frozenset(m.alphabet), forbid=END_MARKER)
     go_mask = np.zeros((m.dim, 1))
     go_mask[list(m.going.indices)] = 1.0
     going = np.asarray(m.initial, dtype=complex)[:, None]
@@ -484,6 +536,20 @@ def ref_kernel(start, step, alphabet, tol, functionals=None):
     assert functionals is None or len(functionals) == 1
     basis, word = ref_explore_span(start, step, alphabet, tol, None if functionals is None else functionals[0])
     return basis, None if word is None else (word, 0)
+
+
+def to_rblm(a) -> Rblm:
+    """The dense bilinear machine of any automaton kind, the reference for
+    the decisions' operator forms: the compilers' matrices, with
+    measure-once automata and DFAs through their hybrid embeddings."""
+    if isinstance(a, Rblm):
+        return a
+    if isinstance(a, MmQfa):
+        return compile_mm_to_rblm(a)
+    a = _as_hybrid(a)
+    if isinstance(a, Qfac):
+        return compile_qfac_to_rblm(a)
+    raise TypeError(f"no bilinear form for {type(a).__name__}")
 
 
 def ref_vec_rblm(a) -> Rblm:

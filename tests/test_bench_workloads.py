@@ -1,4 +1,5 @@
-"""Two checked passes of the benchmark's in-process workloads, untimed.
+"""Two checked passes of the benchmark's in-process workloads, and one of
+its ladder's base rungs through the CLI, untimed.
 
 The harness in ``bench/`` calls the library by name, some of it through
 ``getattr``; a name it needs that goes missing, or an answer it checks
@@ -6,18 +7,23 @@ that changes, fails here rather than in a benchmark run.  The second
 pass runs the same operations on the same automata, as a timed run
 does, so what the library keeps on an automaton between calls (linear
 forms, minimal machines, evaluator trails) is checked across operations.
+The ladder's documents come from ``qdes.cli.main`` in this process, so
+a wrong CLI verdict fails here too, not only in the benchmark.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import qdes
+import qdes.cli
 import qdes.composition
 import qdes.equivalence
 import qdes.fixtures
+import qdes.serialize
 import qdes.supervisory
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -42,3 +48,12 @@ def test_two_passes_check(workloads, name):
     for pass_no in (1, 2):
         failures = {op.label: problem for op in run if (problem := op.check(op.run())) is not None}
         assert failures == {}, f"pass {pass_no}"
+
+
+def test_base_rungs_through_the_cli(workloads, tmp_path, capsys):
+    rungs = workloads.setup_ladder(qdes, 0, tmp_path)
+    for name in workloads.BASE_RUNGS:
+        for kind, argv, check in workloads.cli_calls(rungs[name]):
+            qdes.cli.main(argv)
+            doc = json.loads(capsys.readouterr().out)
+            assert check(doc) is None, f"{kind} on {name}: {doc}"

@@ -12,7 +12,6 @@ from qdes.blm import (
     hermitian_basis,
     linear_form,
     rblm_probability,
-    to_rblm,
 )
 from qdes.composition import parallel_qfac
 from qdes.equivalence import minimize
@@ -20,7 +19,7 @@ from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, dfa_
 from qdes.linalg import dagger, projected_norm_sq
 from qdes.models import MmQfa, ValidationFailedError, mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
 
-from helpers import random_mm, random_mo, random_qfac, random_rblm, ref_vec_rblm, words_up_to
+from helpers import random_mm, random_mo, random_qfac, random_rblm, ref_vec_rblm, to_rblm, words_up_to
 
 
 def scalar_machine(value, alphabet=("a",)):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdes import blm
-from qdes.blm import blm_eval, compile_mm_to_rblm, to_rblm
+from qdes.blm import blm_eval, compile_mm_to_rblm
 from qdes.cli import main
 from qdes.equivalence import equiv, k_equiv_bruteforce
 from qdes.fixtures import (
@@ -29,7 +29,7 @@ from qdes.models import MmQfa
 from qdes.serialize import SerializationError, from_document, load, save, to_document
 from qdes.supervisory import ControllabilityResult
 
-from helpers import random_mo, random_qfac, random_state, random_unitary, refuse_to_compile
+from helpers import random_mo, random_qfac, random_state, random_unitary, refuse_to_compile, to_rblm
 
 
 def run(capsys, *argv):

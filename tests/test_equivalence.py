@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdes import blm, equivalence, models, supervisory
-from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, to_rblm
+from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm
 from qdes.composition import parallel_qfac
 from qdes.equivalence import (
     BRUTEFORCE_MAX_WORDS,
@@ -49,6 +49,7 @@ from helpers import (
     ref_vec_rblm,
     refuse_to_compile,
     similarity_transformed,
+    to_rblm,
     words_up_to,
 )
 
@@ -690,7 +691,7 @@ class TestKeptOnTheAutomaton:
         a = one_of_each_kind()[kind]
         calls = []
         check = models.validate
-        monkeypatch.setattr(models, "validate", lambda x, tol=None: calls.append(type(x).__name__) or check(x, tol))
+        monkeypatch.setattr(models, "validate", lambda x: calls.append(type(x).__name__) or check(x))
         minimize(a)
         blm.linear_form(a)
         list(blm.levels(a, a.alphabet, 3))
@@ -704,7 +705,7 @@ class TestCheckedOnlyWhenBuilt:
         m1, m2 = build_eg2(2, 0.5), build_eg2(3, 0.5)
         calls = []
         check = models.validate
-        monkeypatch.setattr(models, "validate", lambda a, tol=None: calls.append(a) or check(a, tol))
+        monkeypatch.setattr(models, "validate", lambda a: calls.append(a) or check(a))
         decide_controllability(variant, plant, spec)
         equiv_qfac(plant, variant)
         equiv_mm_qfa(m1, m2)

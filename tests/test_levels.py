@@ -6,7 +6,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from qdes.blm import Rblm, blm_eval, blm_levels, evaluator, levels, to_rblm
+from qdes.blm import Rblm, blm_eval, blm_levels, evaluator, levels
 from qdes.cli import main
 from qdes.equivalence import equiv_rblm, k_equiv_bruteforce
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant, dfa_bounded_zeros
@@ -27,6 +27,7 @@ from qdes.models import (
 from qdes.serialize import save
 from qdes.supervisory import (
     LEVEL_MARGIN,
+    SWEEP_TOL,
     ClosedLoop,
     ControlSpec,
     CustomSupervisor,
@@ -61,6 +62,7 @@ from helpers import (
     ref_prefix_maxima,
     ref_qfac_accept_prob,
     ref_qfac_levels,
+    to_rblm,
     words_up_to,
 )
 
@@ -420,7 +422,7 @@ class TestLevelMargin:
     ``LEVEL_MARGIN`` is still re-decided word by word."""
 
     def test_admissible_pair_just_below_the_threshold(self):
-        two, tol, enabled = ("a", "b"), 1e-9, 0.5
+        two, tol, enabled = ("a", "b"), SWEEP_TOL, 0.5
         feasible = enabled + tol + 2e-11  # per word, a violation
 
         def value(w):
@@ -433,7 +435,7 @@ class TestLevelMargin:
         supervisor = CustomSupervisor(plant, spec_for(two, "a"), lambda s, e: enabled)
         for p in islice(plant.levels(two, 3), 1, None):
             assert (p <= enabled + tol).all() and (p > enabled + tol - LEVEL_MARGIN).all()
-        got = check_admissible(supervisor, 2, tol)
+        got = check_admissible(supervisor, 2)
         assert got == ref_admissible(supervisor, 2, tol)
         assert [(v.word, v.symbol, v.feasible) for v in got] == [
             (s, "a", feasible) for s in words_upto(two, 2)]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm, to_rblm
+from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm
 from qdes.cli import main
 from qdes.fixtures import build_eg1, build_eg2, dfa_bounded_zeros
 from qdes.models import mm_accept_prob
@@ -20,7 +20,7 @@ from qdes.serialize import (
     to_document,
 )
 
-from helpers import random_mm, random_mo, random_qfac, random_unitary, words_up_to
+from helpers import random_mm, random_mo, random_qfac, random_unitary, to_rblm, words_up_to
 
 
 def all_kinds(rng):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdes import equivalence, supervisory
-from qdes.blm import Rblm, to_rblm
+from qdes.blm import Rblm
 from qdes.equivalence import minimize
 from qdes.models import Qfac
 from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant
@@ -34,7 +34,7 @@ from qdes.supervisory import (
     synthesize_supervisor,
 )
 
-from helpers import words_up_to
+from helpers import ref_closed_loop_value, ref_decide_controllability, to_rblm, words_up_to
 
 
 ALPHABET3 = ("0", "1", "2")
@@ -187,6 +187,25 @@ class TestClosedLoop:
                 assert loop.value((*s, sym)) <= loop.value(s)
                 assert loop.value((*s, sym)) <= plant((*s, sym))
 
+    def test_values_match_the_walk_from_the_empty_word(self):
+        # Every prefix of a long history in order, then branches off it at
+        # random lengths and random words, in random order.
+        plant_aut, _, plant, target = decay_pair(3)
+        policy = synthesize_supervisor(plant, target, spec2())
+        loop, memo = ClosedLoop(policy), {(): 1.0}
+        rng = np.random.default_rng(7)
+        history = tuple(rng.choice(plant_aut.alphabet, size=400).tolist())
+        words = [history[:i] for i in range(len(history) + 1)]
+        for _ in range(40):
+            stem = history[: rng.integers(0, 400)] if rng.random() < 0.5 else ()
+            tail = rng.choice(plant_aut.alphabet, size=rng.integers(0, 400 - len(stem) + 1)).tolist()
+            words.append((*stem, *tail))
+        order = [*range(len(history) + 1), *rng.permutation(range(len(history) + 1, len(words)))]
+        for i in order:
+            assert loop.value(words[i]) == ref_closed_loop_value(policy, memo, words[i])
+        assert loop._memo == memo
+        assert all(w[:-1] in loop._memo for w in loop._memo if w)
+
     @pytest.mark.parametrize("pair", [decay_pair, halves_pair, imbalance_pair])
     def test_supervised_language_equals_target(self, pair):
         plant_aut, target_aut, plant, target = pair()
@@ -283,8 +302,7 @@ class TestDecideControllability:
 
     def test_zero_target_holds(self):
         plant_aut = build_eg2(2, 0.5)
-        zero = to_rblm(plant_aut)
-        zero = Rblm(zero.alphabet, zero.pi, zero.matrices, np.zeros_like(zero.eta))
+        zero = zero_machine(plant_aut)
         for unc in ("0", "1"):
             assert decide_controllability(zero, plant_aut, spec2(uncontrollable=(unc,))).holds
 
@@ -338,6 +356,66 @@ class TestDecideControllability:
         decided = decide_controllability(target_aut, plant_aut, bad)
         oracle = check_controllability_exhaustive(target, plant, bad, horizon=5)
         assert not decided.holds and not oracle.holds and decided.symbol == "0"
+
+
+def eg1_cut(n_param, state):
+    plant_aut, target_aut = large_pair("eg1", n_param, 0.5)
+    if state is None:
+        return target_aut, plant_aut
+    cut = {**target_aut.transitions, (state, "0"): plant_aut.classical_states[-1]}
+    return dataclasses.replace(target_aut, transitions=cut), plant_aut
+
+
+def zero_machine(automaton):
+    b = to_rblm(automaton)
+    return Rblm(b.alphabet, b.pi, b.matrices, np.zeros_like(b.eta))
+
+
+def eg2_case(n_param, swapped, zero=""):
+    plant_aut, target_aut, _, _ = decay_pair(n_param)
+    if "target" in zero:
+        target_aut = zero_machine(plant_aut)
+    if "plant" in zero:
+        plant_aut = zero_machine(plant_aut)
+    return (plant_aut, target_aut) if swapped else (target_aut, plant_aut)
+
+
+REFERENCE_CASES = {
+    **{f"eg1-N{n}-{cut or 'holds'}": (lambda n=n, cut=cut: eg1_cut(n, cut), spec3())
+       for n in (2, 3, 4) for cut in (None, "s0", "s1", "s2")},
+    **{f"egadd-N{n}": (lambda n=n: large_pair("egadd", n, 0.5)[::-1], spec3()) for n in (4, 6, 8)},
+    **{f"eg2-N{n}-{e}{'-swapped' if swapped else ''}": (lambda n=n, swapped=swapped: eg2_case(n, swapped),
+                                                          spec2(uncontrollable=(e,)))
+       for n in (1, 2, 3) for e in ("0", "1") for swapped in (False, True)},
+    **{f"eg2-zero-{zero}-{e}": (lambda zero=zero: eg2_case(2, False, zero), spec2(uncontrollable=(e,)))
+       for zero in ("target", "plant", "target-plant") for e in ("0", "1")},
+}
+
+
+class TestTwoStateReference:
+    """The one-state decision against the two-state one it replaced: the
+    same verdict, witness, confirmation and visited dimension."""
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_same_decision(self, case, monkeypatch):
+        make, spec = REFERENCE_CASES[case]
+        target_aut, plant_aut = make()
+        kernel, dims = equivalence.explore_span, []
+
+        def recording(*args, **kwargs):
+            basis, hit = kernel(*args, **kwargs)
+            dims.append(len(basis))
+            return basis, hit
+
+        monkeypatch.setattr(equivalence, "explore_span", recording)
+        monkeypatch.setattr(supervisory, "explore_span", recording)
+        got = decide_controllability(target_aut, plant_aut, spec)
+        got_dim = dims[-1]
+        want = ref_decide_controllability(target_aut, plant_aut, spec)
+        assert (got.holds, got.word, got.symbol, got.confirmed) == (want.holds, want.word, want.symbol, want.confirmed)
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+        assert got_dim == dims[-1]
+        assert got_dim <= minimize(target_aut).n * (minimize(target_aut).n + minimize(plant_aut).n)
 
 
 def large_pair(family, n_param, eps):
