@@ -19,6 +19,14 @@ equals the direct evaluator on every word.
 step ``apply(a, X)`` instead of matrices; for a hybrid automaton the step
 conjugates each classical block by its own unitary, so the decisions run
 without the dense k * d^2 square compiled matrices.
+
+``Rblm.apply`` and ``blm_eval`` multiply with ``ndarray.dot``: on a 2-D
+matrix and a vector, an (n, r) block or a second vector it makes the
+same BLAS call as ``@`` (transposed, F-ordered views included), so the
+values are ``@``'s floats at about half the dispatch cost of a small
+step.  ``@`` stays in ``_qfac_form``'s step, which multiplies 3-D stacks
+(``.dot`` is a different product there), and in ``blm_levels``, where one
+product serves a whole level of words.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ class Rblm:
 
     def apply(self, a: str, x: np.ndarray) -> np.ndarray:
         """``M(a) @ x``, for one state vector or an (n, r) block of columns."""
-        return self.matrices[a] @ x
+        return self.matrices[a].dot(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +112,7 @@ def blm_eval(b: Rblm | LinearForm, w: Sequence[str]) -> float:
         if sym not in b.alphabet:
             raise ValueError(f"symbol {sym!r} not in alphabet {sorted(set(b.alphabet))}")
         v = b.apply(sym, v)
-    val = complex(np.asarray(b.eta) @ v)
+    val = complex(np.asarray(b.eta).dot(v))
     if abs(val.imag) > REAL_TOL:
         raise ArithmeticError(f"machine not real-valued: f({''.join(w)!r}) = {val!r}")
     return float(val.real)

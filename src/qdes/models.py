@@ -19,6 +19,14 @@ common prefix with that word, so a run of words that share prefixes,
 like a shortlex scan or the histories of a closed loop, costs about one
 step per word, and every value is the same float as a run from the
 empty word.
+
+Each step of those evaluators is one ``ndarray.dot`` of a 2-D matrix and
+a vector.  For such a pair ``a.dot(x)`` reaches the same BLAS ``gemv`` as
+``a @ x`` and gives the same floats, at about half of ``@``'s dispatch
+cost, which is most of a step on states of a few entries.  The level
+evaluators keep ``@``: one of their products serves a whole level of
+words, so its dispatch cost does not count, and on the 3-D stack that
+``mm_levels`` multiplies ``.dot`` is not ``@``'s batched BLAS product.
 """
 
 from __future__ import annotations
@@ -294,7 +302,7 @@ def _mm_step(table, state, sym):
     and the surviving go state."""
     steps, acc = table
     going, total = state
-    v = steps[sym] @ going
+    v = steps[sym].dot(going)
     c = v[:acc]
     total += np.vdot(c, c).real
     return v[acc:], total
@@ -414,7 +422,7 @@ def _qfac_step(steps, state, sym):
     if s not in steps:
         return None
     u, t = steps[s][sym]
-    return t, u @ v
+    return t, u.dot(v)
 
 
 def qfac_accept_prob(m: Qfac, x: Sequence[str]) -> float:

@@ -21,6 +21,7 @@ any other loads as complex128.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -36,61 +37,70 @@ class SerializationError(ValueError):
     """Malformed document: missing or ill-typed fields."""
 
 
+_NUMBER = (int, float, np.integer, np.floating)
+_BOOL = (bool, np.bool_)
+
+
 def _fmt_number(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, _BOOL):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise SerializationError(f"non-finite number {x!r} has no canonical form")
     if x == 0.0:
         return "0"  # normalize away negative zero
     return format(x, ".17g")
 
 
-def _numeric_depth(v, depth=0):
-    """Depth of a nested list whose leaves are all numbers; None otherwise."""
-    if isinstance(v, (bool, np.bool_)):
-        return None
-    if isinstance(v, (int, float, np.integer, np.floating)):
-        return depth
-    if isinstance(v, (list, tuple)):
-        worst = depth
-        for item in v:
-            d = _numeric_depth(item, depth + 1)
-            if d is None:
-                return None
-            worst = max(worst, d)
-        return worst
-    return None
-
-
 def _emit(v: Any, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if v is None:
         return "null"
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, _BOOL):
         return "true" if v else "false"
-    if isinstance(v, (int, float, np.integer, np.floating)):
+    if isinstance(v, _NUMBER):
         return _fmt_number(v)
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, dict):
         if not v:
             return "{}"
+        inner = "  " * (indent + 1)
         parts = [f"{inner}{json.dumps(str(k))}: {_emit(v[k], indent + 1)}" for k in sorted(v)]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return "{\n" + ",\n".join(parts) + f"\n{'  ' * indent}}}"
     if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        depth = _numeric_depth(v)
-        if depth is not None and depth <= 2:
-            return "[" + ", ".join(_emit(item, 0) for item in v) + "]"
-        parts = [f"{inner}{_emit(item, indent + 1)}" for item in v]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+        return _emit_list(v, indent)[0]
     raise SerializationError(f"cannot serialize value of type {type(v).__name__}")
+
+
+def _emit_list(v, indent: int) -> tuple[str, int | None]:
+    """The text of a list and its numeric depth, from one walk of its items.
+
+    The depth is 0 for ``[]`` and one more than the deepest item otherwise,
+    a number counting 0; it is None when some leaf is not a number.  A
+    numeric list of depth <= 2 is inlined on one line: its items are
+    numbers or numeric lists of depth <= 1, whose texts are already
+    inline.  Any other list puts each item on a line of its own.
+    """
+    if not v:
+        return "[]", 0
+    texts, depth = [], 0
+    for item in v:
+        if isinstance(item, _NUMBER) and not isinstance(item, _BOOL):
+            texts.append(_fmt_number(item))
+        elif isinstance(item, (list, tuple)):
+            text, d = _emit_list(item, indent + 1)
+            texts.append(text)
+            depth = None if depth is None or d is None else max(depth, d)
+        else:
+            texts.append(_emit(item, indent + 1))
+            depth = None
+    if depth is not None and depth < 2:
+        return "[" + ", ".join(texts) + "]", depth + 1
+    inner = "  " * (indent + 1)
+    text = "[\n" + ",\n".join(inner + t for t in texts) + f"\n{'  ' * indent}]"
+    return text, None if depth is None else depth + 1
 
 
 def canonical_json(doc: Any) -> str:

@@ -6,6 +6,7 @@ reproducible; machines come out valid by construction.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from itertools import product
@@ -13,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from qdes import equivalence
-from qdes.blm import Rblm, absorb_symbol, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, evaluator
+from qdes.blm import REAL_TOL, Rblm, absorb_symbol, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, evaluator
 from qdes.equivalence import EquivalenceVerdict, check_tol, minimize
 from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq, projected_norms_sq, tensor
 from qdes.models import (
@@ -30,6 +31,7 @@ from qdes.models import (
     qfac_from_dfa,
     qfac_from_mo,
 )
+from qdes.serialize import SerializationError
 from qdes.supervisory import (
     AdmissibilityViolation,
     ControllabilityResult,
@@ -591,3 +593,80 @@ def ref_vec_rblm(a) -> Rblm:
             t[j * nn:(j + 1) * nn, i * nn:(i + 1) * nn] += np.kron(u, np.conj(u))
         matrices[sym] = t
     return Rblm(a.alphabet, pi, matrices, eta)
+
+
+def ref_blm_eval(b, w):
+    """The bilinear evaluation loop with ``@`` products: ``M(a) @ v`` per
+    symbol, through the machine's own matrices, then ``eta @ v``."""
+    v = np.asarray(b.pi)
+    for sym in w:
+        if sym not in b.alphabet:
+            raise ValueError(f"symbol {sym!r} not in alphabet {sorted(set(b.alphabet))}")
+        v = b.matrices[sym] @ v
+    val = complex(np.asarray(b.eta) @ v)
+    if abs(val.imag) > REAL_TOL:
+        raise ArithmeticError(f"machine not real-valued: f({''.join(w)!r}) = {val!r}")
+    return float(val.real)
+
+
+def _ref_fmt_number(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if not np.isfinite(x):
+        raise SerializationError(f"non-finite number {x!r} has no canonical form")
+    if x == 0.0:
+        return "0"
+    return format(x, ".17g")
+
+
+def _ref_numeric_depth(v, depth=0):
+    if isinstance(v, (bool, np.bool_)):
+        return None
+    if isinstance(v, (int, float, np.integer, np.floating)):
+        return depth
+    if isinstance(v, (list, tuple)):
+        worst = depth
+        for item in v:
+            d = _ref_numeric_depth(item, depth + 1)
+            if d is None:
+                return None
+            worst = max(worst, d)
+        return worst
+    return None
+
+
+def _ref_emit(v, indent):
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, float, np.integer, np.floating)):
+        return _ref_fmt_number(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: {_ref_emit(v[k], indent + 1)}" for k in sorted(v)]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        depth = _ref_numeric_depth(v)
+        if depth is not None and depth <= 2:
+            return "[" + ", ".join(_ref_emit(item, 0) for item in v) + "]"
+        parts = [f"{inner}{_ref_emit(item, indent + 1)}" for item in v]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    raise SerializationError(f"cannot serialize value of type {type(v).__name__}")
+
+
+def ref_canonical_json(doc):
+    """The canonical emitter that measures the numeric depth of every list
+    anew at each level: each nested numeric list is re-walked once per
+    enclosing list."""
+    return _ref_emit(doc, 0) + "\n"

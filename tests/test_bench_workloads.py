@@ -1,5 +1,6 @@
-"""Two checked passes of the benchmark's in-process workloads, and one of
-its ladder's base rungs through the CLI, untimed.
+"""Two checked passes of the benchmark's in-process workloads, one of its
+ladder's base rungs through the CLI, untimed, and the ladder's documents
+against the reference emitter.
 
 The harness in ``bench/`` calls the library by name, some of it through
 ``getattr``; a name it needs that goes missing, or an answer it checks
@@ -25,6 +26,8 @@ import qdes.equivalence
 import qdes.fixtures
 import qdes.serialize
 import qdes.supervisory
+
+from helpers import ref_canonical_json
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -57,3 +60,10 @@ def test_base_rungs_through_the_cli(workloads, tmp_path, capsys):
             qdes.cli.main(argv)
             doc = json.loads(capsys.readouterr().out)
             assert check(doc) is None, f"{kind} on {name}: {doc}"
+
+
+def test_ladder_documents_match_the_reference_emitter(workloads):
+    for rung in workloads.RUNGS:
+        for automaton in workloads.build_rung(qdes, rung, 0)[:2]:
+            doc = qdes.serialize.to_document(automaton)
+            assert qdes.serialize.canonical_json(doc) == ref_canonical_json(doc), rung.name

@@ -14,12 +14,21 @@ from qdes.blm import (
     rblm_probability,
 )
 from qdes.composition import parallel_qfac
-from qdes.equivalence import minimize
+from qdes.equivalence import _transpose, minimize
 from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
 from qdes.linalg import dagger, projected_norm_sq
 from qdes.models import MmQfa, ValidationFailedError, mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
 
-from helpers import random_mm, random_mo, random_qfac, random_rblm, ref_vec_rblm, to_rblm, words_up_to
+from helpers import (
+    random_mm,
+    random_mo,
+    random_qfac,
+    random_rblm,
+    ref_blm_eval,
+    ref_vec_rblm,
+    to_rblm,
+    words_up_to,
+)
 
 
 def scalar_machine(value, alphabet=("a",)):
@@ -277,3 +286,59 @@ class TestRealCoordinates:
         for real, exact in pairs:
             assert np.abs(exact.imag).max() <= 1e-14
             assert np.abs(real - exact.real).max() <= 1e-14
+
+
+def complex_rblm(rng, n, alphabet=("a", "b")) -> Rblm:
+    """A machine with complex entries and a real word function: a random real
+    machine in the coordinates x -> T x of a random complex T."""
+    b = random_rblm(rng, n, alphabet)
+    t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    t_inv = np.linalg.inv(t)
+    return Rblm(b.alphabet, t @ b.pi, {a: t @ m @ t_inv for a, m in b.matrices.items()}, b.eta @ t_inv)
+
+
+def real_rblm(rng, n, alphabet=("a", "b")) -> Rblm:
+    b = random_rblm(rng, n, alphabet)
+    return Rblm(b.alphabet, b.pi.real.copy(), {a: m.real.copy() for a, m in b.matrices.items()}, b.eta.real.copy())
+
+
+REFERENCE_MACHINES = {
+    **{f"eg1-N{n}": (lambda n=n: compile_qfac_to_rblm(build_eg1(n, 0.5, seed=0))) for n in (1, 2)},
+    "egadd-N4": lambda: compile_qfac_to_rblm(build_egadd(4, 0.98, seed=0)),
+    **{f"eg2-N{n}": (lambda n=n: compile_mm_to_rblm(build_eg2(n, 0.5))) for n in range(1, 6)},
+    **{f"real-{n}": (lambda n=n: real_rblm(np.random.default_rng(61 + n), n)) for n in (1, 3, 8)},
+    **{f"complex-{n}": (lambda n=n: complex_rblm(np.random.default_rng(67 + n), n)) for n in (1, 3, 8)},
+    "eg1-N2-transposed": lambda: _transpose(compile_qfac_to_rblm(build_eg1(2, 0.5, seed=0))),
+    "complex-transposed": lambda: _transpose(complex_rblm(np.random.default_rng(71), 5)),
+    "eg1-N2-minimal": lambda: minimize(build_eg1(2, 0.95, seed=0)),
+    "zero-state": lambda: Rblm(("0", "1"), np.zeros(0), {a: np.zeros((0, 0)) for a in "01"}, np.zeros(0)),
+}
+
+
+class TestEvalAgainstReference:
+    """``blm_eval`` and ``Rblm.apply`` step with ``ndarray.dot``; on a 2-D
+    matrix and a vector or an (n, r) block it makes the same BLAS call as
+    ``@``, so every value is the reference's float, transposed (F-ordered)
+    matrices and blocks included."""
+
+    @pytest.mark.parametrize("name", REFERENCE_MACHINES)
+    def test_values_equal_the_matmul_loop(self, name):
+        b = REFERENCE_MACHINES[name]()
+        for w in words_up_to(b.alphabet, 6):
+            assert blm_eval(b, w) == ref_blm_eval(b, w), w
+
+    def test_transposed_matrices_are_views(self):
+        b = REFERENCE_MACHINES["eg1-N2-transposed"]()
+        assert all(m.flags.f_contiguous and not m.flags.c_contiguous for m in b.matrices.values())
+
+    @pytest.mark.parametrize("name", REFERENCE_MACHINES)
+    def test_apply_on_blocks_equals_matmul(self, name):
+        b, rng = REFERENCE_MACHINES[name](), np.random.default_rng(73)
+        real = rng.normal(size=(b.n, 5))
+        blocks = [real, real + 1j * rng.normal(size=(b.n, 5)), np.asfortranarray(real), real[:, :1], real[:, 0]]
+        blocks.append(np.ascontiguousarray(blocks[1].T).T)  # the F-ordered Q of ``_reachable_part``
+        for a in b.alphabet:
+            for x in blocks:
+                got = b.apply(a, x)
+                assert got.dtype == (b.matrices[a] @ x).dtype
+                assert np.array_equal(got, b.matrices[a] @ x)

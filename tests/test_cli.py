@@ -554,13 +554,15 @@ FUZZED_COMMANDS = {
     "validate": lambda path, stock: ["validate", path],
     "compose": lambda path, stock: ["compose", path, stock],
     "equiv-brute-k": lambda path, stock: ["equiv", path, stock, "--brute-k", "3"],
+    "prob": lambda path, stock: ["prob", path, "01"],
 }
 
 
 class TestValidateFuzz:
     """One field of a stock document, or one entry of a field, set to any JSON
-    value: ``qdes validate``, and ``qdes equiv --brute-k`` and ``qdes compose``
-    against the stock document, answer 0, 1 or 2 with one JSON document."""
+    value: ``qdes validate``, ``qdes prob`` on the word 01, and ``qdes equiv
+    --brute-k`` and ``qdes compose`` against the stock document, answer 0, 1
+    or 2 with one JSON document."""
 
     @pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
     @pytest.mark.parametrize("kind", sorted(STOCK_DOCUMENTS))

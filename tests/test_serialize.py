@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm
+from qdes.composition import parallel_qfac
 from qdes.cli import main
-from qdes.fixtures import build_eg1, build_eg2, dfa_bounded_zeros
+from qdes.equivalence import minimize
+from qdes.fixtures import (
+    build_af_modp,
+    build_eg1,
+    build_eg2,
+    build_eg2_spec,
+    build_egadd,
+    build_spec_variant,
+    dfa_bounded_zeros,
+    dfa_halves_sum_tracking,
+    dfa_zero_imbalance_tracking,
+)
 from qdes.models import mm_accept_prob
 from qdes.serialize import (
     SerializationError,
@@ -20,7 +32,17 @@ from qdes.serialize import (
     to_document,
 )
 
-from helpers import random_mm, random_mo, random_qfac, random_unitary, to_rblm, words_up_to
+from helpers import (
+    random_dfa,
+    random_mm,
+    random_mo,
+    random_qfac,
+    random_rblm,
+    random_unitary,
+    ref_canonical_json,
+    to_rblm,
+    words_up_to,
+)
 
 
 def all_kinds(rng):
@@ -189,8 +211,6 @@ class TestCanonicalForm:
             canonical_json({"x": float("inf")})
 
     def test_composed_automaton_round_trips(self, tmp_path):
-        from qdes.composition import parallel_qfac
-
         rng = np.random.default_rng(11)
         comp = parallel_qfac(random_qfac(rng, 2, 2), random_qfac(rng, 2, 2))
         path = tmp_path / "comp.json"
@@ -198,6 +218,53 @@ class TestCanonicalForm:
         first = path.read_text()
         save(load(path), path)
         assert path.read_text() == first
+
+
+STOCK_KINDS = {
+    "eg1": lambda: build_eg1(2, 0.5, seed=0),
+    "eg1-spec": lambda: build_spec_variant(build_eg1(2, 0.95, seed=1), "s5"),
+    "egadd": lambda: build_egadd(4, 0.98, seed=0),
+    "eg2": lambda: build_eg2(3, 0.5),
+    "eg2-spec": lambda: build_eg2_spec(build_eg2(2, 0.5)),
+    "af-modp": lambda: build_af_modp(7, 0.9),
+    "dfa-bounded-zeros": lambda: dfa_bounded_zeros(3),
+    "dfa-halves-sum": lambda: dfa_halves_sum_tracking(2),
+    "dfa-zero-imbalance": lambda: dfa_zero_imbalance_tracking(3),
+    "rblm-compiled": lambda: compile_mm_to_rblm(build_eg2(2, 0.5)),
+    "rblm-minimal": lambda: minimize(build_eg1(1, 0.95, seed=0)),
+    "rblm-zero-state": lambda: Rblm(("0",), np.zeros(0), {"0": np.zeros((0, 0))}, np.zeros(0)),
+    "composed": lambda: parallel_qfac(build_eg1(1, 0.95, seed=0), build_egadd(2, 0.98, seed=0)),
+}
+
+
+def random_automata(seed):
+    rng = np.random.default_rng(seed)
+    return [random_dfa(rng, 3), random_mo(rng, 2), random_mm(rng, 3), random_qfac(rng, 3, 2),
+            random_rblm(rng, 4)]
+
+
+class TestEmitterAgainstReference:
+    """``canonical_json`` walks each list once; its text is the reference
+    emitter's, which measures every nested list's depth anew at each level."""
+
+    @pytest.mark.parametrize("name", STOCK_KINDS)
+    def test_stock_kinds(self, name):
+        doc = to_document(STOCK_KINDS[name]())
+        assert canonical_json(doc) == ref_canonical_json(doc)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_automata(self, seed):
+        for a in random_automata(seed):
+            doc = to_document(a)
+            assert canonical_json(doc) == ref_canonical_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [], [[]], [[[]]], [[], [1]], [[[], []]], [1, [2, [3]]], [[1, 2], [3, [4]]], [[[1.5, -0.0]]],
+        [True, 1], [[True]], [[1, None]], [np.int64(3), np.float64(0.25)], (1, (2.0, 3)), [{"a": [1]}],
+        {"k": [[1, 2], []], "j": [[[0.1, 2]], "x"], "e": {}}, [["a", "b"], []], [[[1], [2]], [[3], [4]]],
+    ])
+    def test_edge_documents(self, doc):
+        assert canonical_json(doc) == ref_canonical_json(doc)
 
 
 class TestParseWord:
