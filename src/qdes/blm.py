@@ -199,43 +199,51 @@ def compile_mm_to_rblm(m: MmQfa) -> Rblm:
     plus one accumulator coordinate for accept mass already gathered, so
     the state count is n^2 + 1.  Reading a symbol conjugates rho by
     P(go) U(sigma) and adds tr(P(acc) U rho U†) to the accumulator; the
-    end marker is folded into the final functional.  vec(rho) is written
-    in the real coordinates of ``hermitian_basis``.  The automaton was
-    checked when it was built, so its shapes and partition are trusted.
+    final functional reads the accumulator plus the accept mass of the
+    end marker's step.  vec(rho) is written in the real coordinates of
+    ``hermitian_basis``.  The automaton was checked when it was built, so
+    its shapes and partition are trusted.
     """
     n = m.dim
-    dim = n * n + 1
     w = hermitian_basis(n)
     wh = dagger(w)
     p_go = m.going.as_matrix()
     p_acc = m.accepting.as_matrix()
 
+    def accept_row(sym: str) -> np.ndarray:
+        u = m.unitaries[sym]
+        return (_trace_functional(dagger(u) @ p_acc @ u) @ wh).real
+
     matrices: dict[str, np.ndarray] = {}
-    for sym in (*m.alphabet, END_MARKER):
-        u = np.asarray(m.unitaries[sym], dtype=complex)
-        t = np.zeros((dim, dim))
-        t[: n * n, : n * n] = (w @ _conjugation_map(p_go @ u) @ wh).real
-        t[n * n, : n * n] = (_trace_functional(dagger(u) @ p_acc @ u) @ wh).real
+    for sym in m.alphabet:
+        t = np.zeros((n * n + 1, n * n + 1))
+        t[: n * n, : n * n] = (w @ _conjugation_map(p_go @ m.unitaries[sym]) @ wh).real
+        t[n * n, : n * n] = accept_row(sym)
         t[n * n, n * n] = 1.0
         matrices[sym] = t
 
     psi = np.asarray(m.initial, dtype=complex)
-    pi = np.zeros(dim)
+    pi = np.zeros(n * n + 1)
     pi[: n * n] = (w @ np.outer(psi, np.conj(psi)).ravel()).real
-
-    eta = np.zeros(dim)
-    eta[n * n] = 1.0
-
-    working = Rblm((*m.alphabet, END_MARKER), pi, matrices, eta)
-    return absorb_symbol(working, END_MARKER)
+    return Rblm(m.alphabet, pi, matrices, np.append(accept_row(END_MARKER), 1.0))
 
 
-def _qfac_parts(m: Qfac) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """A hybrid automaton's machine ``pi`` and ``eta``, one vec(rho) block per
-    classical state in the real coordinates of ``hermitian_basis``, and per
-    symbol a the (k, d^2, d^2) stack of W (U(s, a) kron conj U(s, a)) W†
-    with the 0/1 routing matrix that has a 1 at (delta(s, a), s); all
-    float64.  The automaton was checked when it was built."""
+def _qfac_form(m: Qfac) -> LinearForm:
+    """A hybrid automaton's word function in operator form: one vec(rho)
+    block per classical state, in the real coordinates of
+    ``hermitian_basis``, and a step that conjugates each block by its own
+    state's unitary; all float64.  The automaton was checked when it was
+    built.
+
+    Per symbol a, the step keeps the (k, d^2, d^2) stack of
+    W (U(s, a) kron conj U(s, a)) W† and the 0/1 routing matrix with a 1
+    at (delta(s, a), s).  A block of r columns is read as k stacked
+    d^2 x r blocks; reading a symbol maps each by its state's
+    superoperator, in one batched product, and sums the results into the
+    blocks of the successor states with the routing matrix.  A step costs
+    O(k d^4 + k^2 d^2) per column instead of the compiled O(k^2 d^4), and
+    the blocks take 1/k of the compiled storage.
+    """
     states, k = m.classical_states, len(m.classical_states)
     w = hermitian_basis(m.dim)
     wh = dagger(w)
@@ -249,28 +257,13 @@ def _qfac_parts(m: Qfac) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.nda
         route[[states.index(m.transitions[(s, a)]) for s in states], range(k)] = 1.0
         blocks = _conjugation_map(np.array([m.unitaries[(s, a)] for s in states], dtype=complex))
         steps[a] = (w @ blocks @ wh).real, route
-    return pi.ravel(), eta, steps
-
-
-def _qfac_form(m: Qfac) -> LinearForm:
-    """The operator form of ``compile_qfac_to_rblm``: the same real vectors, and
-    a step that conjugates each classical block by its own unitary.
-
-    A block of r columns is read as k stacked d^2 x r blocks; reading a
-    symbol maps each by its state's superoperator, in one batched
-    product, and sums the results into the blocks of the successor states
-    with the routing matrix.  A step costs O(k d^4 + k^2 d^2) per column
-    instead of the compiled O(k^2 d^4), and the blocks take 1/k of the
-    compiled storage.
-    """
-    pi, eta, steps = _qfac_parts(m)
 
     def apply(a: str, x: np.ndarray) -> np.ndarray:
         blocks, route = steps[a]
         moved = blocks @ x.reshape(*blocks.shape[:2], -1)
         return (route @ moved.reshape(len(route), -1)).reshape(x.shape)
 
-    return LinearForm(m.alphabet, pi, apply, eta)
+    return LinearForm(m.alphabet, pi.ravel(), apply, eta)
 
 
 def compile_qfac_to_rblm(m: Qfac) -> Rblm:
@@ -281,18 +274,14 @@ def compile_qfac_to_rblm(m: Qfac) -> Rblm:
     all others are zero.  Reading a symbol routes each block through the
     conjugation by its state's unitary into the successor state's block.
     The final functional sums tr(P(s, acc) rho_s) over classical states.
-    The matrices scatter ``_qfac_form``'s blocks into zeros: form and machine
-    agree bit for bit, and pages no transition reaches stay untouched.
-    Both are real, in the coordinates of ``hermitian_basis``.
+    Each matrix is the kept operator form's step applied to the identity,
+    so form and machine agree bit for bit; ``pi`` and ``eta`` are copies
+    of the form's, for the machine belongs to its caller.  Both are real,
+    in the coordinates of ``hermitian_basis``.
     """
-    pi, eta, steps = _qfac_parts(m)
-    matrices = {}
-    for a, (blocks, route) in steps.items():
-        (k, nn, _), (dst, src) = blocks.shape, np.nonzero(route)
-        t = np.zeros((k, nn, k, nn))
-        t[dst, :, src, :] = blocks[src]
-        matrices[a] = t.reshape(pi.size, pi.size)
-    return Rblm(m.alphabet, pi, matrices, eta)
+    form = linear_form(m)
+    eye = np.eye(form.n)
+    return Rblm(m.alphabet, form.pi.copy(), {a: form.apply(a, eye) for a in m.alphabet}, form.eta.copy())
 
 
 def rblm_probability(b: Rblm, w: Sequence[str]) -> float:

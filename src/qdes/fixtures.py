@@ -130,11 +130,30 @@ AF_MODP_MAX_BLOCKS = 64
 AF_MODP_TRIES_PER_BLOCK = 500
 
 
-def _worst_residue(p: int, ks: np.ndarray) -> float:
+def _worst_residue(p: int, ks: np.ndarray):
     """The certificate on the candidate multipliers ``ks``: the largest squared
-    mean of cos(2 pi k t / p) over the residues t = 1 .. p-1, one row per t."""
-    amp = np.cos(2.0 * math.pi * ks * np.arange(1, p)[:, None] / p).mean(axis=1)
-    return float((amp * amp).max())
+    mean of cos(2 pi k t / p) over the residues t = 1 .. p-1, one row per t.
+    ``ks`` is one candidate (d,), or a stack (tries, d) of them with one
+    value each; every candidate goes through the same expression."""
+    amp = np.cos(2.0 * math.pi * ks[..., None, :] * np.arange(1, p)[:, None] / p).mean(axis=-1)
+    return (amp * amp).max(axis=-1)
+
+
+def _af_modp_candidates(rng: np.random.Generator, p: int, d: int, eps: float):
+    """The tries of ``d`` multipliers that pass the certificate, in draw order:
+    the first alone, then, only if the caller asks for more, the rest in one
+    expression.  Each try is one draw, so the generator's stream is one
+    try at a time's."""
+    def draw() -> np.ndarray:
+        if d <= p - 1:
+            return rng.choice(np.arange(1, p), size=d, replace=False)
+        return rng.integers(1, p, size=d)
+
+    first = draw()
+    if _worst_residue(p, first) < eps:
+        yield first
+    rest = np.array([draw() for _ in range(AF_MODP_TRIES_PER_BLOCK - 1)])
+    yield from rest[_worst_residue(p, rest) < eps]
 
 
 def build_af_modp(p: int, eps: float, seed: int = 0, accept_multiples: bool = True) -> MoQfa:
@@ -154,13 +173,7 @@ def build_af_modp(p: int, eps: float, seed: int = 0, accept_multiples: bool = Tr
         raise ValueError("error bound must lie strictly between 0 and 1")
     rng = np.random.default_rng(seed)
     for d in range(1, AF_MODP_MAX_BLOCKS + 1):
-        for _ in range(AF_MODP_TRIES_PER_BLOCK):
-            if d <= p - 1:
-                ks = rng.choice(np.arange(1, p), size=d, replace=False)
-            else:
-                ks = rng.integers(1, p, size=d)
-            if _worst_residue(p, ks) >= eps:
-                continue
+        for ks in _af_modp_candidates(rng, p, d, eps):
             m = _block_rotation_automaton(p, ks, accept_multiples)
             # Re-certify on the built matrices, not just the formula.
             sweep = residue_sweep(m, p)

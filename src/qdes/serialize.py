@@ -1,7 +1,10 @@
 """JSON interchange format for every automaton kind.
 
-One document per automaton, kind-discriminated, with complex numbers
-encoded as [re, im] pairs.  Saving always emits the canonical form:
+One document per automaton: its ``kind``, each of its fields under the
+field's name, and ``dim`` (the quantum kinds) or ``n`` (``rblm``).  Names
+and index sets are lists, projectors their basis indices, vectors and
+matrices [re, im] pairs, and a table keyed by (state, symbol) one object
+per state.  Saving always emits the canonical form:
 sorted keys, two-space indentation, floats printed with 17 significant
 digits (which round-trips doubles exactly), numeric leaf lists inlined.
 Loading builds the automaton, which checks its invariants, so a
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -30,7 +35,8 @@ from .blm import Rblm
 from .linalg import Projector
 from .models import Dfa, MmQfa, MoQfa, Qfac, ValidationFailedError
 
-KINDS = ("dfa", "mo-qfa", "mm-qfa", "qfac", "rblm")
+_KIND_OF = {Dfa: "dfa", MoQfa: "mo-qfa", MmQfa: "mm-qfa", Qfac: "qfac", Rblm: "rblm"}
+KINDS = tuple(_KIND_OF.values())
 
 
 class SerializationError(ValueError):
@@ -108,14 +114,6 @@ def canonical_json(doc: Any) -> str:
     return _emit(doc, 0) + "\n"
 
 
-def _cvec(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def _cmat(m: np.ndarray) -> list:
-    return [_cvec(row) for row in np.asarray(m, dtype=complex)]
-
-
 def _parse_cvec(data, where: str) -> np.ndarray:
     try:
         return np.array([complex(re, im) for re, im in data], dtype=complex)
@@ -137,72 +135,34 @@ def _parse_cmat(data, where: str, empty: bool = False) -> np.ndarray:
 
 def to_document(automaton) -> dict:
     """Kind-discriminated plain-JSON representation of an automaton."""
-    if isinstance(automaton, Dfa):
-        d = automaton
-        trans: dict[str, dict[str, str]] = {q: {} for q in d.states}
-        for (q, a), nxt in d.transitions.items():
-            trans[q][a] = nxt
-        return {
-            "kind": "dfa",
-            "alphabet": list(d.alphabet),
-            "states": list(d.states),
-            "initial": d.initial,
-            "accepting": sorted(d.accepting),
-            "transitions": trans,
-        }
-    if isinstance(automaton, MoQfa):
-        m = automaton
-        return {
-            "kind": "mo-qfa",
-            "alphabet": list(m.alphabet),
-            "dim": m.dim,
-            "initial": _cvec(m.initial),
-            "unitaries": {a: _cmat(u) for a, u in m.unitaries.items()},
-            "accepting": list(m.accepting.indices),
-            "rejecting": list(m.rejecting.indices),
-        }
-    if isinstance(automaton, MmQfa):
-        m = automaton
-        return {
-            "kind": "mm-qfa",
-            "alphabet": list(m.alphabet),
-            "dim": m.dim,
-            "initial": _cvec(m.initial),
-            "unitaries": {a: _cmat(u) for a, u in m.unitaries.items()},
-            "accepting": list(m.accepting.indices),
-            "rejecting": list(m.rejecting.indices),
-            "going": list(m.going.indices),
-        }
-    if isinstance(automaton, Qfac):
-        m = automaton
-        trans: dict[str, dict[str, str]] = {s: {} for s in m.classical_states}
-        for (s, a), nxt in m.transitions.items():
-            trans[s][a] = nxt
-        unis: dict[str, dict[str, list]] = {s: {} for s in m.classical_states}
-        for (s, a), u in m.unitaries.items():
-            unis[s][a] = _cmat(u)
-        return {
-            "kind": "qfac",
-            "alphabet": list(m.alphabet),
-            "classical_states": list(m.classical_states),
-            "initial_classical": m.initial_classical,
-            "dim": m.dim,
-            "initial_quantum": _cvec(m.initial_quantum),
-            "transitions": trans,
-            "unitaries": unis,
-            "accepting": {s: list(p.indices) for s, p in m.accepting.items()},
-        }
-    if isinstance(automaton, Rblm):
-        b = automaton
-        return {
-            "kind": "rblm",
-            "alphabet": list(b.alphabet),
-            "n": b.n,
-            "pi": _cvec(b.pi),
-            "matrices": {a: _cmat(mat) for a, mat in b.matrices.items()},
-            "eta": _cvec(b.eta),
-        }
-    raise SerializationError(f"cannot serialize objects of type {type(automaton).__name__}")
+    kind = _KIND_OF.get(type(automaton))
+    if kind is None:
+        raise SerializationError(f"cannot serialize objects of type {type(automaton).__name__}")
+    rows = getattr(automaton, "states", getattr(automaton, "classical_states", ()))
+    doc = {f.name: _encode(getattr(automaton, f.name), rows) for f in fields(automaton)}
+    return {"kind": kind, **doc, **{k: getattr(automaton, k) for k in ("dim", "n") if hasattr(automaton, k)}}
+
+
+def _encode(v, rows: tuple[str, ...]):
+    """A field's JSON value: a tuple of names as a list and a frozenset as a
+    sorted list, a ``Projector`` as its indices, a vector or a matrix as
+    [re, im] pairs, and a table keyed by (state, symbol) as one object per
+    state of ``rows``."""
+    if isinstance(v, Projector):
+        return list(v.indices)
+    if isinstance(v, np.ndarray):
+        z = np.ascontiguousarray(v, dtype=complex)
+        return z.view(np.float64).reshape(*z.shape, 2).tolist()
+    if isinstance(v, (tuple, frozenset)):
+        return sorted(v) if isinstance(v, frozenset) else list(v)
+    if isinstance(v, Mapping) and not all(isinstance(key, tuple) for key in v):
+        return {key: _encode(x, rows) for key, x in v.items()}
+    if isinstance(v, Mapping):
+        table: dict[str, dict] = {s: {} for s in rows}
+        for (s, a), x in v.items():
+            table[s][a] = _encode(x, rows)
+        return table
+    return v
 
 
 def _need(doc: dict, key: str, where: str):

@@ -13,10 +13,28 @@ from itertools import product
 
 import numpy as np
 
-from qdes import equivalence
-from qdes.blm import REAL_TOL, Rblm, absorb_symbol, blm_eval, compile_mm_to_rblm, compile_qfac_to_rblm, evaluator
+from qdes import equivalence, fixtures
+from qdes.blm import (
+    REAL_TOL,
+    Rblm,
+    absorb_symbol,
+    blm_eval,
+    compile_mm_to_rblm,
+    compile_qfac_to_rblm,
+    evaluator,
+    hermitian_basis,
+)
 from qdes.equivalence import EquivalenceVerdict, check_tol, minimize
-from qdes.linalg import Projector, all_finite, is_unitary, projected_norm_sq, projected_norms_sq, tensor
+from qdes.linalg import (
+    Projector,
+    all_finite,
+    dagger,
+    is_unitary,
+    projected_norm_sq,
+    projected_norms_sq,
+    tensor,
+    unitary_power,
+)
 from qdes.models import (
     END_MARKER,
     Dfa,
@@ -670,3 +688,97 @@ def ref_canonical_json(doc):
     anew at each level: each nested numeric list is re-walked once per
     enclosing list."""
     return _ref_emit(doc, 0) + "\n"
+
+
+def _ref_cvec(v) -> list:
+    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+
+
+def _ref_cmat(m) -> list:
+    return [_ref_cvec(row) for row in np.asarray(m, dtype=complex)]
+
+
+def _ref_rows(states, table, encode=lambda x: x) -> dict:
+    rows: dict[str, dict] = {s: {} for s in states}
+    for (s, a), x in table.items():
+        rows[s][a] = encode(x)
+    return rows
+
+
+def ref_to_document(automaton) -> dict:
+    """The document of an automaton, with each kind's layout spelled out."""
+    if isinstance(automaton, Dfa):
+        d = automaton
+        return {"kind": "dfa", "alphabet": list(d.alphabet), "states": list(d.states), "initial": d.initial,
+                "accepting": sorted(d.accepting), "transitions": _ref_rows(d.states, d.transitions)}
+    if isinstance(automaton, (MoQfa, MmQfa)):
+        m = automaton
+        doc = {"kind": "mm-qfa" if isinstance(m, MmQfa) else "mo-qfa", "alphabet": list(m.alphabet), "dim": m.dim,
+               "initial": _ref_cvec(m.initial), "unitaries": {a: _ref_cmat(u) for a, u in m.unitaries.items()},
+               "accepting": list(m.accepting.indices), "rejecting": list(m.rejecting.indices)}
+        if isinstance(m, MmQfa):
+            doc["going"] = list(m.going.indices)
+        return doc
+    if isinstance(automaton, Qfac):
+        m = automaton
+        return {"kind": "qfac", "alphabet": list(m.alphabet), "classical_states": list(m.classical_states),
+                "initial_classical": m.initial_classical, "dim": m.dim, "initial_quantum": _ref_cvec(m.initial_quantum),
+                "transitions": _ref_rows(m.classical_states, m.transitions),
+                "unitaries": _ref_rows(m.classical_states, m.unitaries, _ref_cmat),
+                "accepting": {s: list(p.indices) for s, p in m.accepting.items()}}
+    if isinstance(automaton, Rblm):
+        b = automaton
+        return {"kind": "rblm", "alphabet": list(b.alphabet), "n": b.n, "pi": _ref_cvec(b.pi),
+                "matrices": {a: _ref_cmat(mat) for a, mat in b.matrices.items()}, "eta": _ref_cvec(b.eta)}
+    raise SerializationError(f"cannot serialize objects of type {type(automaton).__name__}")
+
+
+def ref_compile_mm_to_rblm(m: MmQfa) -> Rblm:
+    """The measure-many machine through its working alphabet: the compiled
+    step of every symbol and of the end marker, then ``absorb_symbol``
+    folds the end marker's step into the final functional."""
+    n = m.dim
+    dim = n * n + 1
+    w = hermitian_basis(n)
+    wh = dagger(w)
+    p_go = m.going.as_matrix()
+    p_acc = m.accepting.as_matrix()
+    matrices = {}
+    for sym in (*m.alphabet, END_MARKER):
+        u = np.asarray(m.unitaries[sym], dtype=complex)
+        t = np.zeros((dim, dim))
+        t[: n * n, : n * n] = (w @ tensor(p_go @ u, np.conj(p_go @ u)) @ wh).real
+        t[n * n, : n * n] = ((dagger(u) @ p_acc @ u).T.ravel() @ wh).real
+        t[n * n, n * n] = 1.0
+        matrices[sym] = t
+    psi = np.asarray(m.initial, dtype=complex)
+    pi = np.zeros(dim)
+    pi[: n * n] = (w @ np.outer(psi, np.conj(psi)).ravel()).real
+    eta = np.zeros(dim)
+    eta[n * n] = 1.0
+    return absorb_symbol(Rblm((*m.alphabet, END_MARKER), pi, matrices, eta), END_MARKER)
+
+
+def ref_build_af_modp(p: int, eps: float, seed: int = 0, accept_multiples: bool = True) -> MoQfa:
+    """``fixtures.build_af_modp`` as one loop: per block count, draw and
+    certify one multiplier set per try, and re-certify the first that
+    passes on its built matrices.  It reads the search limits from
+    ``fixtures`` at call time."""
+    rng = np.random.default_rng(seed)
+    for d in range(1, fixtures.AF_MODP_MAX_BLOCKS + 1):
+        for _ in range(fixtures.AF_MODP_TRIES_PER_BLOCK):
+            if d <= p - 1:
+                ks = rng.choice(np.arange(1, p), size=d, replace=False)
+            else:
+                ks = rng.integers(1, p, size=d)
+            if fixtures._worst_residue(p, ks) >= eps:
+                continue
+            m = fixtures._block_rotation_automaton(p, ks, accept_multiples)
+            sweep = fixtures.residue_sweep(m, p)
+            ok = max(sweep) < eps if accept_multiples else min(sweep) > 1.0 - eps
+            period = unitary_power(m.unitaries["0"], p)
+            if ok and float(np.max(np.abs(period - np.eye(2 * d)))) <= 1e-9:
+                return m
+    raise fixtures.FixtureSearchError(
+        f"no multiplier set certified eps={eps} for p={p} within {fixtures.AF_MODP_MAX_BLOCKS} blocks"
+    )

@@ -1,6 +1,6 @@
 """Two checked passes of the benchmark's in-process workloads, one of its
 ladder's base rungs through the CLI, untimed, and the ladder's documents
-against the reference emitter.
+against the reference emitter and encoder.
 
 The harness in ``bench/`` calls the library by name, some of it through
 ``getattr``; a name it needs that goes missing, or an answer it checks
@@ -9,7 +9,9 @@ pass runs the same operations on the same automata, as a timed run
 does, so what the library keeps on an automaton between calls (linear
 forms, minimal machines, evaluator trails) is checked across operations.
 The ladder's documents come from ``qdes.cli.main`` in this process, so
-a wrong CLI verdict fails here too, not only in the benchmark.
+a wrong CLI verdict fails here too, not only in the benchmark.  Each
+rung's plant and target are written as the reference encoder writes
+them, with each kind's layout spelled out.
 """
 
 import importlib.util
@@ -27,7 +29,7 @@ import qdes.fixtures
 import qdes.serialize
 import qdes.supervisory
 
-from helpers import ref_canonical_json
+from helpers import ref_canonical_json, ref_to_document
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -67,3 +69,5 @@ def test_ladder_documents_match_the_reference_emitter(workloads):
         for automaton in workloads.build_rung(qdes, rung, 0)[:2]:
             doc = qdes.serialize.to_document(automaton)
             assert qdes.serialize.canonical_json(doc) == ref_canonical_json(doc), rung.name
+            assert doc == ref_to_document(automaton), rung.name
+            assert qdes.serialize.dumps(automaton) == ref_canonical_json(ref_to_document(automaton)), rung.name

@@ -15,7 +15,15 @@ from qdes.blm import (
 )
 from qdes.composition import parallel_qfac
 from qdes.equivalence import _transpose, minimize
-from qdes.fixtures import build_af_modp, build_eg1, build_eg2, build_egadd, dfa_bounded_zeros, eg2_rate
+from qdes.fixtures import (
+    build_af_modp,
+    build_eg1,
+    build_eg2,
+    build_eg2_spec,
+    build_egadd,
+    dfa_bounded_zeros,
+    eg2_rate,
+)
 from qdes.linalg import dagger, projected_norm_sq
 from qdes.models import MmQfa, ValidationFailedError, mm_accept_prob, mo_accept_prob, qfac_accept_prob, qfac_from_mo
 
@@ -25,6 +33,7 @@ from helpers import (
     random_qfac,
     random_rblm,
     ref_blm_eval,
+    ref_compile_mm_to_rblm,
     ref_vec_rblm,
     to_rblm,
     words_up_to,
@@ -100,6 +109,13 @@ class TestAbsorb:
             absorb_symbol(scalar_machine(0.5), "z")
 
 
+MEASURE_MANY = {
+    **{f"eg2-N{n}": (lambda n=n: build_eg2(n, 0.5)) for n in (1, 2, 3, 5)},
+    **{f"eg2-spec-N{n}": (lambda n=n: build_eg2_spec(build_eg2(n, 0.3))) for n in (1, 3)},
+    **{f"random-{seed}": (lambda seed=seed: random_mm(np.random.default_rng(seed), 2 + seed % 3)) for seed in range(6)},
+}
+
+
 class TestCompileMeasureMany:
     def test_decay_fixture_closed_form(self):
         m = build_eg2(2, 0.5)
@@ -124,6 +140,15 @@ class TestCompileMeasureMany:
             b = compile_mm_to_rblm(m)
             for w in words_up_to(m.alphabet, 5):
                 assert abs(blm_eval(b, w) - mm_accept_prob(m, w)) <= 1e-9
+
+    @pytest.mark.parametrize("name", MEASURE_MANY)
+    def test_equals_the_working_machine_bit_for_bit(self, name):
+        m = MEASURE_MANY[name]()
+        b, ref = compile_mm_to_rblm(m), ref_compile_mm_to_rblm(m)
+        assert b.alphabet == ref.alphabet == m.alphabet
+        for got, want in ((b.pi, ref.pi), (b.eta, ref.eta), *((b.matrices[a], ref.matrices[a]) for a in m.alphabet)):
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_invalid_automaton_rejected(self):
         m = build_eg2(2, 0.5)
@@ -190,9 +215,9 @@ class TestLinearForm:
         for sym in b.alphabet:
             assert np.array_equal(form.apply(sym, np.eye(b.n)), b.matrices[sym])
 
-    @pytest.mark.parametrize("name", ["eg1-N2", "egadd-N4", "eg1xegadd"])
+    @pytest.mark.parametrize("name", HYBRIDS)
     def test_blocks_are_the_kronecker_conjugation_maps(self, name):
-        m = HYBRIDS[name]()
+        m = _as_hybrid(HYBRIDS[name]())
         b, nn, w = to_rblm(m), m.dim * m.dim, hermitian_basis(m.dim)
         for sym in m.alphabet:
             expected = np.zeros((b.n, b.n), dtype=complex)

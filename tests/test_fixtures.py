@@ -26,8 +26,9 @@ from qdes.fixtures import (
 )
 from qdes.linalg import Projector, unitary_power
 from qdes.models import Dfa, MoQfa, dfa_accepts, mm_accept_prob, mo_accept_prob, qfac_accept_prob, validate
+from qdes.serialize import dumps
 
-from helpers import ref_af_modp_worst, words_up_to
+from helpers import ref_af_modp_worst, ref_build_af_modp, words_up_to
 
 
 class TestPrimes:
@@ -83,6 +84,67 @@ class TestModPRotation:
                     else:
                         ks = rng.integers(1, p, size=d)
                     assert fixtures._worst_residue(p, ks) == ref_af_modp_worst(p, ks)
+
+    def test_stacked_certificate_bitwise_equal_row_by_row(self):
+        rng = np.random.default_rng(31)
+        for p in (2, 3, 5, 7, 11, 13, 17, 31, 41, 67):
+            for d in (1, 2, 3, 7, 8, 9, 16, 17, 40, 64):
+                if d <= p - 1:
+                    ks = np.array([rng.choice(np.arange(1, p), size=d, replace=False) for _ in range(25)])
+                else:
+                    ks = rng.integers(1, p, size=(25, d))
+                worst = fixtures._worst_residue(p, ks)
+                assert worst.shape == (25,)
+                assert [float(x) for x in worst] == [ref_af_modp_worst(p, row) for row in ks], (p, d)
+
+
+AF_MODP_PRIMES = [p for p in range(2, 42) if is_prime(p)]
+AF_MODP_EPS = (0.9, 0.5, 0.2, 0.05)
+
+
+def af_modp_outcome(build, p, eps, accept_multiples, seed):
+    """The automaton's document, or the search's failure message."""
+    try:
+        return dumps(build(p, eps, seed, accept_multiples))
+    except FixtureSearchError as err:
+        return f"FixtureSearchError: {err}"
+
+
+class TestAfModpAgainstTheLoop:
+    """``build_af_modp`` certifies the rest of a block count's draws in one
+    expression; its automata and its failures are the one-try-at-a-time
+    loop's, ``ref_build_af_modp``.
+
+    The residue means sum to -1 over t = 1 .. p-1, so some squared mean is
+    at least 1/(p-1)^2 and no multiplier set certifies an eps at or below
+    it.  Those searches run every draw of every block count, so they are
+    compared with fewer blocks, and one of them at the full limits.
+    """
+
+    @pytest.mark.parametrize("p", AF_MODP_PRIMES)
+    def test_documents_byte_identical(self, p):
+        feasible = [eps for eps in AF_MODP_EPS if eps > 1.0 / (p - 1) ** 2]
+        for eps in feasible:
+            for accept_multiples in (True, False):
+                for seed in (0, 1):
+                    got = af_modp_outcome(build_af_modp, p, eps, accept_multiples, seed)
+                    assert got == af_modp_outcome(ref_build_af_modp, p, eps, accept_multiples, seed)
+                    assert got.startswith("{"), (p, eps, accept_multiples, seed)
+
+    @pytest.mark.parametrize("p", [p for p in AF_MODP_PRIMES if min(AF_MODP_EPS) <= 1.0 / (p - 1) ** 2])
+    def test_failures_identical(self, p, monkeypatch):
+        monkeypatch.setattr(fixtures, "AF_MODP_MAX_BLOCKS", 4)
+        for eps in [eps for eps in AF_MODP_EPS if eps <= 1.0 / (p - 1) ** 2]:
+            for accept_multiples in (True, False):
+                for seed in (0, 1):
+                    got = af_modp_outcome(build_af_modp, p, eps, accept_multiples, seed)
+                    assert got == af_modp_outcome(ref_build_af_modp, p, eps, accept_multiples, seed)
+                    assert got == f"FixtureSearchError: no multiplier set certified eps={eps} for p={p} within 4 blocks"
+
+    def test_failure_at_the_full_limits(self):
+        got = af_modp_outcome(build_af_modp, 3, 0.2, True, 0)
+        assert got == af_modp_outcome(ref_build_af_modp, 3, 0.2, True, 0)
+        assert got == "FixtureSearchError: no multiplier set certified eps=0.2 for p=3 within 64 blocks"
 
 
 class TestHalvesSumFixture:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm
-from qdes.composition import parallel_qfac
+from qdes.composition import parallel_dfa, parallel_qfac
 from qdes.cli import main
 from qdes.equivalence import minimize
 from qdes.fixtures import (
@@ -18,7 +18,7 @@ from qdes.fixtures import (
     dfa_halves_sum_tracking,
     dfa_zero_imbalance_tracking,
 )
-from qdes.models import mm_accept_prob
+from qdes.models import Dfa, mm_accept_prob
 from qdes.serialize import (
     SerializationError,
     ValidationFailedError,
@@ -40,6 +40,7 @@ from helpers import (
     random_rblm,
     random_unitary,
     ref_canonical_json,
+    ref_to_document,
     to_rblm,
     words_up_to,
 )
@@ -265,6 +266,46 @@ class TestEmitterAgainstReference:
     ])
     def test_edge_documents(self, doc):
         assert canonical_json(doc) == ref_canonical_json(doc)
+
+
+class TestDocumentAgainstReference:
+    """``to_document`` writes an automaton's fields; its documents are the
+    reference encoder's, which spells out each kind's layout."""
+
+    @staticmethod
+    def assert_reference(a):
+        doc = to_document(a)
+        assert doc == ref_to_document(a)
+        assert dumps(a) == canonical_json(ref_to_document(a))
+
+    @pytest.mark.parametrize("name", STOCK_KINDS)
+    def test_stock_kinds(self, name):
+        self.assert_reference(STOCK_KINDS[name]())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_automata(self, seed):
+        for a in random_automata(seed):
+            self.assert_reference(a)
+
+    def test_composites(self):
+        self.assert_reference(parallel_qfac(build_eg1(1, 0.5, seed=2), build_egadd(2, 0.5, seed=3)))
+        self.assert_reference(parallel_dfa(dfa_bounded_zeros(2), dfa_halves_sum_tracking(1)))
+
+    def test_zero_state_rblm_and_empty_alphabets(self):
+        self.assert_reference(Rblm(("0",), np.zeros(0), {"0": np.zeros((0, 0))}, np.zeros(0)))
+        self.assert_reference(Rblm((), np.ones(1), {}, np.ones(1)))
+        self.assert_reference(Dfa(("x", "y"), (), {}, "x", frozenset({"y"})))
+
+    def test_transposed_and_complex_arrays(self):
+        rng = np.random.default_rng(5)
+        b = random_rblm(rng, 3)
+        self.assert_reference(Rblm(b.alphabet, b.pi, {a: m.T for a, m in b.matrices.items()}, b.eta[::-1]))
+        self.assert_reference(Rblm(("a",), np.array([1.0, -0.0]), {"a": np.array([[0.5, 1j], [-0.0, 2]])},
+                                   np.array([0.25, -1.5j])))
+
+    def test_unknown_type_refused(self):
+        with pytest.raises(SerializationError, match="cannot serialize objects of type dict"):
+            to_document({"kind": "dfa"})
 
 
 class TestParseWord:
