@@ -133,6 +133,7 @@ def cmd_decide_controllability(args) -> int:
         "lhs": result.lhs,
         "rhs": result.rhs,
         "witness_confirmed": result.confirmed,
+        "assumes": list(result.assumes),
     }
     if args.oracle_horizon is not None:
         oracle = check_controllability_exhaustive(

@@ -320,13 +320,17 @@ def build_spec_variant(fixture: Qfac, dead_state: str, symbol: str = "2") -> Qfa
     """Retarget every ``symbol`` transition to an identically-rejecting state.
 
     The result generates the same word function on symbol-free words and
-    0 on any word containing the symbol (the dead state must reject
-    identically and is absorbing in the stock fixtures).
+    0 on any word containing the symbol, so it is the fixture restricted
+    to the symbol-free words.  That needs a dead state that rejects
+    identically and absorbs every event in the result; any other is
+    refused.  The stock fixtures' last state is one.
     """
     if dead_state not in fixture.classical_states:
         raise ValueError(f"unknown classical state {dead_state!r}")
     if fixture.accepting[dead_state].subset != frozenset():
         raise ValueError(f"state {dead_state!r} does not reject identically")
+    if any(fixture.transitions[(dead_state, a)] != dead_state for a in fixture.alphabet if a != symbol):
+        raise ValueError(f"state {dead_state!r} does not absorb")
     retargeted = {(s, symbol): dead_state for s in fixture.classical_states}
     return replace(fixture, transitions={**fixture.transitions, **retargeted})
 

@@ -12,7 +12,12 @@ pointwise dominated by the plant, both exactly (min of floats).
 Controllability of a target against a plant -- min(target(s), ...) never
 exceeding the target one step later on uncontrollable events -- is
 checked two ways: an exhaustive horizon-bounded sweep (the oracle) and
-an exact algebraic decision that turns the min-inequality into one
+an exact decision over all words.  A target that is its plant
+restricted to a regular language, the usual shape of a specification,
+is decided from the classical transitions alone (Ramadge and Wonham's
+condition: no uncontrollable event leaves the language).  Any other
+target, and a restriction that an uncontrollable event does leave, goes
+through the algebraic route, which turns the min-inequality into one
 product of word functions of the minimized target and plant that must
 vanish, and decides it with the span-exploration kernel.
 
@@ -33,13 +38,23 @@ import enum
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, islice, pairwise, product, tee
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .blm import evaluator, levels
 from .equivalence import DEFAULT_EQUIV_TOL, check_tol, explore_span, minimize
-from .models import Levels, Word, check_horizon, clamp_probability, prefix_maxima, word_at, words_upto
+from .models import (
+    Levels,
+    Qfac,
+    Word,
+    _as_hybrid,
+    check_horizon,
+    clamp_probability,
+    prefix_maxima,
+    word_at,
+    words_upto,
+)
 
 
 #: Margin by which a level comparison must clear its threshold before the
@@ -378,6 +393,14 @@ def check_admissible(supervisor, horizon: int) -> list[AdmissibilityViolation]:
     return out
 
 
+#: What a verdict of the algebraic route rests on, for a target that is
+#: not its plant restricted to a language: the reduction's preconditions.
+REDUCTION_PRECONDITIONS = (
+    "target monotone along uncontrollable events",
+    "target at most the plant after uncontrollable events",
+)
+
+
 @dataclass(frozen=True)
 class ControllabilityResult:
     """Outcome of a controllability check; the witness fields are set on failure.
@@ -385,8 +408,12 @@ class ControllabilityResult:
     ``confirmed`` is set by ``decide_controllability`` on a failure:
     whether the direct evaluators find ``lhs - rhs > tol``, so that the
     witness breaks the inequality as stated.  It is None when the check
-    holds and on the oracle's results, and results compare without it,
-    so a decision equals the oracle's result on the same witness.
+    holds and on the oracle's results.  ``assumes`` lists what the
+    verdict rests on: empty for a target that restricts its plant to a
+    language, the ``REDUCTION_PRECONDITIONS`` for any other target of
+    the decision, and empty on the oracle's results.  Results compare
+    without either, so a decision equals the oracle's result on the
+    same witness.
     """
 
     holds: bool
@@ -395,6 +422,7 @@ class ControllabilityResult:
     lhs: float | None = None
     rhs: float | None = None
     confirmed: bool | None = field(default=None, compare=False)
+    assumes: tuple[str, ...] = field(default=(), compare=False)
 
 
 def check_controllability_exhaustive(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,
@@ -441,19 +469,123 @@ def decide_controllability(
 ) -> ControllabilityResult:
     """Exact controllability decision over all of Sigma*.
 
-    Requires the reduction preconditions (target monotone along
-    uncontrollable extensions and dominated by the plant there); see
-    ``check_decision_preconditions``.  Under them, for each
-    uncontrollable event sigma the min-inequality is equivalent to the
-    word function
+    Target, plant and control spec must share one alphabet (compared as
+    sets); a mismatch is refused before any work.  A target whose hybrid
+    embedding (``models._as_hybrid``) has its plant's classical states,
+    alphabet, initial states, accepting projectors and unitaries, and
+    differs from it only in transitions that send the target to a state
+    that absorbs every event and accepts nothing, is the plant restricted
+    to a regular language K: H = M 1_K, with K the words whose run never
+    takes such a transition.  For it the min-inequality fails exactly
+    where s is in K, s sigma is not, and min(M(s), M(s sigma)) > 0
+    (Ramadge and Wonham, SIAM J. Control Optim., 1987).  So when no
+    redirected (state, event) pair has an uncontrollable event, among
+    the states reachable over the transitions target and plant share,
+    the decision holds, without minimizing or exploring anything.
+
+    Every other input takes the algebraic route (``_decide_on_product``):
+    a restriction that an uncontrollable event leaves, measure-many
+    automata, bilinear machines, and targets of any other shape, DFA
+    targets against quantum plants among them.  ``assumes`` is empty
+    for a restriction, on either route, because for it the product of
+    the algebraic route vanishes exactly where the inequality holds.
+    For any other target it lists the ``REDUCTION_PRECONDITIONS``, on
+    which the algebraic route's verdict rests.  A tolerance that is not
+    finite and positive is refused.
+    """
+    check_tol(tol)
+    if set(target.alphabet) != set(plant.alphabet):
+        raise ValueError("target and plant must share an alphabet")
+    if set(spec.alphabet) != set(target.alphabet):
+        raise ValueError("control spec alphabet does not match the automata")
+    leaves = _leaves_restriction(target, plant, spec.uncontrollable)
+    if leaves is False:
+        return ControllabilityResult(True)
+    return _decide_on_product(target, plant, spec, tol, () if leaves else REDUCTION_PRECONDITIONS)
+
+
+class _Shape(NamedTuple):
+    """A hybrid automaton's tables for ``_leaves_restriction``, kept on it:
+    ``fixed`` holds everything a restriction shares with its plant
+    (states, alphabet, initial states, and the unitaries and accepting
+    projectors in state-then-symbol order, the arrays as bytes); ``succ``
+    the successor index of every (state, symbol) pair in that order;
+    ``sink`` whether each state absorbs every event and accepts nothing."""
+
+    fixed: tuple
+    initial: int
+    succ: tuple[int, ...]
+    sink: tuple[bool, ...]
+
+
+def _shape(m: Qfac) -> _Shape:
+    states, alphabet = m.classical_states, m.alphabet
+    index = {s: i for i, s in enumerate(states)}
+    succ = tuple(index[m.transitions[(s, a)]] for s in states for a in alphabet)
+    unitaries = np.array([m.unitaries[(s, a)] for s in states for a in alphabet], dtype=complex)
+    accepting = tuple(m.accepting[s].subset for s in states)
+    fixed = (states, alphabet, m.initial_classical, np.asarray(m.initial_quantum, dtype=complex).tobytes(),
+             unitaries.tobytes(), accepting)
+    k = len(alphabet)
+    sink = tuple(not accepting[i] and succ[i * k: (i + 1) * k] == (i,) * k for i in range(len(states)))
+    return _Shape(fixed, index[m.initial_classical], succ, sink)
+
+
+def _leaves_restriction(target, plant, uncontrollable: frozenset[str]) -> bool | None:
+    """Whether an uncontrollable event leaves the language that ``target``
+    restricts ``plant`` to, or None when the target is no such restriction
+    (see ``decide_controllability``).
+
+    Compares the ``_Shape`` tables of the two hybrid embeddings: one
+    comparison for everything they must share, bit for bit, then their
+    successors pair by pair.  A pair whose successors differ is
+    redirected; the language is left where an uncontrollable event is
+    redirected at a state reachable from the initial one over the pairs
+    that are not.
+    """
+    target, plant = _as_hybrid(target), _as_hybrid(plant)
+    if not (isinstance(target, Qfac) and isinstance(plant, Qfac)):
+        return None
+    t, p = target._memo(_shape), plant._memo(_shape)
+    if t.fixed != p.fixed:
+        return None
+    redirected = {i for i, (q_t, q_p) in enumerate(zip(t.succ, p.succ)) if q_t != q_p}
+    if not all(t.sink[t.succ[i]] for i in redirected):
+        return None
+    unc = [a in uncontrollable for a in target.alphabet]
+    k = len(unc)
+    seen, stack = {t.initial}, [t.initial]
+    while stack:
+        s = stack.pop()
+        for a in range(k):
+            i = s * k + a
+            if i in redirected:
+                if unc[a]:
+                    return True
+            elif t.succ[i] not in seen:
+                seen.add(t.succ[i])
+                stack.append(t.succ[i])
+    return False
+
+
+def _decide_on_product(target, plant, spec: ControlSpec, tol: float = DEFAULT_EQUIV_TOL,
+                       assumes: tuple[str, ...] = REDUCTION_PRECONDITIONS) -> ControllabilityResult:
+    """The algebraic route of ``decide_controllability``, on alphabets it has checked.
+
+    Under the reduction preconditions (target monotone along
+    uncontrollable extensions and dominated by the plant there; see
+    ``check_decision_preconditions``), for each uncontrollable event
+    sigma the min-inequality is equivalent to the word function
 
         (H(s) - H(s sigma)) * (M(s sigma) - H(s sigma))
 
     vanishing on every word s: a Hadamard product of two rational series
-    (Berstel and Reutenauer, *Noncommutative Rational Series*).  It is
-    read on one product state ``X = h g^T``, with ``h = H(w) pi_H`` and
-    ``g = (h, m)`` stacked over ``m = M(w) pi_M``.  The state advances as
-    ``X <- H_a X diag(H_a, M_a)^T``: ``H_a X``, then its first ``r_H``
+    (Berstel and Reutenauer, *Noncommutative Rational Series*).  For a
+    restriction H = M 1_K the product needs no precondition: it is 0
+    unless s is in K and s sigma is not, and there it is M(s) M(s sigma).
+    It is read on one product state ``X = h g^T``, with ``h = H(w) pi_H``
+    and ``g = (h, m)`` stacked over ``m = M(w) pi_M``.  The state advances
+    as ``X <- H_a X diag(H_a, M_a)^T``: ``H_a X``, then its first ``r_H``
     columns times ``H_a^T`` and the rest times ``M_a^T`` (Van Loan's
     ``(A x B) vec X = vec(A X B^T)``).  Event sigma reads it with the one
     row ``vec((eta_H - eta_H H_sigma)^T (-eta_H H_sigma, eta_M M_sigma))``,
@@ -470,15 +602,10 @@ def decide_controllability(
     ``rhs = target(s sigma)`` come from the direct evaluators, and
     ``confirmed`` says whether ``lhs - rhs > tol``.  The product is
     nonzero also where a factor has the wrong sign, so an unconfirmed
-    witness means a reduction precondition fails at that word.  A
-    tolerance that is not finite and positive is refused.
+    witness means a reduction precondition fails at that word.  The
+    result carries ``assumes``.
     """
-    check_tol(tol)
     h, m = minimize(target), minimize(plant)
-    if set(h.alphabet) != set(m.alphabet):
-        raise ValueError("target and plant must share an alphabet")
-    if set(spec.alphabet) != set(h.alphabet):
-        raise ValueError("control spec alphabet does not match the automata")
     r, shape = h.n, (h.n, h.n + m.n)
 
     def step(x: np.ndarray, a: str) -> np.ndarray:
@@ -493,12 +620,12 @@ def decide_controllability(
     start = np.outer(h.pi, np.concatenate([h.pi, m.pi])).ravel()
     _, hit = explore_span(start, step, spec.alphabet, tol, np.array(rows)) if events else (None, None)
     if hit is None:
-        return ControllabilityResult(True)
+        return ControllabilityResult(True, assumes=assumes)
     word, sigma = hit[0], events[hit[1]]
     f_target, f_plant = evaluator(target), evaluator(plant)
     ext = (*word, sigma)
     lhs, rhs = min(f_target(word), f_plant(ext)), f_target(ext)
-    return ControllabilityResult(False, word, sigma, lhs, rhs, lhs - rhs > tol)
+    return ControllabilityResult(False, word, sigma, lhs, rhs, lhs - rhs > tol, assumes)
 
 
 def check_decision_preconditions(target: QuantumLanguage, plant: QuantumLanguage, spec: ControlSpec,

@@ -27,7 +27,7 @@ from qdes.fixtures import (
 from qdes.linalg import Projector
 from qdes.models import MmQfa
 from qdes.serialize import SerializationError, from_document, load, save, to_document
-from qdes.supervisory import ControllabilityResult
+from qdes.supervisory import REDUCTION_PRECONDITIONS, ControllabilityResult
 
 from helpers import random_mo, random_qfac, random_state, random_unitary, refuse_to_compile, to_rblm
 
@@ -251,6 +251,15 @@ class TestControllabilityCommands:
         )
         assert code == 1 and not doc["holds"] and doc["symbol"] == "1"
         assert doc["lhs"] > doc["rhs"] + 1e-9 and doc["witness_confirmed"] is True
+        assert doc["assumes"] == list(REDUCTION_PRECONDITIONS)
+
+    def test_restriction_at_eg1_n6_holds_and_assumes_nothing(self, capsys, tmp_path):
+        plant = build_eg1(6, 0.5, seed=0)
+        pp, tp = tmp_path / "p.json", tmp_path / "t.json"
+        save(plant, pp)
+        save(build_spec_variant(plant, plant.classical_states[-1]), tp)
+        code, doc = run(capsys, "decide-controllability", str(pp), str(tp), "--uncontrollable", "0,1")
+        assert code == 0 and doc["holds"] is True and doc["assumes"] == []
 
     @staticmethod
     def dead_state_variant(tmp_path, state):

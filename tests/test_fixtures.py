@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -270,6 +271,12 @@ class TestSpecVariants:
             build_spec_variant(m, "s0")
         with pytest.raises(ValueError):
             build_spec_variant(m, "nope")
+        # s5 rejects identically, but here 0 leads out of it.
+        leaky = dataclasses.replace(m, transitions={**m.transitions, ("s5", "0"): "s0"})
+        with pytest.raises(ValueError, match="does not absorb"):
+            build_spec_variant(leaky, "s5")
+        # Retargeting the symbol that led out of it leaves it absorbing.
+        assert build_spec_variant(leaky, "s5", symbol="0").transitions[("s5", "0")] == "s5"
 
     def test_decay_variant_kills_ones(self):
         m = build_eg2(2, 0.5)

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from qdes import equivalence, supervisory
 from qdes.blm import Rblm
 from qdes.equivalence import minimize
+from qdes.linalg import Projector
 from qdes.models import Qfac
-from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant
+from qdes.fixtures import build_eg1, build_eg2, build_eg2_spec, build_egadd, build_spec_variant, dfa_bounded_zeros
 from qdes.supervisory import (
+    REDUCTION_PRECONDITIONS,
     ClosedLoop,
+    ControllabilityResult,
     ControlSpec,
     CustomSupervisor,
     CutpointAmbiguityError,
@@ -393,8 +396,10 @@ REFERENCE_CASES = {
 
 
 class TestTwoStateReference:
-    """The one-state decision against the two-state one it replaced: the
-    same verdict, witness, confirmation and visited dimension."""
+    """The one-state product route against the two-state one it replaced:
+    the same verdict, witness, confirmation and visited dimension.  The
+    holding cases are restrictions that ``decide_controllability`` settles
+    without exploring, so the route is called directly."""
 
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_same_decision(self, case, monkeypatch):
@@ -409,13 +414,14 @@ class TestTwoStateReference:
 
         monkeypatch.setattr(equivalence, "explore_span", recording)
         monkeypatch.setattr(supervisory, "explore_span", recording)
-        got = decide_controllability(target_aut, plant_aut, spec)
+        got = supervisory._decide_on_product(target_aut, plant_aut, spec)
         got_dim = dims[-1]
         want = ref_decide_controllability(target_aut, plant_aut, spec)
         assert (got.holds, got.word, got.symbol, got.confirmed) == (want.holds, want.word, want.symbol, want.confirmed)
         assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
         assert got_dim == dims[-1]
         assert got_dim <= minimize(target_aut).n * (minimize(target_aut).n + minimize(plant_aut).n)
+        assert decide_controllability(target_aut, plant_aut, spec) == got
 
 
 def large_pair(family, n_param, eps):
@@ -469,7 +475,8 @@ class TestKeptOnTheAutomaton:
         assert decide_controllability(target_aut, plant_aut, spec3()).holds
 
     def test_a_second_decision_only_explores(self, monkeypatch):
-        plant_aut, target_aut = large_pair("eg1", 2, 0.5)
+        # The (s1, "0") cut leaves the restriction, so the decision explores.
+        target_aut, plant_aut = eg1_cut(2, "s1")
         kernel, calls = equivalence.explore_span, []
 
         def counting(*args, **kwargs):
@@ -510,6 +517,118 @@ class TestWitnessOrder:
     def test_reversed_spec_alphabet(self):
         spec = ControlSpec(("2", "1", "0"), frozenset({"2"}), frozenset({"0", "1"}))
         assert self.cut_against_oracle([("s1", "0")], spec) == (("1",), "0")
+
+
+def count_reductions(monkeypatch) -> list[str]:
+    """Record every ``minimize`` and ``explore_span`` call the decision makes, by name."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(supervisory, "minimize", counted("minimize", supervisory.minimize))
+    for module in (equivalence, supervisory):
+        monkeypatch.setattr(module, "explore_span", counted("explore_span", equivalence.explore_span))
+    return calls
+
+
+def restriction_cases():
+    for family, sizes, epsilons in (("eg1", (2, 3), (0.95, 0.5)), ("egadd", (4, 6), (0.95, 0.5))):
+        for n_param in sizes:
+            for eps in epsilons:
+                yield family, n_param, eps
+
+
+class TestRestrictionShortcut:
+    """A target that is its plant restricted to a language holds, with no
+    reduction, when no uncontrollable event leaves the language; every
+    other target takes the product route, as before."""
+
+    @pytest.mark.parametrize("family,n_param,eps", list(restriction_cases()))
+    def test_both_routes_against_the_oracle(self, family, n_param, eps, monkeypatch):
+        plant_aut, target_aut = large_pair(family, n_param, eps)
+        lang = QuantumLanguage.from_automaton
+        assert check_controllability_exhaustive(lang(target_aut), lang(plant_aut), spec3(), horizon=6).holds
+        assert supervisory._decide_on_product(target_aut, plant_aut, spec3()) == ControllabilityResult(True)
+        calls = count_reductions(monkeypatch)
+        decided = decide_controllability(target_aut, plant_aut, spec3())
+        assert decided.holds and decided.assumes == () and calls == []
+        dead = plant_aut.classical_states[-1]
+        for state in ("s0", "s1", "s2"):
+            for event in ("0", "1"):
+                cut = dataclasses.replace(target_aut, transitions={**target_aut.transitions, (state, event): dead})
+                oracle = check_controllability_exhaustive(lang(cut), lang(plant_aut), spec3(), horizon=6)
+                calls.clear()
+                decided = decide_controllability(cut, plant_aut, spec3())
+                assert not oracle.holds and decided == oracle and decided.assumes == ()
+                assert "explore_span" in calls
+
+    @staticmethod
+    def near_misses():
+        """Pairs one step away from a restriction, each with its control spec."""
+        plant = build_eg1(2, 0.95, seed=0)
+        target = build_spec_variant(plant, "s5")
+        into_dead = {(s, "2"): "s5" for s in plant.classical_states}
+        # s5 absorbs but accepts, in the plant and the target alike.
+        accepting = {**plant.accepting, "s5": Projector.full(plant.dim)}
+        accepting_plant = dataclasses.replace(plant, accepting=accepting)
+        accepting_sink = dataclasses.replace(accepting_plant, transitions={**plant.transitions, **into_dead})
+        # s5 rejects, but 0 leads out of it, in the plant and the target alike.
+        leaky = {**plant.transitions, ("s5", "0"): "s0"}
+        leaky_plant = dataclasses.replace(plant, transitions=leaky)
+        leaky_sink = dataclasses.replace(plant, transitions={**leaky, **into_dead})
+        # A global phase changes neither word function, only the automaton.
+        phased_unitary = {**target.unitaries, ("s0", "0"): 1j * target.unitaries[("s0", "0")]}
+        phased_start = -np.asarray(target.initial_quantum)
+        eg2 = build_eg2(2, 0.5)
+        return {
+            "redirect-accepts": (accepting_sink, accepting_plant, spec3()),
+            "redirect-leaks": (leaky_sink, leaky_plant, spec3()),
+            "one-unitary": (dataclasses.replace(target, unitaries=phased_unitary), plant, spec3()),
+            "initial-state": (dataclasses.replace(target, initial_quantum=phased_start), plant, spec3()),
+            "mm-qfa": (build_eg2_spec(eg2), eg2, spec2()),
+        }
+
+    @pytest.mark.parametrize("case", ["redirect-accepts", "redirect-leaks", "one-unitary", "initial-state", "mm-qfa"])
+    def test_near_misses_take_the_product_route(self, case, monkeypatch):
+        target_aut, plant_aut, spec = self.near_misses()[case]
+        assert supervisory._leaves_restriction(target_aut, plant_aut, spec.uncontrollable) is None
+        want = supervisory._decide_on_product(target_aut, plant_aut, spec)
+        calls = count_reductions(monkeypatch)
+        got = decide_controllability(target_aut, plant_aut, spec)
+        assert "explore_span" in calls
+        assert got == want and (got.confirmed, got.assumes) == (want.confirmed, REDUCTION_PRECONDITIONS)
+        assert got == ref_decide_controllability(target_aut, plant_aut, spec)
+
+    def test_a_restriction_of_a_dfa(self):
+        plant = dfa_bounded_zeros(2)
+        cut = dataclasses.replace(plant, transitions={**plant.transitions, ("z0", "1"): "dead"})
+        lang = QuantumLanguage.from_automaton
+        for unc, leaves in (("0", False), ("1", True)):
+            spec = spec2(uncontrollable=(unc,))
+            assert supervisory._leaves_restriction(cut, plant, spec.uncontrollable) is leaves
+            decided = decide_controllability(cut, plant, spec)
+            assert decided == check_controllability_exhaustive(lang(cut), lang(plant), spec, horizon=6)
+            assert decided.holds is not leaves and decided.assumes == ()
+
+    @pytest.mark.parametrize("n_param", [6, 7, 8])
+    def test_holding_decision_at_the_size_wall_reduces_nothing(self, n_param, monkeypatch):
+        plant_aut, target_aut = large_pair("eg1", n_param, 0.5)
+        calls = count_reductions(monkeypatch)
+        decided = decide_controllability(target_aut, plant_aut, spec3())
+        assert decided == ControllabilityResult(True) and decided.assumes == () and calls == []
+
+    def test_alphabets_refused_before_reducing(self, monkeypatch):
+        plant_aut, target_aut = large_pair("eg1", 5, 0.5)
+        calls = count_reductions(monkeypatch)
+        with pytest.raises(ValueError, match="control spec alphabet"):
+            decide_controllability(target_aut, plant_aut, spec2())
+        with pytest.raises(ValueError, match="share an alphabet"):
+            decide_controllability(build_eg2(2, 0.5), plant_aut, spec3())
+        assert calls == []
 
 
 def test_decision_never_materializes_a_product():
