@@ -22,7 +22,6 @@ from .models import (
 )
 from .blm import (
     Rblm,
-    absorb_symbol,
     blm_eval,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,

@@ -142,19 +142,6 @@ def blm_levels(b: Rblm, alphabet: Sequence[str], horizon: int) -> Levels:
         yield vals.real
 
 
-def absorb_symbol(b: Rblm, tau: str) -> Rblm:
-    """Fold one trailing symbol into the final functional.
-
-    The result satisfies ``f'(w) = f(w tau)`` over the alphabet without
-    ``tau``, with the same state count; ``eta`` becomes ``eta @ M(tau)``.
-    """
-    if tau not in b.alphabet:
-        raise ValueError(f"symbol {tau!r} not in alphabet")
-    alphabet = tuple(a for a in b.alphabet if a != tau)
-    matrices = {a: b.matrices[a] for a in alphabet}
-    return Rblm(alphabet, b.pi, matrices, np.asarray(b.eta) @ b.matrices[tau])
-
-
 def hermitian_basis(d: int) -> np.ndarray:
     """The unitary W whose rows are vec(E_aa), then (vec E_ab + vec E_ba)/sqrt 2,
     then -i (vec E_ab - vec E_ba)/sqrt 2, for a < b in row-major order.

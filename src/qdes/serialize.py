@@ -4,7 +4,9 @@ One document per automaton: its ``kind``, each of its fields under the
 field's name, and ``dim`` (the quantum kinds) or ``n`` (``rblm``).  Names
 and index sets are lists, projectors their basis indices, vectors and
 matrices [re, im] pairs, and a table keyed by (state, symbol) one object
-per state.  Saving always emits the canonical form:
+per state.  One encoder writes, and one decoder reads, every kind
+through its dataclass fields; the decoder reads each field by its
+annotated type.  Saving always emits the canonical form:
 sorted keys, two-space indentation, floats printed with 17 significant
 digits (which round-trips doubles exactly), numeric leaf lists inlined.
 Loading builds the automaton, which checks its invariants, so a
@@ -27,7 +29,8 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import fields
-from typing import Any
+from functools import cache
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,7 +39,10 @@ from .linalg import Projector
 from .models import Dfa, MmQfa, MoQfa, Qfac, ValidationFailedError
 
 _KIND_OF = {Dfa: "dfa", MoQfa: "mo-qfa", MmQfa: "mm-qfa", Qfac: "qfac", Rblm: "rblm"}
+_CLASS_OF = {kind: cls for cls, kind in _KIND_OF.items()}
 KINDS = tuple(_KIND_OF.values())
+#: The key of each kind's size: ``dim`` for the quantum kinds, ``n`` for ``rblm``.
+_SIZE_KEY = {"mo-qfa": "dim", "mm-qfa": "dim", "qfac": "dim", "rblm": "n"}
 
 
 class SerializationError(ValueError):
@@ -140,7 +146,8 @@ def to_document(automaton) -> dict:
         raise SerializationError(f"cannot serialize objects of type {type(automaton).__name__}")
     rows = getattr(automaton, "states", getattr(automaton, "classical_states", ()))
     doc = {f.name: _encode(getattr(automaton, f.name), rows) for f in fields(automaton)}
-    return {"kind": kind, **doc, **{k: getattr(automaton, k) for k in ("dim", "n") if hasattr(automaton, k)}}
+    size = _SIZE_KEY.get(kind)
+    return {"kind": kind, **doc, **({size: getattr(automaton, size)} if size else {})}
 
 
 def _encode(v, rows: tuple[str, ...]):
@@ -207,72 +214,67 @@ def _projector(indices, dim: int, where: str) -> Projector:
     return Projector(frozenset(_int(i, f"{where} index") for i in indices), dim)
 
 
+def _decode(value, hint, where: str, dim: int | None, empty: bool):
+    """A field's value from its JSON by the field's type, ``_encode`` read
+    backwards: a mapping entry by entry, its arrays as matrices (``[]`` the
+    0 x 0 one only if ``empty``); a type not named here is taken as given."""
+    origin = get_origin(hint)
+    if origin in (tuple, frozenset):
+        names = _names(value, where)
+        return frozenset(names) if origin is frozenset else names
+    if hint is np.ndarray:
+        return _parse_cvec(value, where)
+    if hint is Projector:
+        return _projector(value, dim, where)
+    if origin is Mapping:
+        key, entry = get_args(hint)
+        pairs = _table(value, where).items() if get_origin(key) is tuple else _items(value, where)
+        if entry is np.ndarray:
+            return {k: _parse_cmat(v, f"{where} {k}", empty) for k, v in pairs}
+        return {k: _decode(v, entry, f"{where} {k}", dim, empty) for k, v in pairs}
+    return value
+
+
+@cache
+def _field_types(cls) -> tuple[tuple[str, Any], ...]:
+    """Each field of ``cls`` with its annotated type, resolved once."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def _checked_rblm(n: int, alphabet, pi, matrices, eta) -> dict:
+    """An ``rblm``'s fields, once ``pi`` and ``eta`` have ``n`` entries and
+    there is one n x n matrix per symbol; float64 when every entry is real."""
+    for name, v in (("pi", pi), ("eta", eta)):
+        if len(v) != n:
+            raise SerializationError(f"rblm {name}: expected n = {n} entries, got {len(v)}")
+    if sorted(matrices) != sorted(alphabet):
+        raise SerializationError(
+            f"rblm matrices: expected one matrix per alphabet symbol {list(alphabet)}, got {sorted(matrices)}")
+    for a, m in matrices.items():
+        if m.shape != (n, n):
+            raise SerializationError(f"rblm matrix {a}: expected {n} x {n}, got {m.shape[0]} x {m.shape[1]}")
+    if not any(np.any(x.imag) for x in (pi, eta, *matrices.values())):
+        pi, eta = pi.real.copy(), eta.real.copy()
+        matrices = {a: m.real.copy() for a, m in matrices.items()}
+    return {"alphabet": alphabet, "pi": pi, "matrices": matrices, "eta": eta}
+
+
 def from_document(doc: dict):
     """Reconstruct an automaton from its document; building it checks its invariants."""
     if not isinstance(doc, dict):
         raise SerializationError("document must be a JSON object")
     kind = _need(doc, "kind", "document")
-    if kind == "dfa":
-        return Dfa(
-            states=_names(_need(doc, "states", "dfa"), "dfa states"),
-            alphabet=_names(_need(doc, "alphabet", "dfa"), "dfa alphabet"),
-            transitions=_table(_need(doc, "transitions", "dfa"), "dfa transitions"),
-            initial=_need(doc, "initial", "dfa"),
-            accepting=frozenset(_names(_need(doc, "accepting", "dfa"), "dfa accepting")),
-        )
-    if kind in ("mo-qfa", "mm-qfa"):
-        dim = _int(_need(doc, "dim", kind), f"{kind} dim")
-        parts = ("accepting", "rejecting", "going") if kind == "mm-qfa" else ("accepting", "rejecting")
-        return (MmQfa if kind == "mm-qfa" else MoQfa)(
-            alphabet=_names(_need(doc, "alphabet", kind), f"{kind} alphabet"),
-            unitaries={
-                a: _parse_cmat(u, f"unitary {a}") for a, u in _items(_need(doc, "unitaries", kind), f"{kind} unitaries")
-            },
-            initial=_parse_cvec(_need(doc, "initial", kind), "initial"),
-            **{part: _projector(_need(doc, part, kind), dim, f"{kind} {part}") for part in parts},
-        )
-    if kind == "qfac":
-        dim = _int(_need(doc, "dim", "qfac"), "qfac dim")
-        transitions = _table(_need(doc, "transitions", "qfac"), "qfac transitions")
-        unitaries = {(s, a): _parse_cmat(u, f"unitary ({s},{a})")
-                     for (s, a), u in _table(_need(doc, "unitaries", "qfac"), "qfac unitaries").items()}
-        return Qfac(
-            classical_states=_names(_need(doc, "classical_states", "qfac"), "qfac classical_states"),
-            alphabet=_names(_need(doc, "alphabet", "qfac"), "qfac alphabet"),
-            initial_classical=_need(doc, "initial_classical", "qfac"),
-            initial_quantum=_parse_cvec(_need(doc, "initial_quantum", "qfac"), "initial_quantum"),
-            transitions=transitions,
-            unitaries=unitaries,
-            accepting={
-                s: _projector(idx, dim, f"qfac accepting {s}")
-                for s, idx in _items(_need(doc, "accepting", "qfac"), "qfac accepting")
-            },
-        )
-    if kind == "rblm":
-        if doc.get("real_valued", True) is not True:
-            raise SerializationError("rblm: only real-valued machines are supported")
-        alphabet = _names(_need(doc, "alphabet", "rblm"), "rblm alphabet")
-        n = _int(_need(doc, "n", "rblm"), "rblm n")
-        pi = _parse_cvec(_need(doc, "pi", "rblm"), "pi")
-        matrices = {
-            a: _parse_cmat(m, f"rblm matrix {a}", empty=n == 0)
-            for a, m in _items(_need(doc, "matrices", "rblm"), "rblm matrices")
-        }
-        eta = _parse_cvec(_need(doc, "eta", "rblm"), "eta")
-        for field, v in (("pi", pi), ("eta", eta)):
-            if len(v) != n:
-                raise SerializationError(f"rblm {field}: expected n = {n} entries, got {len(v)}")
-        if sorted(matrices) != sorted(alphabet):
-            raise SerializationError(
-                f"rblm matrices: expected one matrix per alphabet symbol {list(alphabet)}, got {sorted(matrices)}")
-        for a, m in matrices.items():
-            if m.shape != (n, n):
-                raise SerializationError(f"rblm matrix {a}: expected {n} x {n}, got {m.shape[0]} x {m.shape[1]}")
-        if not any(np.any(x.imag) for x in (pi, eta, *matrices.values())):
-            pi, eta = pi.real.copy(), eta.real.copy()
-            matrices = {a: m.real.copy() for a, m in matrices.items()}
-        return Rblm(alphabet, pi, matrices, eta)
-    raise SerializationError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    cls = _CLASS_OF.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SerializationError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if kind == "rblm" and doc.get("real_valued", True) is not True:
+        raise SerializationError("rblm: only real-valued machines are supported")
+    key = _SIZE_KEY.get(kind)
+    size = _int(_need(doc, key, kind), f"{kind} {key}") if key else None
+    values = {name: _decode(_need(doc, name, kind), hint, f"{kind} {name}", size, kind == "rblm" and size == 0)
+              for name, hint in _field_types(cls)}
+    return cls(**(_checked_rblm(size, **values) if kind == "rblm" else values))
 
 
 def dumps(automaton) -> str:

@@ -481,7 +481,9 @@ def decide_controllability(
     (Ramadge and Wonham, SIAM J. Control Optim., 1987).  So when no
     redirected (state, event) pair has an uncontrollable event, among
     the states reachable over the transitions target and plant share,
-    the decision holds, without minimizing or exploring anything.
+    the decision holds, without minimizing or exploring anything.  With
+    no uncontrollable event the inequality ranges over nothing, and the
+    decision holds for any target, assuming nothing.
 
     Every other input takes the algebraic route (``_decide_on_product``):
     a restriction that an uncontrollable event leaves, measure-many
@@ -498,6 +500,8 @@ def decide_controllability(
         raise ValueError("target and plant must share an alphabet")
     if set(spec.alphabet) != set(target.alphabet):
         raise ValueError("control spec alphabet does not match the automata")
+    if not spec.uncontrollable:
+        return ControllabilityResult(True)
     leaves = _leaves_restriction(target, plant, spec.uncontrollable)
     if leaves is False:
         return ControllabilityResult(True)
@@ -570,7 +574,8 @@ def _leaves_restriction(target, plant, uncontrollable: frozenset[str]) -> bool |
 
 def _decide_on_product(target, plant, spec: ControlSpec, tol: float = DEFAULT_EQUIV_TOL,
                        assumes: tuple[str, ...] = REDUCTION_PRECONDITIONS) -> ControllabilityResult:
-    """The algebraic route of ``decide_controllability``, on alphabets it has checked.
+    """The algebraic route of ``decide_controllability``, on alphabets it has
+    checked and with at least one uncontrollable event.
 
     Under the reduction preconditions (target monotone along
     uncontrollable extensions and dominated by the plant there; see
@@ -618,7 +623,7 @@ def _decide_on_product(target, plant, spec: ControlSpec, tol: float = DEFAULT_EQ
         h_e = h.eta @ h.matrices[e]
         rows.append(np.outer(h.eta - h_e, np.concatenate([-h_e, m.eta @ m.matrices[e]])).ravel())
     start = np.outer(h.pi, np.concatenate([h.pi, m.pi])).ravel()
-    _, hit = explore_span(start, step, spec.alphabet, tol, np.array(rows)) if events else (None, None)
+    _, hit = explore_span(start, step, spec.alphabet, tol, np.array(rows))
     if hit is None:
         return ControllabilityResult(True, assumes=assumes)
     word, sigma = hit[0], events[hit[1]]

@@ -17,7 +17,6 @@ from qdes import equivalence, fixtures
 from qdes.blm import (
     REAL_TOL,
     Rblm,
-    absorb_symbol,
     blm_eval,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
@@ -49,7 +48,7 @@ from qdes.models import (
     qfac_from_dfa,
     qfac_from_mo,
 )
-from qdes.serialize import SerializationError
+from qdes.serialize import KINDS, SerializationError, dumps, from_document
 from qdes.supervisory import (
     AdmissibilityViolation,
     ControllabilityResult,
@@ -595,7 +594,8 @@ def ref_vec_rblm(a) -> Rblm:
         pi[:nn] = np.outer(a.initial, np.conj(a.initial)).ravel()
         eta = np.zeros(nn + 1, dtype=complex)
         eta[nn] = 1.0
-        return absorb_symbol(Rblm((*a.alphabet, END_MARKER), pi, matrices, eta), END_MARKER)
+        end = matrices.pop(END_MARKER)
+        return Rblm(a.alphabet, pi, matrices, eta @ end)
     states, nn = a.classical_states, a.dim * a.dim
     n = len(states) * nn
     start = states.index(a.initial_classical) * nn
@@ -733,10 +733,142 @@ def ref_to_document(automaton) -> dict:
     raise SerializationError(f"cannot serialize objects of type {type(automaton).__name__}")
 
 
+
+def _ref_need(doc, key, where):
+    if key not in doc:
+        raise SerializationError(f"{where}: missing field {key!r}")
+    return doc[key]
+
+
+def _ref_items(value, where):
+    if not isinstance(value, dict):
+        raise SerializationError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value.items()
+
+
+def _ref_table(value, where):
+    return {(s, a): v for s, row in _ref_items(value, where) for a, v in _ref_items(row, f"{where} {s}")}
+
+
+def _ref_int(value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SerializationError(f"{where}: expected a JSON integer, got {type(value).__name__}")
+    return value
+
+
+def _ref_names(value, where):
+    if not isinstance(value, list):
+        raise SerializationError(f"{where}: expected a list of strings, got {type(value).__name__}")
+    for item in value:
+        if not isinstance(item, str):
+            raise SerializationError(f"{where}: expected a list of strings, got an entry of type {type(item).__name__}")
+    return tuple(value)
+
+
+def _ref_projector(indices, dim, where):
+    if not isinstance(indices, list):
+        raise SerializationError(f"{where}: expected a list of indices, got {type(indices).__name__}")
+    return Projector(frozenset(_ref_int(i, f"{where} index") for i in indices), dim)
+
+
+def _ref_parse_cvec(data, where):
+    try:
+        return np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError) as e:
+        raise SerializationError(f"{where}: expected a list of [re, im] pairs ({e})")
+
+
+def _ref_parse_cmat(data, where, empty=False):
+    if empty and data == []:
+        return np.zeros((0, 0), dtype=complex)
+    if not isinstance(data, list) or not data:
+        raise SerializationError(f"{where}: expected a non-empty list of rows")
+    rows = [_ref_parse_cvec(row, where) for row in data]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise SerializationError(f"{where}: rows of unequal length")
+    return np.array(rows, dtype=complex)
+
+
+def ref_from_document(doc):
+    """The automaton of a document, with each kind's layout read by a
+    hand-written branch of its own."""
+    if not isinstance(doc, dict):
+        raise SerializationError("document must be a JSON object")
+    kind = _ref_need(doc, "kind", "document")
+    if kind == "dfa":
+        return Dfa(
+            states=_ref_names(_ref_need(doc, "states", "dfa"), "dfa states"),
+            alphabet=_ref_names(_ref_need(doc, "alphabet", "dfa"), "dfa alphabet"),
+            transitions=_ref_table(_ref_need(doc, "transitions", "dfa"), "dfa transitions"),
+            initial=_ref_need(doc, "initial", "dfa"),
+            accepting=frozenset(_ref_names(_ref_need(doc, "accepting", "dfa"), "dfa accepting")),
+        )
+    if kind in ("mo-qfa", "mm-qfa"):
+        dim = _ref_int(_ref_need(doc, "dim", kind), f"{kind} dim")
+        parts = ("accepting", "rejecting", "going") if kind == "mm-qfa" else ("accepting", "rejecting")
+        return (MmQfa if kind == "mm-qfa" else MoQfa)(
+            alphabet=_ref_names(_ref_need(doc, "alphabet", kind), f"{kind} alphabet"),
+            unitaries={a: _ref_parse_cmat(u, f"unitary {a}")
+                       for a, u in _ref_items(_ref_need(doc, "unitaries", kind), f"{kind} unitaries")},
+            initial=_ref_parse_cvec(_ref_need(doc, "initial", kind), "initial"),
+            **{part: _ref_projector(_ref_need(doc, part, kind), dim, f"{kind} {part}") for part in parts},
+        )
+    if kind == "qfac":
+        dim = _ref_int(_ref_need(doc, "dim", "qfac"), "qfac dim")
+        transitions = _ref_table(_ref_need(doc, "transitions", "qfac"), "qfac transitions")
+        unitaries = {(s, a): _ref_parse_cmat(u, f"unitary ({s},{a})")
+                     for (s, a), u in _ref_table(_ref_need(doc, "unitaries", "qfac"), "qfac unitaries").items()}
+        return Qfac(
+            classical_states=_ref_names(_ref_need(doc, "classical_states", "qfac"), "qfac classical_states"),
+            alphabet=_ref_names(_ref_need(doc, "alphabet", "qfac"), "qfac alphabet"),
+            initial_classical=_ref_need(doc, "initial_classical", "qfac"),
+            initial_quantum=_ref_parse_cvec(_ref_need(doc, "initial_quantum", "qfac"), "initial_quantum"),
+            transitions=transitions,
+            unitaries=unitaries,
+            accepting={s: _ref_projector(idx, dim, f"qfac accepting {s}")
+                       for s, idx in _ref_items(_ref_need(doc, "accepting", "qfac"), "qfac accepting")},
+        )
+    if kind == "rblm":
+        if doc.get("real_valued", True) is not True:
+            raise SerializationError("rblm: only real-valued machines are supported")
+        alphabet = _ref_names(_ref_need(doc, "alphabet", "rblm"), "rblm alphabet")
+        n = _ref_int(_ref_need(doc, "n", "rblm"), "rblm n")
+        pi = _ref_parse_cvec(_ref_need(doc, "pi", "rblm"), "pi")
+        matrices = {a: _ref_parse_cmat(m, f"rblm matrix {a}", empty=n == 0)
+                    for a, m in _ref_items(_ref_need(doc, "matrices", "rblm"), "rblm matrices")}
+        eta = _ref_parse_cvec(_ref_need(doc, "eta", "rblm"), "eta")
+        for field, v in (("pi", pi), ("eta", eta)):
+            if len(v) != n:
+                raise SerializationError(f"rblm {field}: expected n = {n} entries, got {len(v)}")
+        if sorted(matrices) != sorted(alphabet):
+            raise SerializationError(
+                f"rblm matrices: expected one matrix per alphabet symbol {list(alphabet)}, got {sorted(matrices)}")
+        for a, m in matrices.items():
+            if m.shape != (n, n):
+                raise SerializationError(f"rblm matrix {a}: expected {n} x {n}, got {m.shape[0]} x {m.shape[1]}")
+        if not any(np.any(x.imag) for x in (pi, eta, *matrices.values())):
+            pi, eta = pi.real.copy(), eta.real.copy()
+            matrices = {a: m.real.copy() for a, m in matrices.items()}
+        return Rblm(alphabet, pi, matrices, eta)
+    raise SerializationError(f"unknown kind {kind!r}; expected one of {KINDS}")
+
+
+def assert_decoders_agree(doc):
+    """``from_document`` and ``ref_from_document`` build automata whose
+    ``dumps`` are byte-identical, or both refuse ``doc`` with the same
+    exception type."""
+    results = []
+    for decode in (from_document, ref_from_document):
+        try:
+            results.append(dumps(decode(doc)))
+        except Exception as e:
+            results.append(type(e))
+    assert results[0] == results[1], results
+
 def ref_compile_mm_to_rblm(m: MmQfa) -> Rblm:
     """The measure-many machine through its working alphabet: the compiled
-    step of every symbol and of the end marker, then ``absorb_symbol``
-    folds the end marker's step into the final functional."""
+    step of every symbol and of the end marker, whose step is then folded
+    into the final functional: ``eta @ M($)``."""
     n = m.dim
     dim = n * n + 1
     w = hermitian_basis(n)
@@ -756,7 +888,8 @@ def ref_compile_mm_to_rblm(m: MmQfa) -> Rblm:
     pi[: n * n] = (w @ np.outer(psi, np.conj(psi)).ravel()).real
     eta = np.zeros(dim)
     eta[n * n] = 1.0
-    return absorb_symbol(Rblm((*m.alphabet, END_MARKER), pi, matrices, eta), END_MARKER)
+    end = matrices.pop(END_MARKER)
+    return Rblm(m.alphabet, pi, matrices, eta @ end)
 
 
 def ref_build_af_modp(p: int, eps: float, seed: int = 0, accept_multiples: bool = True) -> MoQfa:

@@ -11,7 +11,8 @@ forms, minimal machines, evaluator trails) is checked across operations.
 The ladder's documents come from ``qdes.cli.main`` in this process, so
 a wrong CLI verdict fails here too, not only in the benchmark.  Each
 rung's plant and target are written as the reference encoder writes
-them, with each kind's layout spelled out.
+them, with each kind's layout spelled out, and read back as the
+reference decoder reads them.
 """
 
 import importlib.util
@@ -29,7 +30,7 @@ import qdes.fixtures
 import qdes.serialize
 import qdes.supervisory
 
-from helpers import ref_canonical_json, ref_to_document
+from helpers import assert_decoders_agree, ref_canonical_json, ref_to_document
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -71,3 +72,9 @@ def test_ladder_documents_match_the_reference_emitter(workloads):
             assert qdes.serialize.canonical_json(doc) == ref_canonical_json(doc), rung.name
             assert doc == ref_to_document(automaton), rung.name
             assert qdes.serialize.dumps(automaton) == ref_canonical_json(ref_to_document(automaton)), rung.name
+
+
+def test_ladder_documents_decode_as_the_reference_decoder(workloads):
+    for rung in workloads.RUNGS:
+        for automaton in workloads.build_rung(qdes, rung, 0)[:2]:
+            assert_decoders_agree(qdes.serialize.to_document(automaton))

@@ -5,7 +5,6 @@ from qdes.blm import (
     LinearForm,
     Rblm,
     _as_hybrid,
-    absorb_symbol,
     blm_eval,
     compile_mm_to_rblm,
     compile_qfac_to_rblm,
@@ -80,33 +79,6 @@ class TestRblmProbability:
     def test_corrupt_value_names_the_word(self):
         with pytest.raises(ArithmeticError, match=r"\(bilinear, word 'aa'\)"):
             rblm_probability(scalar_machine(2.0), ("a", "a"))
-
-
-class TestAbsorb:
-    def test_absorb_identity_symbol(self):
-        rng = np.random.default_rng(19)
-        b = random_rblm(rng, 3, alphabet=("a", "t"))
-        with_id = Rblm(b.alphabet, b.pi, {**b.matrices, "t": np.eye(3, dtype=complex)}, b.eta)
-        hat = absorb_symbol(with_id, "t")
-        assert hat.alphabet == ("a",)
-        for w in words_up_to(("a",), 4):
-            assert abs(blm_eval(hat, w) - blm_eval(with_id, w)) <= 1e-12
-
-    def test_absorb_scalar(self):
-        b = scalar_machine(0.5, alphabet=("a", "t"))
-        assert blm_eval(absorb_symbol(b, "t"), ()) == 0.5
-
-    def test_absorb_matches_suffix_eval(self):
-        rng = np.random.default_rng(23)
-        b = random_rblm(rng, 3)
-        hat = absorb_symbol(b, "b")
-        assert hat.alphabet == ("a",)
-        for w in words_up_to(hat.alphabet, 4):
-            assert abs(blm_eval(hat, w) - blm_eval(b, (*w, "b"))) <= 1e-12
-
-    def test_absorb_unknown_symbol(self):
-        with pytest.raises(ValueError):
-            absorb_symbol(scalar_machine(0.5), "z")
 
 
 MEASURE_MANY = {

@@ -29,7 +29,15 @@ from qdes.models import MmQfa
 from qdes.serialize import SerializationError, from_document, load, save, to_document
 from qdes.supervisory import REDUCTION_PRECONDITIONS, ControllabilityResult
 
-from helpers import random_mo, random_qfac, random_state, random_unitary, refuse_to_compile, to_rblm
+from helpers import (
+    assert_decoders_agree,
+    random_mo,
+    random_qfac,
+    random_state,
+    random_unitary,
+    refuse_to_compile,
+    to_rblm,
+)
 
 
 def run(capsys, *argv):
@@ -63,6 +71,7 @@ class TestValidateCommand:
     def test_violations_exit_one(self, capsys, tmp_path, eg2_file):
         doc = to_document(load(eg2_file))
         doc["initial"] = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        assert_decoders_agree(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, out = run(capsys, "validate", str(bad))
@@ -73,6 +82,7 @@ class TestValidateCommand:
     def test_duplicate_names_exit_one(self, capsys, tmp_path, field, violation):
         doc = to_document(dfa_bounded_zeros(1))
         doc[field].append(doc[field][0])
+        assert_decoders_agree(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, out = run(capsys, "validate", str(bad))
@@ -261,6 +271,14 @@ class TestControllabilityCommands:
         code, doc = run(capsys, "decide-controllability", str(pp), str(tp), "--uncontrollable", "0,1")
         assert code == 0 and doc["holds"] is True and doc["assumes"] == []
 
+    def test_no_uncontrollable_event_holds_and_assumes_nothing(self, capsys, tmp_path):
+        plant = build_eg2(2, 0.5)
+        pp, tp = tmp_path / "p.json", tmp_path / "t.json"
+        save(plant, pp)
+        save(build_eg2_spec(plant), tp)
+        code, doc = run(capsys, "decide-controllability", str(pp), str(tp), "--uncontrollable", "")
+        assert code == 0 and doc["holds"] is True and doc["assumes"] == []
+
     @staticmethod
     def dead_state_variant(tmp_path, state):
         """eg1 N=2 and its spec variant with ``(state, "0")`` sent to the dead state, saved."""
@@ -436,6 +454,7 @@ class TestListWhereObjectExpected:
             parent = parent[key]
         assert isinstance(parent[field[-1]], dict)
         parent[field[-1]] = [1, 2]
+        assert_decoders_agree(doc)
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(doc))
         for argv in (["validate", str(path)], ["prob", str(path), ""]):
@@ -466,6 +485,7 @@ class TestIntegerFields:
             parent = parent[key]
         assert isinstance(parent[field[-1]], int)
         parent[field[-1]] = value
+        assert_decoders_agree(doc)
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(doc))
         for argv in (["validate", str(path)], ["prob", str(path), ""]):
@@ -476,6 +496,7 @@ class TestIntegerFields:
     def test_index_list_that_is_a_string_exit_two(self, capsys, tmp_path):
         doc = to_document(build_eg2(2, 0.5))
         doc["accepting"] = "2"
+        assert_decoders_agree(doc)
         path = tmp_path / "mm.json"
         path.write_text(json.dumps(doc))
         code, out = run(capsys, "validate", str(path))
@@ -509,6 +530,7 @@ class TestNameFields:
         doc[field] = value(doc[field])
         with pytest.raises(SerializationError, match=f"{kind} {field}: expected a list of strings"):
             from_document(doc)
+        assert_decoders_agree(doc)
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps(doc))
         for argv in (["validate", str(path)], ["prob", str(path), ""]):
@@ -524,7 +546,7 @@ class TestRblmShape:
         ("rblm n: expected a JSON integer, got float", lambda doc: doc.update(n=10.0)),
         ("rblm matrix 1: expected 10 x 10, got 9 x 10", lambda doc: doc["matrices"]["1"].pop()),
         ("rblm matrix 0: expected 10 x 10, got 10 x 9", lambda doc: [row.pop() for row in doc["matrices"]["0"]]),
-        ("rblm matrix 0: rows of unequal length", lambda doc: doc["matrices"]["0"][3].pop()),
+        ("rblm matrices 0: rows of unequal length", lambda doc: doc["matrices"]["0"][3].pop()),
         ("rblm matrices: expected one matrix per alphabet symbol", lambda doc: doc["matrices"].pop("1")),
         ("rblm matrices: expected one matrix per alphabet symbol", lambda doc: doc.update(alphabet=["0", "1", "0"])),
     ], ids=["n-999", "float-n", "short-matrix", "narrow-matrix", "ragged-matrix", "missing-matrix", "repeated-symbol"])
@@ -534,6 +556,7 @@ class TestRblmShape:
         change(doc)
         with pytest.raises(SerializationError, match=message):
             from_document(doc)
+        assert_decoders_agree(doc)
         path = tmp_path / "rblm.json"
         path.write_text(json.dumps(doc))
         for argv in (["validate", str(path)], ["prob", str(path), ""]):
@@ -566,35 +589,68 @@ FUZZED_COMMANDS = {
     "prob": lambda path, stock: ["prob", path, "01"],
 }
 
+#: The fuzzed commands that decide, simulate or count, with the malformed
+#: document as the target against the stock plant; each run costs more, so
+#: they draw fewer examples.
+FUZZED_DECISIONS = {
+    "equiv": lambda path, stock: ["equiv", path, stock],
+    "decide-controllability": lambda path, stock: ["decide-controllability", stock, path, "--uncontrollable", "0"],
+    "simulate-loop": lambda path, stock: ["simulate-loop", stock, path, "--uncontrollable", "0", "--word", "0"],
+    "check-marking": lambda path, stock: ["check-marking", stock, path, "--lambda", "0.3", "--rho", "0.1",
+                                          "--horizon", "2", "--uncontrollable", "0"],
+    "minimize-dfa": lambda path, stock: ["minimize-dfa", path],
+}
+
+
+def malformed_document(data, kind: str) -> dict:
+    """The stock document of ``kind`` with one field, or one entry of a field,
+    set to any JSON value."""
+    doc = copy.deepcopy(STOCK_DOCUMENTS[kind])
+    parent, key = doc, data.draw(st.sampled_from(sorted(doc)), label="field")
+    inner = doc[key]
+    if isinstance(inner, (dict, list)) and inner and data.draw(st.booleans(), label="entry"):
+        parent, key = inner, data.draw(st.sampled_from(sorted(inner) if isinstance(inner, dict) else range(len(inner))),
+                                       label="entry key")
+    parent[key] = data.draw(JSON_VALUES, label="value")
+    return doc
+
+
+def answers_in_contract(argv_of, kind: str, doc: dict) -> None:
+    """``qdes`` on ``argv_of(malformed path, stock path)`` exits 0, 1 or 2 with
+    one JSON document, which holds an error exactly when it exits 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, stock = Path(tmp) / "doc.json", Path(tmp) / "stock.json"
+        path.write_text(json.dumps(doc))
+        stock.write_text(json.dumps(STOCK_DOCUMENTS[kind]))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv_of(str(path), str(stock)))
+    result = json.loads(out.getvalue())
+    assert code in (0, 1, 2) and err.getvalue() == ""
+    assert ("error" in result) == (code == 2)
+
 
 class TestValidateFuzz:
     """One field of a stock document, or one entry of a field, set to any JSON
     value: ``qdes validate``, ``qdes prob`` on the word 01, and ``qdes equiv
     --brute-k`` and ``qdes compose`` against the stock document, answer 0, 1
-    or 2 with one JSON document."""
+    or 2 with one JSON document; so do ``qdes equiv`` on the span kernel,
+    ``decide-controllability``, ``simulate-loop`` and ``check-marking`` with
+    the stock plant and the malformed target, and ``minimize-dfa``."""
 
     @pytest.mark.parametrize("command", sorted(FUZZED_COMMANDS))
     @pytest.mark.parametrize("kind", sorted(STOCK_DOCUMENTS))
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_one_malformed_field(self, kind, command, data):
-        doc = copy.deepcopy(STOCK_DOCUMENTS[kind])
-        parent, key = doc, data.draw(st.sampled_from(sorted(doc)), label="field")
-        inner = doc[key]
-        if isinstance(inner, (dict, list)) and inner and data.draw(st.booleans(), label="entry"):
-            parent, key = inner, data.draw(st.sampled_from(sorted(inner) if isinstance(inner, dict) else range(len(inner))),
-                                           label="entry key")
-        parent[key] = data.draw(JSON_VALUES, label="value")
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path, stock = Path(tmp) / "doc.json", Path(tmp) / "stock.json"
-            path.write_text(json.dumps(doc))
-            stock.write_text(json.dumps(STOCK_DOCUMENTS[kind]))
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(FUZZED_COMMANDS[command](str(path), str(stock)))
-        result = json.loads(out.getvalue())
-        assert code in (0, 1, 2) and err.getvalue() == ""
-        assert ("error" in result) == (code == 2)
+        answers_in_contract(FUZZED_COMMANDS[command], kind, malformed_document(data, kind))
+
+    @pytest.mark.parametrize("command", sorted(FUZZED_DECISIONS))
+    @pytest.mark.parametrize("kind", sorted(STOCK_DOCUMENTS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_one_malformed_target(self, kind, command, data):
+        answers_in_contract(FUZZED_DECISIONS[command], kind, malformed_document(data, kind))
 
     def test_a_field_nested_too_deep_exit_two(self, capsys, tmp_path):
         text = json.dumps(STOCK_DOCUMENTS["dfa"]).replace('"states": [', '"states": [' + "[" * 100_000 + "]" * 100_000 + ", ", 1)

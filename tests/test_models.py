@@ -584,6 +584,34 @@ class TestValidate:
             )
         assert any("transition missing" in p for p in err.value.violations)
 
+    @pytest.mark.parametrize("initial,violation", [
+        (np.array([[1.0], [0.0]]), "initial state: shape (2, 1) does not match dimension 2"),
+        (np.array([np.nan, 0.0]), "initial state: non-finite entries"),
+    ], ids=["column", "nan"])
+    def test_initial_state_shape_and_finiteness(self, initial, violation):
+        with pytest.raises(ValidationFailedError) as err:
+            dataclasses.replace(rotation_mo(0.3), initial=initial)
+        assert err.value.violations == [violation]
+
+    def test_transition_into_an_unknown_state(self):
+        with pytest.raises(ValidationFailedError) as err:
+            Dfa(("a",), ("x",), {("a", "x"): "b"}, "a", frozenset())
+        assert err.value.violations == ["transition ('a', 'x') targets unknown state"]
+        m = random_qfac(np.random.default_rng(41), 2, 2)
+        with pytest.raises(ValidationFailedError) as err:
+            dataclasses.replace(m, transitions={**m.transitions, ("s1", "a"): "s9"})
+        assert err.value.violations == ["classical transition ('s1', 'a') targets unknown state"]
+
+    def test_end_marker_inside_a_measure_many_alphabet(self):
+        m = build_eg2(1, 0.5)
+        with pytest.raises(ValidationFailedError) as err:
+            dataclasses.replace(m, alphabet=(*m.alphabet, "$"))
+        assert err.value.violations == ["end marker $ may not be part of the input alphabet"]
+
+    def test_not_an_automaton(self):
+        with pytest.raises(TypeError, match="not an automaton: dict"):
+            validate({"alphabet": ("0",)})
+
     def test_dfa_missing_transition(self):
         with pytest.raises(ValidationFailedError) as err:
             Dfa(("a", "b"), ("x",), {("a", "x"): "b"}, "a", frozenset({"a"}))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdes.blm import Rblm, blm_eval, compile_mm_to_rblm
 from qdes.composition import parallel_dfa, parallel_qfac
@@ -39,11 +41,14 @@ from helpers import (
     random_qfac,
     random_rblm,
     random_unitary,
+    assert_decoders_agree,
     ref_canonical_json,
     ref_to_document,
     to_rblm,
     words_up_to,
 )
+from test_cli import KINDS as CLI_KINDS
+from test_cli import STOCK_DOCUMENTS, malformed_document
 
 
 def all_kinds(rng):
@@ -100,18 +105,21 @@ class TestDocumentErrors:
     def test_unknown_kind(self):
         with pytest.raises(SerializationError):
             from_document({"kind": "pushdown"})
+        assert_decoders_agree({"kind": "pushdown"})
 
     def test_missing_field_reports_location(self):
         doc = to_document(dfa_bounded_zeros(1))
         del doc["initial"]
         with pytest.raises(SerializationError, match="initial"):
             from_document(doc)
+        assert_decoders_agree(doc)
 
     def test_bad_complex_pair(self):
         doc = to_document(build_eg2(2, 0.5))
         doc["initial"] = [[0.0], [0.0, 1.0], [0.0, 0.0]]
         with pytest.raises(SerializationError, match="initial"):
             from_document(doc)
+        assert_decoders_agree(doc)
 
     @pytest.mark.parametrize("field,value", [("dim", 3.9), ("dim", "3"), ("dim", False), ("accepting", [2.7]),
                                              ("accepting", ["2"]), ("going", [True]), ("rejecting", "1")])
@@ -120,6 +128,7 @@ class TestDocumentErrors:
         doc[field] = value
         with pytest.raises(SerializationError, match=f"mm-qfa {field}"):
             from_document(doc)
+        assert_decoders_agree(doc)
 
     def test_validation_failure_names_symbol(self):
         doc = to_document(build_eg2(2, 0.5))
@@ -129,18 +138,21 @@ class TestDocumentErrors:
         with pytest.raises(ValidationFailedError) as err:
             loads(json.dumps(doc))
         assert any("0" in v and "non-unitary" in v for v in err.value.violations)
+        assert_decoders_agree(doc)
 
     def test_rblm_real_valued_true_loads(self):
         b = compile_mm_to_rblm(build_eg2(1, 0.5))
         doc = to_document(b)
         assert "real_valued" not in doc
         again = from_document({**doc, "real_valued": True})
+        assert_decoders_agree({**doc, "real_valued": True})
         assert blm_eval(again, ("0",)) == blm_eval(b, ("0",))
 
     def test_rblm_real_valued_false_refused(self, tmp_path, capsys):
         doc = {**to_document(compile_mm_to_rblm(build_eg2(1, 0.5))), "real_valued": False}
         with pytest.raises(SerializationError, match="real-valued"):
             from_document(doc)
+        assert_decoders_agree(doc)
         path = tmp_path / "complex.json"
         path.write_text(json.dumps(doc))
         assert main(["prob", str(path), "0"]) == 2
@@ -165,12 +177,12 @@ class TestDocumentErrors:
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
 
     def test_empty_matrix_refused_unless_zero_states(self):
-        b = compile_mm_to_rblm(build_eg2(1, 0.5))
-        with pytest.raises(SerializationError, match="non-empty list of rows"):
-            from_document({**to_document(b), "matrices": {**to_document(b)["matrices"], "0": []}})
-        doc = to_document(random_mo(np.random.default_rng(3), 2))
-        with pytest.raises(SerializationError, match="non-empty list of rows"):
-            from_document({**doc, "unitaries": {**doc["unitaries"], "a": []}})
+        rblm = to_document(compile_mm_to_rblm(build_eg2(1, 0.5)))
+        mo = to_document(random_mo(np.random.default_rng(3), 2))
+        for doc in ({**rblm, "matrices": {**rblm["matrices"], "0": []}}, {**mo, "unitaries": {**mo["unitaries"], "a": []}}):
+            with pytest.raises(SerializationError, match="non-empty list of rows"):
+                from_document(doc)
+            assert_decoders_agree(doc)
 
     def test_complex_rblm_loads_complex(self):
         b = to_rblm(build_eg1(1, 0.95, seed=0))
@@ -307,6 +319,42 @@ class TestDocumentAgainstReference:
         with pytest.raises(SerializationError, match="cannot serialize objects of type dict"):
             to_document({"kind": "dfa"})
 
+
+
+class TestDecoderAgainstReference:
+    """``from_document`` reads every field through its type; on every
+    document it builds what the reference decoder, one hand-written branch
+    per kind, builds, and refuses what it refuses with the same exception
+    type."""
+
+    @pytest.mark.parametrize("kind", sorted(CLI_KINDS))
+    def test_cli_kinds_and_stock_documents(self, kind):
+        assert_decoders_agree(to_document(CLI_KINDS[kind]()))
+        assert_decoders_agree(STOCK_DOCUMENTS[kind])
+
+    @pytest.mark.parametrize("name", STOCK_KINDS)
+    def test_stock_kinds(self, name):
+        assert_decoders_agree(to_document(STOCK_KINDS[name]()))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_automata(self, seed):
+        for a in random_automata(seed):
+            assert_decoders_agree(to_document(a))
+
+    def test_composites(self):
+        assert_decoders_agree(to_document(parallel_qfac(build_eg1(1, 0.5, seed=2), build_egadd(2, 0.5, seed=3))))
+        assert_decoders_agree(to_document(parallel_dfa(dfa_bounded_zeros(2), dfa_halves_sum_tracking(1))))
+
+    @pytest.mark.parametrize("doc", [None, [], "dfa", {}, {"kind": ["dfa"]}, {"kind": {"dfa": 1}}, {"kind": 1},
+                                     {"kind": "rblm"}, {"kind": "qfac", "dim": 2}])
+    def test_documents_that_are_not_automata(self, doc):
+        assert_decoders_agree(doc)
+
+    @pytest.mark.parametrize("kind", sorted(STOCK_DOCUMENTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_malformed_field(self, kind, data):
+        assert_decoders_agree(malformed_document(data, kind))
 
 class TestParseWord:
     def test_single_characters(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -166,6 +167,45 @@ class TestSupervisorPolicy:
         policy = synthesize_supervisor(plant, target, spec2())
         with pytest.raises(ValueError):
             policy.enablement((), "x")
+
+
+    def test_synthesis_refuses_a_mismatched_alphabet(self):
+        _, _, plant, target = decay_pair()
+        with pytest.raises(ValueError, match="share an alphabet"):
+            synthesize_supervisor(plant, target, spec3())
+
+    @pytest.mark.parametrize("alphabet", [ALPHABET3, ALPHABET3[::-1]], ids=["012", "210"])
+    def test_enablement_levels_equal_per_word_enablement(self, alphabet):
+        _, _, plant, target = imbalance_pair()
+        policy = synthesize_supervisor(plant, target, spec3())
+        levels = list(policy.enablement_levels(alphabet, 4))
+        assert len(levels) == 5
+        for length, level in enumerate(levels):
+            want = np.array([[policy.enablement(s, a) for a in alphabet] for s in product(alphabet, repeat=length)])
+            assert level.shape == want.shape and np.max(np.abs(level - want)) <= 1e-12
+
+
+class TestCustomSupervisor:
+    def test_an_event_outside_the_alphabet_refused(self):
+        _, _, plant, _ = decay_pair()
+        supervisor = CustomSupervisor(plant, spec2(), lambda s, sigma: 1.0)
+        assert supervisor.enablement((), "0") == 1.0
+        with pytest.raises(ValueError, match="event 'x' outside the alphabet"):
+            supervisor.enablement((), "x")
+        with pytest.raises(ValueError, match="event 'x' outside the alphabet"):
+            supervisor.enablement_levels(("0", "x"), 1)
+
+
+class TestControlSpecRefusals:
+    @pytest.mark.parametrize("kw,message", [
+        ({"controllable": {"0"}, "uncontrollable": {"0", "1"}}, "must be disjoint"),
+        ({"controllable": {"0"}, "uncontrollable": set()}, "must cover the alphabet exactly"),
+        ({"controllable": {"1"}, "uncontrollable": {"0"}, "cutpoint": 0.8, "isolation": 0.3}, "may not exceed 1"),
+        ({"controllable": {"1"}, "uncontrollable": {"0"}, "cutpoint": 0.5, "upper_cutpoint": 0.4}, "must dominate"),
+    ], ids=["overlapping-events", "partial-partition", "radius-past-one", "upper-below-lower"])
+    def test_refused(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ControlSpec(("0", "1"), **kw)
 
 
 class TestClosedLoop:
@@ -620,6 +660,19 @@ class TestRestrictionShortcut:
         calls = count_reductions(monkeypatch)
         decided = decide_controllability(target_aut, plant_aut, spec3())
         assert decided == ControllabilityResult(True) and decided.assumes == () and calls == []
+
+    def test_no_uncontrollable_event_reduces_nothing(self, monkeypatch):
+        eg2 = build_eg2(2, 0.5)
+        eg1 = build_eg1(2, 0.95, seed=0)
+        pairs = [(build_eg2_spec(eg2), eg2), (to_rblm(build_spec_variant(eg1, "s5")), to_rblm(eg1)),
+                 (dfa_bounded_zeros(2), eg2)]
+        calls = count_reductions(monkeypatch)
+        for target_aut, plant_aut in pairs:
+            alphabet = plant_aut.alphabet
+            spec = ControlSpec(alphabet, frozenset(alphabet), frozenset())
+            decided = decide_controllability(target_aut, plant_aut, spec)
+            assert decided == ControllabilityResult(True) and decided.assumes == ()
+        assert calls == []
 
     def test_alphabets_refused_before_reducing(self, monkeypatch):
         plant_aut, target_aut = large_pair("eg1", 5, 0.5)
