@@ -14,11 +14,10 @@ both components, a private event only its own.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Sequence
 
 from .linalg import Projector, tensor
-from .models import Dfa, MoQfa, Qfac
+from .models import Dfa, MoQfa, Qfac, _reachable
 
 Pair = tuple[str, str]
 
@@ -38,17 +37,10 @@ def _accessible_pairs(states1: Sequence[str], states2: Sequence[str], start: Pai
                       step: Callable[[Pair, str], Pair]) -> tuple[list[Pair], dict[Pair, str]]:
     """The pairs reachable from ``start`` under ``step``, and their names.
 
-    A breadth-first search over ``step(pair, symbol)``; the pairs come
-    out in the all-pairs order of ``states1``, then ``states2``.
+    The search order does not matter: the pairs come out in the all-pairs
+    order of ``states1``, then ``states2``.
     """
-    seen, queue = {start}, deque([start])
-    while queue:
-        pair = queue.popleft()
-        for a in alphabet:
-            nxt = step(pair, a)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    seen = _reachable([start], lambda pair: (step(pair, a) for a in alphabet))
     order1 = {s: i for i, s in enumerate(states1)}
     order2 = {s: i for i, s in enumerate(states2)}
     pairs = sorted(seen, key=lambda p: (order1[p[0]], order2[p[1]]))

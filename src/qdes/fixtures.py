@@ -35,7 +35,7 @@ from functools import cache, partial
 import numpy as np
 
 from .linalg import Projector, dagger, projected_norm_sq, unitary_power
-from .models import Dfa, MmQfa, MoQfa, Qfac, mo_accept_prob
+from .models import Dfa, MmQfa, MoQfa, Qfac, _reachable, mo_accept_prob
 
 
 class FixtureSearchError(RuntimeError):
@@ -139,11 +139,16 @@ def _worst_residue(p: int, ks: np.ndarray):
     return (amp * amp).max(axis=-1)
 
 
+#: Bytes of the certificate's (tries, p - 1, d) cosine table per chunk of tries.
+_AF_MODP_CHUNK_BYTES = 64 << 20
+
+
 def _af_modp_candidates(rng: np.random.Generator, p: int, d: int, eps: float):
     """The tries of ``d`` multipliers that pass the certificate, in draw order:
-    the first alone, then, only if the caller asks for more, the rest in one
-    expression.  Each try is one draw, so the generator's stream is one
-    try at a time's."""
+    the first alone, then, only if the caller asks for more, the rest in
+    consecutive chunks whose cosine tables take about
+    ``_AF_MODP_CHUNK_BYTES`` each.  Each try is one draw, so the generator's
+    stream is one try at a time's."""
     def draw() -> np.ndarray:
         if d <= p - 1:
             return rng.choice(np.arange(1, p), size=d, replace=False)
@@ -152,8 +157,10 @@ def _af_modp_candidates(rng: np.random.Generator, p: int, d: int, eps: float):
     first = draw()
     if _worst_residue(p, first) < eps:
         yield first
-    rest = np.array([draw() for _ in range(AF_MODP_TRIES_PER_BLOCK - 1)])
-    yield from rest[_worst_residue(p, rest) < eps]
+    chunk = max(1, _AF_MODP_CHUNK_BYTES // (8 * (p - 1) * d))
+    for done in range(1, AF_MODP_TRIES_PER_BLOCK, chunk):
+        rest = np.array([draw() for _ in range(min(chunk, AF_MODP_TRIES_PER_BLOCK - done))])
+        yield from rest[_worst_residue(p, rest) < eps]
 
 
 def build_af_modp(p: int, eps: float, seed: int = 0, accept_multiples: bool = True) -> MoQfa:
@@ -269,12 +276,19 @@ def eg2_rate(n_param: int, cutpoint: float) -> float:
 
     The interval [1 - cutpoint^(1/(N+1)), 1 - cutpoint^(1/N)) makes
     (1-r)^N exceed the cut-point while (1-r)^(N+1) stays at or below it.
+    The midpoint is checked against both, so a cut-point at which the two
+    ends round together is refused rather than given a rate that breaks them.
     """
+    if n_param < 1:
+        raise ValueError("N must be at least 1")
     if not (0.0 < cutpoint < 1.0):
         raise ValueError("cut-point must lie strictly between 0 and 1")
     lo = 1.0 - cutpoint ** (1.0 / (n_param + 1))
     hi = 1.0 - cutpoint ** (1.0 / n_param)
-    return 0.5 * (lo + hi)
+    r = 0.5 * (lo + hi)
+    if not ((1.0 - r) ** n_param > cutpoint >= (1.0 - r) ** (n_param + 1)):
+        raise ValueError(f"no decay rate separates {n_param} zeros from {n_param + 1} at cut-point {cutpoint!r}")
+    return r
 
 
 def build_eg2(n_param: int, cutpoint: float) -> MmQfa:
@@ -400,16 +414,7 @@ def dfa_zero_imbalance_tracking(n_param: int) -> Dfa:
 
 def minimal_dfa_size(d: Dfa) -> int:
     """Number of states of the minimal DFA: reachable trim, then partition refinement."""
-    reachable = {d.initial}
-    stack = [d.initial]
-    while stack:
-        q = stack.pop()
-        for a in d.alphabet:
-            nxt = d.transitions[(q, a)]
-            if nxt not in reachable:
-                reachable.add(nxt)
-                stack.append(nxt)
-
+    reachable = _reachable([d.initial], lambda q: (d.transitions[(q, a)] for a in d.alphabet))
     accepting = frozenset(q for q in reachable if q in d.accepting)
     others = frozenset(reachable - accepting)
     partition = {p for p in (accepting, others) if p}

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, product
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -391,6 +391,21 @@ class Qfac(_Checked):
         return int(self.initial_quantum.shape[0])
 
 
+def _reachable(starts: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]) -> set:
+    """Every node reachable from ``starts`` along ``successors``, the starts
+    included: the one search behind each classical-state question, the
+    accessible pairs of a composition, the live states of a hybrid
+    automaton, a DFA's reachable part and the run of a restriction."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for t in successors(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
 def _live_states(m: Qfac) -> frozenset[str]:
     """The classical states from which some state with a nonempty accepting
     projector is reachable over ``m.alphabet``: the coaccessible part that
@@ -399,14 +414,8 @@ def _live_states(m: Qfac) -> frozenset[str]:
     preds: dict[str, set[str]] = {}
     for (s, _), t in m.transitions.items():
         preds.setdefault(t, set()).add(s)
-    live = {s for s in m.classical_states if m.accepting[s].subset}
-    frontier = list(live)
-    while frontier:
-        for s in preds.get(frontier.pop(), ()):
-            if s not in live:
-                live.add(s)
-                frontier.append(s)
-    return frozenset(live)
+    accepting = (s for s in m.classical_states if m.accepting[s].subset)
+    return frozenset(_reachable(accepting, lambda s: preds.get(s, ())))
 
 
 def _qfac_steps(m: Qfac) -> Mapping[str, Mapping[str, tuple[np.ndarray, str]]]:

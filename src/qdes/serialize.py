@@ -253,7 +253,7 @@ def _checked_rblm(n: int, alphabet, pi, matrices, eta) -> dict:
             f"rblm matrices: expected one matrix per alphabet symbol {list(alphabet)}, got {sorted(matrices)}")
     for a, m in matrices.items():
         if m.shape != (n, n):
-            raise SerializationError(f"rblm matrix {a}: expected {n} x {n}, got {m.shape[0]} x {m.shape[1]}")
+            raise SerializationError(f"rblm matrices {a}: expected {n} x {n}, got {m.shape[0]} x {m.shape[1]}")
     if not any(np.any(x.imag) for x in (pi, eta, *matrices.values())):
         pi, eta = pi.real.copy(), eta.real.copy()
         matrices = {a: m.real.copy() for a, m in matrices.items()}

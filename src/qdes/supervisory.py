@@ -49,6 +49,7 @@ from .models import (
     Qfac,
     Word,
     _as_hybrid,
+    _reachable,
     check_horizon,
     clamp_probability,
     prefix_maxima,
@@ -558,18 +559,8 @@ def _leaves_restriction(target, plant, uncontrollable: frozenset[str]) -> bool |
         return None
     unc = [a in uncontrollable for a in target.alphabet]
     k = len(unc)
-    seen, stack = {t.initial}, [t.initial]
-    while stack:
-        s = stack.pop()
-        for a in range(k):
-            i = s * k + a
-            if i in redirected:
-                if unc[a]:
-                    return True
-            elif t.succ[i] not in seen:
-                seen.add(t.succ[i])
-                stack.append(t.succ[i])
-    return False
+    seen = _reachable([t.initial], lambda s: (t.succ[i] for i in range(s * k, s * k + k) if i not in redirected))
+    return any(unc[i % k] for i in redirected if i // k in seen)
 
 
 def _decide_on_product(target, plant, spec: ControlSpec, tol: float = DEFAULT_EQUIV_TOL,

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from qdes import equivalence, fixtures
+from qdes import composition, equivalence, fixtures, supervisory
 from qdes.blm import (
     REAL_TOL,
     Rblm,
@@ -265,6 +265,108 @@ def ref_parallel_dfa(d1: Dfa, d2: Dfa) -> Dfa:
         initial=name[(d1.initial, d2.initial)],
         accepting=frozenset(s for (p, q), s in name.items() if p in d1.accepting and q in d2.accepting),
     )
+
+
+# --------------------------------------------------------------------------
+# The hand-written graph walks that ``models._reachable`` replaced, one per
+# classical-state question.
+
+
+def ref_accessible_pairs(states1, states2, start, alphabet, step):
+    """``composition._accessible_pairs`` as a breadth-first search of its own."""
+    seen, queue = {start}, deque([start])
+    while queue:
+        pair = queue.popleft()
+        for a in alphabet:
+            nxt = step(pair, a)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    order1 = {s: i for i, s in enumerate(states1)}
+    order2 = {s: i for i, s in enumerate(states2)}
+    pairs = sorted(seen, key=lambda p: (order1[p[0]], order2[p[1]]))
+    return pairs, {p: composition._pair_name(*p) for p in pairs}
+
+
+def ref_live_states(m: Qfac) -> frozenset[str]:
+    """``models._live_states`` as a backward search of its own from the
+    states with a nonempty accepting projector."""
+    preds: dict[str, set[str]] = {}
+    for (s, _), t in m.transitions.items():
+        preds.setdefault(t, set()).add(s)
+    live = {s for s in m.classical_states if m.accepting[s].subset}
+    frontier = list(live)
+    while frontier:
+        for s in preds.get(frontier.pop(), ()):
+            if s not in live:
+                live.add(s)
+                frontier.append(s)
+    return frozenset(live)
+
+
+def ref_minimal_dfa_size(d: Dfa) -> int:
+    """``fixtures.minimal_dfa_size`` with its reachable part taken by a
+    depth-first search of its own."""
+    reachable = {d.initial}
+    stack = [d.initial]
+    while stack:
+        q = stack.pop()
+        for a in d.alphabet:
+            nxt = d.transitions[(q, a)]
+            if nxt not in reachable:
+                reachable.add(nxt)
+                stack.append(nxt)
+
+    accepting = frozenset(q for q in reachable if q in d.accepting)
+    others = frozenset(reachable - accepting)
+    partition = {p for p in (accepting, others) if p}
+    worklist = set(partition)
+    while worklist:
+        splitter = worklist.pop()
+        for a in d.alphabet:
+            into = {q for q in reachable if d.transitions[(q, a)] in splitter}
+            for block in list(partition):
+                inside = block & into
+                outside = block - into
+                if inside and outside:
+                    partition.remove(block)
+                    partition.add(frozenset(inside))
+                    partition.add(frozenset(outside))
+                    if block in worklist:
+                        worklist.remove(block)
+                        worklist.add(frozenset(inside))
+                        worklist.add(frozenset(outside))
+                    else:
+                        worklist.add(min(frozenset(inside), frozenset(outside), key=len))
+    return len(partition)
+
+
+def ref_leaves_restriction(target, plant, uncontrollable):
+    """``supervisory._leaves_restriction`` with a depth-first search of its
+    own that returns True at the first redirected uncontrollable pair."""
+    target, plant = _as_hybrid(target), _as_hybrid(plant)
+    if not (isinstance(target, Qfac) and isinstance(plant, Qfac)):
+        return None
+    t, p = supervisory._shape(target), supervisory._shape(plant)
+    if t.fixed != p.fixed:
+        return None
+    redirected = {i for i, (q_t, q_p) in enumerate(zip(t.succ, p.succ)) if q_t != q_p}
+    if not all(t.sink[t.succ[i]] for i in redirected):
+        return None
+    unc = [a in uncontrollable for a in target.alphabet]
+    k = len(unc)
+    seen, stack = {t.initial}, [t.initial]
+    while stack:
+        s = stack.pop()
+        for a in range(k):
+            i = s * k + a
+            if i in redirected:
+                if unc[a]:
+                    return True
+            elif t.succ[i] not in seen:
+                seen.add(t.succ[i])
+                stack.append(t.succ[i])
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from qdes.fixtures import (
     build_egadd,
     build_spec_variant,
     dfa_bounded_zeros,
+    is_prime,
 )
 from qdes.linalg import Projector
 from qdes.models import MmQfa
@@ -544,8 +545,8 @@ class TestRblmShape:
     @pytest.mark.parametrize("message,change", [
         ("rblm pi: expected n = 999 entries, got 10", lambda doc: doc.update(n=999)),
         ("rblm n: expected a JSON integer, got float", lambda doc: doc.update(n=10.0)),
-        ("rblm matrix 1: expected 10 x 10, got 9 x 10", lambda doc: doc["matrices"]["1"].pop()),
-        ("rblm matrix 0: expected 10 x 10, got 10 x 9", lambda doc: [row.pop() for row in doc["matrices"]["0"]]),
+        ("rblm matrices 1: expected 10 x 10, got 9 x 10", lambda doc: doc["matrices"]["1"].pop()),
+        ("rblm matrices 0: expected 10 x 10, got 10 x 9", lambda doc: [row.pop() for row in doc["matrices"]["0"]]),
         ("rblm matrices 0: rows of unequal length", lambda doc: doc["matrices"]["0"][3].pop()),
         ("rblm matrices: expected one matrix per alphabet symbol", lambda doc: doc["matrices"].pop("1")),
         ("rblm matrices: expected one matrix per alphabet symbol", lambda doc: doc.update(alphabet=["0", "1", "0"])),
@@ -694,6 +695,66 @@ class TestExampleCommand:
         code, doc = run(capsys, "example", "af-modp", "--N", "5", "--epsilon", "0.001", "-o", str(out))
         assert code == 2 and doc["error"].startswith("FixtureSearchError: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--N", "0"], "ValueError: N must be at least 1"),
+        (["--N", "-2"], "ValueError: N must be at least 1"),
+        (["--N", "3", "--lambda", "1e-300"], "ValueError: no decay rate separates 3 zeros from 4 at cut-point 1e-300"),
+    ], ids=["N-0", "N-negative", "lambda-1e-300"])
+    def test_eg2_refusals_exit_two(self, capsys, tmp_path, args, message):
+        out = tmp_path / "eg2.json"
+        code, doc = run(capsys, "example", "eg2", *args, "-o", str(out))
+        assert code == 2 and doc == {"error": message}
+        assert not out.exists()
+
+
+#: The sizes each example builds at; it is fuzzed up to the largest, since
+#: eg1's certificate grows with 2^N.
+EXAMPLE_SIZES = {"eg1": [1, 2], "egadd": [2, 4, 6], "eg2": [1, 2, 3, 4, 5, 6],
+                 "af-modp": [p for p in range(42) if is_prime(p)]}
+
+#: Any float, nan, the infinities, 0 and 1 included, but no error bound in
+#: (0, 0.1), at which a search at p <= 41 may run through every block count;
+#: two of the four branches draw from [0.1, 1), where the examples build.
+EXAMPLE_BOUNDS = st.one_of(
+    st.floats(min_value=0.1, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.1, max_value=1.0, exclude_max=True),
+    st.floats().filter(lambda x: not 0.0 < x < 0.1),
+    st.sampled_from([0.0, 1.0, float("nan"), float("inf"), -float("inf")]),
+)
+
+
+class TestExampleFuzz:
+    """``qdes example`` on any name, a small size (0 and negative ones
+    included), any error bound and cut-point, and any seed exits 0, 1 or 2
+    with one JSON document; a file it writes passes ``qdes validate``."""
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_SIZES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_answers_in_contract(self, name, data):
+        sizes = EXAMPLE_SIZES[name]
+        # Each value is joined to its flag, so argparse reads -inf or -1e-300 as the value.
+        argv = ["example", name, f"--N={data.draw(st.sampled_from(sizes) | st.integers(-3, sizes[-1]), label='N')}",
+                f"--epsilon={data.draw(EXAMPLE_BOUNDS, label='epsilon')!r}",
+                f"--lambda={data.draw(EXAMPLE_BOUNDS, label='lambda')!r}",
+                f"--seed={data.draw(st.integers(0, 2 ** 70) | st.integers(-2 ** 8, -1), label='seed')}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "example.json")
+            code, doc, err = self.qdes(*argv, "-o", path)
+            assert code in (0, 1, 2) and err == ""
+            assert ("error" in doc) == (code == 2)
+            if code == 0:
+                assert doc["path"] == path
+                code, doc, _ = self.qdes("validate", path)
+                assert code == 0 and doc["valid"]
+
+    @staticmethod
+    def qdes(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        return code, json.loads(out.getvalue()), err.getvalue()
 
 
 class TestMinimizeCommand:

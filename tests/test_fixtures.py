@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,32 @@ class TestAfModpAgainstTheLoop:
                     assert got == af_modp_outcome(ref_build_af_modp, p, eps, accept_multiples, seed)
                     assert got == f"FixtureSearchError: no multiplier set certified eps={eps} for p={p} within 4 blocks"
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 4096], ids=["one-try", "a-few-tries"])
+    def test_documents_byte_identical_in_chunks(self, chunk_bytes, monkeypatch):
+        """Certified in chunks of one try, or of as many as 4 KiB of cosines
+        hold (1 to 102 tries, by p and d), the draws give the same automata."""
+        monkeypatch.setattr(fixtures, "_AF_MODP_CHUNK_BYTES", chunk_bytes)
+        for p in (5, 17, 41):
+            for eps in [eps for eps in AF_MODP_EPS if eps > 1.0 / (p - 1) ** 2]:
+                for accept_multiples in (True, False):
+                    got = af_modp_outcome(build_af_modp, p, eps, accept_multiples, 1)
+                    assert got == af_modp_outcome(ref_build_af_modp, p, eps, accept_multiples, 1)
+                    assert got.startswith("{"), (p, eps, accept_multiples)
+
+    def test_certificate_memory_is_bounded_by_the_chunk(self):
+        """At p = 4099 and eps = 0.5 the search reaches 9 blocks, where one
+        table of all 499 remaining draws would take 499 * 4098 * 9 * 8 bytes
+        (140 MiB), twice over with its temporary; in chunks the peak stays
+        near two chunks (64 MiB each)."""
+        tracemalloc.start()
+        try:
+            m = build_af_modp(4099, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.dim == 18
+        assert peak < 2.5 * fixtures._AF_MODP_CHUNK_BYTES < 2 * 499 * 4098 * 9 * 8
+
     def test_failure_at_the_full_limits(self):
         got = af_modp_outcome(build_af_modp, 3, 0.2, True, 0)
         assert got == af_modp_outcome(ref_build_af_modp, 3, 0.2, True, 0)
@@ -250,6 +277,29 @@ class TestDecayFixture:
     def test_zero_cutpoint_rejected(self):
         with pytest.raises(ValueError):
             build_eg2(2, 0.0)
+
+    @pytest.mark.parametrize("n_param", [0, -1])
+    def test_size_below_one_rejected(self, n_param):
+        for build in (build_eg2, eg2_rate):
+            with pytest.raises(ValueError, match="N must be at least 1"):
+                build(n_param, 0.5)
+
+    @pytest.mark.parametrize("n_param,lam", [(3, 1e-300), (1, 1e-300), (2, 1 - 1e-16), (10 ** 9, 0.5)])
+    def test_cutpoint_no_rate_separates_rejected(self, n_param, lam):
+        """Where the interval's ends round together, the midpoint would break
+        (1-r)^N > lambda >= (1-r)^(N+1); at N = 3 and lambda = 1e-300 it was 1."""
+        for build in (build_eg2, eg2_rate):
+            with pytest.raises(ValueError, match=f"no decay rate separates {n_param} zeros"):
+                build(n_param, lam)
+
+    def test_stock_rates_unchanged(self):
+        """The eg2 fixtures of the tests and the benchmark (N 1-5, lambda in
+        [0.3, 0.7]) keep the interval's midpoint."""
+        for n_param in range(1, 6):
+            for lam in np.linspace(0.3, 0.7, 41):
+                lam = float(lam)
+                lo, hi = 1.0 - lam ** (1.0 / (n_param + 1)), 1.0 - lam ** (1.0 / n_param)
+                assert eg2_rate(n_param, lam) == 0.5 * (lo + hi)
 
 
 class TestSpecVariants:

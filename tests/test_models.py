@@ -11,21 +11,27 @@ import numpy as np
 import pytest
 
 from qdes.blm import evaluator
-from qdes import models
+from qdes import composition, models, supervisory
+from qdes.composition import parallel_dfa, parallel_qfac
 from qdes.fixtures import (
     build_af_modp,
     build_eg1,
     build_eg2,
+    build_eg2_spec,
     build_egadd,
     build_spec_variant,
     dfa_bounded_zeros,
+    dfa_halves_sum_tracking,
+    dfa_zero_imbalance_tracking,
     eg2_rate,
+    minimal_dfa_size,
 )
 from qdes.linalg import Projector, projected_norm_sq
 from qdes.models import (
     Dfa,
     MmQfa,
     MoQfa,
+    Qfac,
     ValidationFailedError,
     dfa_accepts,
     mm_accept_prob,
@@ -43,6 +49,10 @@ from helpers import (
     random_mm,
     random_mo,
     random_qfac,
+    ref_accessible_pairs,
+    ref_leaves_restriction,
+    ref_live_states,
+    ref_minimal_dfa_size,
     ref_mm_accept_prob,
     ref_mo_accept_prob,
     ref_qfac_accept_prob,
@@ -677,3 +687,153 @@ class TestBatchedUnitaryCheck:
                                           1e-9 * 2)
         assert [p for p in err.value.violations if p.startswith("unitary")] == expected
         assert len(expected) == 3
+
+
+def with_sink(m: Qfac) -> Qfac:
+    """``m`` with one more classical state ``sink`` that absorbs every event
+    under the identity and accepts nothing."""
+    eye = np.eye(m.dim, dtype=complex)
+    return dataclasses.replace(
+        m,
+        classical_states=(*m.classical_states, "sink"),
+        transitions={**m.transitions, **{("sink", a): "sink" for a in m.alphabet}},
+        unitaries={**m.unitaries, **{("sink", a): eye for a in m.alphabet}},
+        accepting={**m.accepting, "sink": Projector.empty(m.dim)},
+    )
+
+
+def redirected(m: Qfac, pairs, sink: str) -> Qfac:
+    return dataclasses.replace(m, transitions={**m.transitions, **{pair: sink for pair in pairs}})
+
+
+def stock_hybrids() -> dict[str, Qfac]:
+    """eg1 N 1-3, egadd N 4-6 and af-modp's embedding, each with its spec
+    variant and its (s_k, "0") cut variants."""
+    plants = {f"eg1-N{n}": build_eg1(n, 0.95, seed=0) for n in (1, 2, 3)}
+    plants |= {f"egadd-N{n}": build_egadd(n, 0.98, seed=0) for n in (4, 6)}
+    plants["egadd-N5"] = build_egadd(6, 0.98, seed=1)
+    out = {}
+    for name, plant in plants.items():
+        dead = plant.classical_states[-1]
+        spec = build_spec_variant(plant, dead)
+        out[name], out[f"{name}-spec"] = plant, spec
+        for k in range(len(plant.classical_states) - 1):
+            out[f"{name}-cut-s{k}"] = redirected(spec, [(f"s{k}", "0")], dead)
+    out["af-modp"] = qfac_from_mo(build_af_modp(11, 0.2))
+    return out
+
+
+def random_restrictions(seeds=range(8)):
+    """``random_qfac`` plants with a sink, each with a target that sends
+    random transitions to the sink."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        plant = with_sink(random_qfac(rng, int(rng.integers(2, 7)), 2, alphabet=("a", "b", "c")))
+        pairs = [pair for pair in plant.transitions if pair[0] != "sink" and rng.random() < 0.3]
+        yield seed, plant, redirected(plant, pairs, "sink")
+
+
+def pair_walk(walk, m1, m2):
+    """``walk`` (``composition._accessible_pairs`` or its reference) over the
+    classical pairs of two hybrid automata."""
+    def step(pair, a):
+        return m1.transitions[(pair[0], a)], m2.transitions[(pair[1], a)]
+
+    return walk(m1.classical_states, m2.classical_states, (m1.initial_classical, m2.initial_classical),
+                m1.alphabet, step)
+
+
+class TestReachable:
+    """``models._reachable`` answers every classical-state question as the
+    hand-written walk it replaced (kept in ``helpers``) did."""
+
+    def test_starts_included_and_unreached_left_out(self):
+        graph = {1: [2], 2: [1, 3], 3: [], 4: [1], 5: [5]}
+        assert models._reachable([1], graph.__getitem__) == {1, 2, 3}
+        assert models._reachable([3, 5], graph.__getitem__) == {3, 5}
+        assert models._reachable([], graph.__getitem__) == set()
+
+    def test_live_states(self):
+        hybrids = stock_hybrids()
+        hybrids |= {f"random-{seed}-{role}": m for seed, plant, target in random_restrictions()
+                    for role, m in (("plant", plant), ("target", target))}
+        for name, m in hybrids.items():
+            assert _live_states(m) == ref_live_states(m), name
+
+    def test_accessible_pairs_both_orders(self):
+        hybrids = stock_hybrids()
+        names = ["eg1-N1", "eg1-N2", "eg1-N2-spec", "eg1-N2-cut-s1", "egadd-N4", "egadd-N4-cut-s2", "egadd-N6-spec"]
+        for first, second in ((a, b) for a in names for b in names):
+            m1, m2 = hybrids[first], hybrids[second]
+            for x, y in ((m1, m2), (m2, m1)):
+                got = pair_walk(composition._accessible_pairs, x, y)
+                assert got == pair_walk(ref_accessible_pairs, x, y), (first, second)
+                assert parallel_qfac(x, y).classical_states == tuple(got[1][p] for p in got[0])
+        for seed, plant, target in random_restrictions():
+            for x, y in ((plant, target), (target, plant)):
+                assert pair_walk(composition._accessible_pairs, x, y) == pair_walk(ref_accessible_pairs, x, y), seed
+
+    def test_accessible_pairs_of_dfas(self):
+        d1 = dfa_bounded_zeros(2)
+        flip = Dfa(("u", "v"), ("x", "0"), {("u", "x"): "v", ("v", "x"): "u", ("u", "0"): "u", ("v", "0"): "v"},
+                   "u", frozenset({"u"}))
+        for x, y in ((d1, flip), (flip, d1), (d1, d1)):
+            alphabet = tuple(dict.fromkeys((*x.alphabet, *y.alphabet)))
+
+            def step(pair, a, x=x, y=y):
+                return (x.transitions[(pair[0], a)] if a in x.alphabet else pair[0],
+                        y.transitions[(pair[1], a)] if a in y.alphabet else pair[1])
+
+            args = (x.states, y.states, (x.initial, y.initial), alphabet, step)
+            assert composition._accessible_pairs(*args) == ref_accessible_pairs(*args)
+
+    def test_minimal_dfa_size(self):
+        dfas = {f"bounded-zeros-{n}": dfa_bounded_zeros(n) for n in range(5)}
+        dfas |= {f"halves-sum-{n}": dfa_halves_sum_tracking(n) for n in (1, 2, 3)}
+        dfas |= {f"zero-imbalance-{n}": dfa_zero_imbalance_tracking(n) for n in (2, 4, 6)}
+        dfas["unreachable-and-dead"] = Dfa(
+            ("a", "b", "u", "dead"), ("0", "1"),
+            {("a", "0"): "b", ("a", "1"): "dead", ("b", "0"): "a", ("b", "1"): "dead",
+             ("u", "0"): "a", ("u", "1"): "u", ("dead", "0"): "dead", ("dead", "1"): "dead"},
+            "a", frozenset({"a", "u"}))
+        dfas["empty-alphabet"] = Dfa(("q", "r"), (), {}, "q", frozenset({"r"}))
+        dfas["composite"] = parallel_dfa(dfa_bounded_zeros(2), dfa_bounded_zeros(3))
+        dfas |= {f"random-{seed}": random_dfa(np.random.default_rng(seed), 6) for seed in range(8)}
+        for name, d in dfas.items():
+            assert minimal_dfa_size(d) == ref_minimal_dfa_size(d), name
+        assert minimal_dfa_size(dfas["unreachable-and-dead"]) == 3
+        assert minimal_dfa_size(dfas["empty-alphabet"]) == 1
+
+    @pytest.mark.parametrize("events", [(), ("0",), ("1",), ("2",), ("0", "1"), ("0", "1", "2")])
+    def test_leaves_restriction_on_the_stock_fixtures(self, events):
+        hybrids = stock_hybrids()
+        unc = frozenset(events)
+        seen = set()
+        for name, target in hybrids.items():
+            plant = hybrids[name.split("-cut")[0].removesuffix("-spec")]
+            for t, p in ((target, plant), (plant, target), (target, hybrids["eg1-N2"])):
+                got = supervisory._leaves_restriction(t, p, unc)
+                assert got is ref_leaves_restriction(t, p, unc), name
+                seen.add(got)
+        eg2 = build_eg2(2, 0.5)
+        assert supervisory._leaves_restriction(build_eg2_spec(eg2), eg2, unc) is None
+        assert ref_leaves_restriction(build_eg2_spec(eg2), eg2, unc) is None
+        assert None in seen and False in seen and (True in seen) == bool(unc & {"0", "2"})
+
+    def test_leaves_restriction_on_random_restrictions(self):
+        seen = set()
+        for seed, plant, target in random_restrictions():
+            for events in ((), ("a",), ("b",), ("a", "c"), ("a", "b", "c")):
+                unc = frozenset(events)
+                got = supervisory._leaves_restriction(target, plant, unc)
+                assert got is ref_leaves_restriction(target, plant, unc), (seed, events)
+                seen.add(got)
+        assert seen == {True, False}
+
+    def test_leaves_restriction_of_dfas(self):
+        plant = dfa_bounded_zeros(2)
+        for pairs in ([("z0", "1")], [("z1", "0")], [("z2", "1"), ("z0", "0")], []):
+            cut = dataclasses.replace(plant, transitions={**plant.transitions, **{pair: "dead" for pair in pairs}})
+            for events in ((), ("0",), ("1",), ("0", "1")):
+                unc = frozenset(events)
+                assert supervisory._leaves_restriction(cut, plant, unc) is ref_leaves_restriction(cut, plant, unc)
