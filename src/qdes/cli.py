@@ -5,7 +5,10 @@ document to standard output, and exits 0 when the query was decided or
 computed, 1 when a checked property fails or a counterexample was found,
 and 2 on input errors and on computations it cannot finish (out of
 memory, a value inside an isolation band, a probability outside [0, 1],
-a fixture search that certifies no automaton).
+a fixture search that certifies no automaton).  A usage error, such as
+a missing argument, an unknown flag or an option value that starts with
+``-`` and is not a plain decimal (write ``--lambda=-1e-3``), is an input
+error too: one ``{"error": ...}`` document, and exit 2.
 ``QDES_TOL`` overrides the default tolerance of commands that take one;
 a tolerance that is not finite and positive is an input error.
 """
@@ -237,8 +240,20 @@ def cmd_minimize_dfa(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as the other input
+    errors are reported, one ``{"error": ...}`` document on standard
+    output, with the usage line on standard error, and exits 2.
+    Subcommand parsers are of the same class, so they report the same way."""
+
+    def error(self, message):
+        _emit({"error": f"ArgumentError: {self.prog}: {message}"})
+        self.print_usage(sys.stderr)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdes", description="Quantum discrete event systems toolbox"
     )
     sub = parser.add_subparsers(dest="command", required=True)

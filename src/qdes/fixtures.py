@@ -134,19 +134,25 @@ def _worst_residue(p: int, ks: np.ndarray):
     """The certificate on the candidate multipliers ``ks``: the largest squared
     mean of cos(2 pi k t / p) over the residues t = 1 .. p-1, one row per t.
     ``ks`` is one candidate (d,), or a stack (tries, d) of them with one
-    value each; every candidate goes through the same expression."""
-    amp = np.cos(2.0 * math.pi * ks[..., None, :] * np.arange(1, p)[:, None] / p).mean(axis=-1)
-    return (amp * amp).max(axis=-1)
+    value each; every candidate goes through the same expression.  The
+    cosine and the square are taken in place, so a stack holds one
+    (tries, p - 1, d) table and one (tries, p - 1) table of means."""
+    arg = 2.0 * math.pi * ks[..., None, :] * np.arange(1, p)[:, None]
+    arg /= p
+    amp = np.cos(arg, out=arg).mean(axis=-1)
+    amp *= amp
+    return amp.max(axis=-1)
 
 
-#: Bytes of the certificate's (tries, p - 1, d) cosine table per chunk of tries.
+#: Bytes of the certificate's (tries, p - 1, d) cosine table and its
+#: (tries, p - 1) means per chunk of tries.
 _AF_MODP_CHUNK_BYTES = 64 << 20
 
 
 def _af_modp_candidates(rng: np.random.Generator, p: int, d: int, eps: float):
     """The tries of ``d`` multipliers that pass the certificate, in draw order:
     the first alone, then, only if the caller asks for more, the rest in
-    consecutive chunks whose cosine tables take about
+    consecutive chunks whose cosine tables and means take about
     ``_AF_MODP_CHUNK_BYTES`` each.  Each try is one draw, so the generator's
     stream is one try at a time's."""
     def draw() -> np.ndarray:
@@ -157,7 +163,7 @@ def _af_modp_candidates(rng: np.random.Generator, p: int, d: int, eps: float):
     first = draw()
     if _worst_residue(p, first) < eps:
         yield first
-    chunk = max(1, _AF_MODP_CHUNK_BYTES // (8 * (p - 1) * d))
+    chunk = max(1, _AF_MODP_CHUNK_BYTES // (8 * (p - 1) * (d + 1)))
     for done in range(1, AF_MODP_TRIES_PER_BLOCK, chunk):
         rest = np.array([draw() for _ in range(min(chunk, AF_MODP_TRIES_PER_BLOCK - done))])
         yield from rest[_worst_residue(p, rest) < eps]
@@ -173,25 +179,30 @@ def build_af_modp(p: int, eps: float, seed: int = 0, accept_multiples: bool = Tr
     of multipliers passes the exhaustive residue sweep; the sweep is the
     certificate.  U(0)^p = I holds structurally since every block's
     order divides p.
+
+    The residue means sum to -1 over t = 1 .. p-1, so every multiplier
+    set has a squared mean of at least 1/(p-1)^2: an ``eps`` at or below
+    it is refused with ``FixtureSearchError`` before anything is drawn.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not (0.0 < eps < 1.0):
         raise ValueError("error bound must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    for d in range(1, AF_MODP_MAX_BLOCKS + 1):
-        for ks in _af_modp_candidates(rng, p, d, eps):
-            m = _block_rotation_automaton(p, ks, accept_multiples)
-            # Re-certify on the built matrices, not just the formula.
-            sweep = residue_sweep(m, p)
-            if accept_multiples:
-                ok = max(sweep) < eps
-            else:
-                ok = min(sweep) > 1.0 - eps
-            period = unitary_power(m.unitaries["0"], p)
-            ok = ok and float(np.max(np.abs(period - np.eye(2 * d)))) <= 1e-9
-            if ok:
-                return m
+    if eps > 1.0 / (p - 1) ** 2:
+        rng = np.random.default_rng(seed)
+        for d in range(1, AF_MODP_MAX_BLOCKS + 1):
+            for ks in _af_modp_candidates(rng, p, d, eps):
+                m = _block_rotation_automaton(p, ks, accept_multiples)
+                # Re-certify on the built matrices, not just the formula.
+                sweep = residue_sweep(m, p)
+                if accept_multiples:
+                    ok = max(sweep) < eps
+                else:
+                    ok = min(sweep) > 1.0 - eps
+                period = unitary_power(m.unitaries["0"], p)
+                ok = ok and float(np.max(np.abs(period - np.eye(2 * d)))) <= 1e-9
+                if ok:
+                    return m
     raise FixtureSearchError(
         f"no multiplier set certified eps={eps} for p={p} within {AF_MODP_MAX_BLOCKS} blocks"
     )

@@ -14,7 +14,8 @@ exceeding the target one step later on uncontrollable events -- is
 checked two ways: an exhaustive horizon-bounded sweep (the oracle) and
 an exact decision over all words.  A target that is its plant
 restricted to a regular language, the usual shape of a specification,
-is decided from the classical transitions alone (Ramadge and Wonham's
+is decided from the classical transitions of hybrid automata, or from
+the unitaries of measure-many ones, alone (Ramadge and Wonham's
 condition: no uncontrollable event leaves the language).  Any other
 target, and a restriction that an uncontrollable event does leave, goes
 through the algebraic route, which turns the min-inequality into one
@@ -45,7 +46,9 @@ import numpy as np
 from .blm import evaluator, levels
 from .equivalence import DEFAULT_EQUIV_TOL, check_tol, explore_span, minimize
 from .models import (
+    END_MARKER,
     Levels,
+    MmQfa,
     Qfac,
     Word,
     _as_hybrid,
@@ -471,30 +474,44 @@ def decide_controllability(
     """Exact controllability decision over all of Sigma*.
 
     Target, plant and control spec must share one alphabet (compared as
-    sets); a mismatch is refused before any work.  A target whose hybrid
-    embedding (``models._as_hybrid``) has its plant's classical states,
-    alphabet, initial states, accepting projectors and unitaries, and
-    differs from it only in transitions that send the target to a state
-    that absorbs every event and accepts nothing, is the plant restricted
-    to a regular language K: H = M 1_K, with K the words whose run never
-    takes such a transition.  For it the min-inequality fails exactly
-    where s is in K, s sigma is not, and min(M(s), M(s sigma)) > 0
-    (Ramadge and Wonham, SIAM J. Control Optim., 1987).  So when no
-    redirected (state, event) pair has an uncontrollable event, among
-    the states reachable over the transitions target and plant share,
-    the decision holds, without minimizing or exploring anything.  With
-    no uncontrollable event the inequality ranges over nothing, and the
-    decision holds for any target, assuming nothing.
+    sets); a mismatch is refused before any work.  A target that is its
+    plant restricted to a regular language K is recognized from its
+    parts (``_leaves_restriction``), in two shapes:
+
+    * hybrid embeddings (``models._as_hybrid``) with the plant's
+      classical states, alphabet, initial states, accepting projectors
+      and unitaries, that differ from it only in transitions that send
+      the target to a state that absorbs every event and accepts
+      nothing; K is the words whose run never takes such a transition,
+      and H = M 1_K;
+    * measure-many automata with the plant's alphabet, initial state,
+      projectors, ``$`` unitary and all but some input unitaries, where
+      each differing unitary of the target sends every state a run can
+      be in before it (the going subspace and the initial state's
+      support) into the rejecting subspace; K is the words with no
+      differing symbol, H = M on K, and past the first differing symbol
+      H keeps the accept mass gathered before it.
+
+    For either shape the min-inequality can fail only where s is in K
+    and s sigma is not (Ramadge and Wonham, SIAM J. Control Optim.,
+    1987): elsewhere H(s sigma) = M(s sigma), or H(s sigma) = H(s).  So
+    when no uncontrollable event leaves K -- for a hybrid, no redirected
+    (state, event) pair with an uncontrollable event among the states
+    reachable over the transitions target and plant share; for a
+    measure-many automaton, no differing symbol that is uncontrollable
+    -- the decision holds, without minimizing or exploring anything.
+    With no uncontrollable event the inequality ranges over nothing, and
+    the decision holds for any target, assuming nothing.
 
     Every other input takes the algebraic route (``_decide_on_product``):
-    a restriction that an uncontrollable event leaves, measure-many
-    automata, bilinear machines, and targets of any other shape, DFA
-    targets against quantum plants among them.  ``assumes`` is empty
-    for a restriction, on either route, because for it the product of
-    the algebraic route vanishes exactly where the inequality holds.
-    For any other target it lists the ``REDUCTION_PRECONDITIONS``, on
-    which the algebraic route's verdict rests.  A tolerance that is not
-    finite and positive is refused.
+    a restriction that an uncontrollable event leaves, bilinear
+    machines, and targets of any other shape, DFA targets against
+    quantum plants among them.  ``assumes`` is empty for a restriction,
+    on either route, because for it the product of the algebraic route
+    vanishes exactly where the inequality holds.  For any other target
+    it lists the ``REDUCTION_PRECONDITIONS``, on which the algebraic
+    route's verdict rests.  A tolerance that is not finite and positive
+    is refused.
     """
     check_tol(tol)
     if set(target.alphabet) != set(plant.alphabet):
@@ -536,18 +553,60 @@ def _shape(m: Qfac) -> _Shape:
     return _Shape(fixed, index[m.initial_classical], succ, sink)
 
 
+class _MmShape(NamedTuple):
+    """A measure-many automaton's tables for ``_leaves_restriction``, kept
+    on it: ``fixed`` holds everything a restriction shares with its plant
+    (alphabet, initial state, the three projectors and the ``$``
+    unitary, the arrays as bytes); ``unitaries`` each input symbol's
+    unitary as bytes, in alphabet order; ``kills`` whether each of them
+    is exactly 0 on the rows outside the rejecting subspace and the
+    columns a run can occupy before a symbol: the going subspace and the
+    initial state's support."""
+
+    fixed: tuple
+    unitaries: tuple[bytes, ...]
+    kills: tuple[bool, ...]
+
+
+def _mm_shape(m: MmQfa) -> _MmShape:
+    initial = np.asarray(m.initial, dtype=complex)
+    rows = sorted(m.accepting.subset | m.going.subset)
+    cols = sorted(m.going.subset.union(np.flatnonzero(initial).tolist()))
+    fixed = (m.alphabet, initial.tobytes(), m.accepting.subset, m.rejecting.subset, m.going.subset,
+             np.asarray(m.unitaries[END_MARKER], dtype=complex).tobytes())
+    unitaries = [np.asarray(m.unitaries[a], dtype=complex) for a in m.alphabet]
+    return _MmShape(fixed, tuple(u.tobytes() for u in unitaries),
+                    tuple(not u[np.ix_(rows, cols)].any() for u in unitaries))
+
+
 def _leaves_restriction(target, plant, uncontrollable: frozenset[str]) -> bool | None:
     """Whether an uncontrollable event leaves the language that ``target``
     restricts ``plant`` to, or None when the target is no such restriction
     (see ``decide_controllability``).
 
-    Compares the ``_Shape`` tables of the two hybrid embeddings: one
+    Two measure-many automata compare their ``_MmShape`` tables: one
     comparison for everything they must share, bit for bit, then their
-    successors pair by pair.  A pair whose successors differ is
-    redirected; the language is left where an uncontrollable event is
-    redirected at a state reachable from the initial one over the pairs
-    that are not.
+    input unitaries symbol by symbol.  Each symbol whose unitaries
+    differ must be a kill in the target, and the language is left where
+    such a symbol is uncontrollable.  The kill's columns include the
+    initial state's support, not only the going subspace, because a run
+    starts from the whole initial vector (``models.mm_accept_prob``).
+
+    Other automata compare the ``_Shape`` tables of their hybrid
+    embeddings: one comparison for everything they must share, bit for
+    bit, then their successors pair by pair.  A pair whose successors
+    differ is redirected; the language is left where an uncontrollable
+    event is redirected at a state reachable from the initial one over
+    the pairs that are not.
     """
+    if isinstance(target, MmQfa) and isinstance(plant, MmQfa):
+        t, p = target._memo(_mm_shape), plant._memo(_mm_shape)
+        if t.fixed != p.fixed:
+            return None
+        differ = [i for i, (u_t, u_p) in enumerate(zip(t.unitaries, p.unitaries)) if u_t != u_p]
+        if not all(t.kills[i] for i in differ):
+            return None
+        return any(target.alphabet[i] in uncontrollable for i in differ)
     target, plant = _as_hybrid(target), _as_hybrid(plant)
     if not (isinstance(target, Qfac) and isinstance(plant, Qfac)):
         return None
@@ -579,6 +638,16 @@ def _decide_on_product(target, plant, spec: ControlSpec, tol: float = DEFAULT_EQ
     (Berstel and Reutenauer, *Noncommutative Rational Series*).  For a
     restriction H = M 1_K the product needs no precondition: it is 0
     unless s is in K and s sigma is not, and there it is M(s) M(s sigma).
+    Nor for a measure-many restriction, whose killed symbols leave no
+    going mass, so that H is constant on every extension of a word
+    outside K.  For s in K and a killed sigma, with A(s) the accept mass
+    gathered over s and E(s) the end marker's, H(s) = A(s) + E(s) and
+    H(s sigma) = A(s) <= M(s sigma): the first factor is E(s) >= 0, the
+    second M(s sigma) - A(s) >= 0, and min(H(s), M(s sigma)) <= A(s)
+    exactly when one factor is 0.  Everywhere else one factor is
+    exactly 0 and the inequality holds.  So the product vanishes exactly
+    where the min-inequality holds, also when accept mass is gathered
+    mid-word.
     It is read on one product state ``X = h g^T``, with ``h = H(w) pi_H``
     and ``g = (h, m)`` stacked over ``m = M(w) pi_M``.  The state advances
     as ``X <- H_a X diag(H_a, M_a)^T``: ``H_a X``, then its first ``r_H``

@@ -369,6 +369,96 @@ def ref_leaves_restriction(target, plant, uncontrollable):
     return False
 
 
+def ref_leaves_mm_restriction(target, plant, uncontrollable):
+    """For two measure-many automata: None unless ``target`` is ``plant``
+    restricted to the words with none of the symbols whose unitaries
+    differ, else whether one of those symbols is uncontrollable.
+
+    Written from the definition, one part and one matrix entry at a
+    time: every part but some input unitaries equal bit for bit, and
+    each differing unitary of the target exactly 0 from every basis
+    state a run can occupy before a symbol (a going state, or one in the
+    initial state's support) into every state that is not rejecting."""
+    def same(a, b):
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    if target.alphabet != plant.alphabet or not same(target.initial, plant.initial):
+        return None
+    if not same(target.unitaries[END_MARKER], plant.unitaries[END_MARKER]):
+        return None
+    for part in ("accepting", "rejecting", "going"):
+        if getattr(target, part).subset != getattr(plant, part).subset:
+            return None
+    occupied = set(target.going.subset) | {j for j, x in enumerate(target.initial) if x != 0}
+    outside = [i for i in range(target.dim) if i not in target.rejecting.subset]
+    leaves = False
+    for a in target.alphabet:
+        u = target.unitaries[a]
+        if same(u, plant.unitaries[a]):
+            continue
+        if any(u[i, j] != 0 for i in outside for j in occupied):
+            return None
+        leaves = leaves or a in uncontrollable
+    return leaves
+
+
+def killing_unitary(rng, rejecting, columns, n):
+    """A random unitary that sends every basis state in ``columns`` into the
+    span of the ``rejecting`` ones, which must be at least as many."""
+    rows = [*sorted(rejecting), *(i for i in range(n) if i not in rejecting)]
+    cols = [*sorted(columns), *(j for j in range(n) if j not in columns)]
+    r = len(rejecting)
+    block = np.zeros((n, n), dtype=complex)
+    block[:r, :r] = random_unitary(rng, r)
+    block[r:, r:] = random_unitary(rng, n - r)
+    u = np.zeros((n, n), dtype=complex)
+    u[np.ix_(rows, cols)] = block
+    return u
+
+
+def random_mm_restriction(seed, n=4, full_support=False):
+    """A ``random_mm`` plant over {a, b} with at least as many rejecting as
+    going states (drawn again until so), its initial state inside the
+    going subspace, or of full support with ``full_support``; and the
+    target that swaps one symbol's unitary (b at even seeds, a at odd
+    ones) for ``killing_unitary`` on the going states.  With the initial
+    state inside the going subspace the target restricts the plant to
+    the words without that symbol; with full support it does not."""
+    rng = np.random.default_rng(seed)
+    plant = random_mm(rng, n)
+    while not 1 <= len(plant.going.subset) <= len(plant.rejecting.subset):
+        plant = random_mm(rng, n)
+    going = sorted(plant.going.subset)
+    if full_support:
+        initial = random_state(rng, n)
+    else:
+        initial = np.zeros(n, dtype=complex)
+        initial[going] = random_state(rng, len(going))
+    plant = MmQfa(plant.alphabet, dict(plant.unitaries), initial, plant.accepting, plant.rejecting, plant.going)
+    killed = "ab"[seed % 2]
+    kill = killing_unitary(rng, plant.rejecting.subset, plant.going.subset, n)
+    target = MmQfa(plant.alphabet, {**plant.unitaries, killed: kill}, initial, plant.accepting, plant.rejecting,
+                   plant.going)
+    return plant, target, killed
+
+
+def count_reductions(monkeypatch) -> list[str]:
+    """Record every ``minimize`` and ``explore_span`` call the decision makes, by name."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(supervisory, "minimize", counted("minimize", supervisory.minimize))
+    for module in (equivalence, supervisory):
+        monkeypatch.setattr(module, "explore_span", counted("explore_span", equivalence.explore_span))
+    return calls
+
+
 # --------------------------------------------------------------------------
 # Word-by-word references for the level sweeps: the loops the sweeps
 # replaced, one language evaluation per word.

@@ -20,6 +20,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdes
@@ -30,7 +31,7 @@ import qdes.fixtures
 import qdes.serialize
 import qdes.supervisory
 
-from helpers import assert_decoders_agree, ref_canonical_json, ref_to_document
+from helpers import assert_decoders_agree, count_reductions, ref_canonical_json, ref_to_document
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -54,6 +55,25 @@ def test_two_passes_check(workloads, name):
     for pass_no in (1, 2):
         failures = {op.label: problem for op in run if (problem := op.check(op.run())) is not None}
         assert failures == {}, f"pass {pass_no}"
+
+
+def test_restriction_ops_reduce_nothing(workloads, monkeypatch):
+    """Every ``hold:`` operation of ``exact``, and every ``random:`` one whose
+    target changes no uncontrollable symbol's unitary of its plant (it is
+    the plant, or the spec that kills 1 under 0 uncontrollable), is
+    decided with no ``minimize`` and no ``explore_span``."""
+    st = workloads.setup_exact(qdes, 0)
+    ops = {op.label: op for op in workloads.ops_exact(qdes, st)}
+    quiet = [f"hold:{name}" for name, *_ in st["holding"]]
+    for name, target, plant, spec, _ in st["random"]:
+        changed = {a for a in plant.alphabet if not np.array_equal(target.unitaries[a], plant.unitaries[a])}
+        if not changed & spec.uncontrollable:
+            quiet.append(f"random:{name}")
+    assert "hold:eg2-N2" in quiet and len(quiet) > len(st["holding"])
+    calls = count_reductions(monkeypatch)
+    for label in quiet:
+        calls.clear()
+        assert ops[label].run().holds and calls == [], label
 
 
 def test_base_rungs_through_the_cli(workloads, tmp_path, capsys):

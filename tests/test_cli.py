@@ -28,7 +28,7 @@ from qdes.fixtures import (
 from qdes.linalg import Projector
 from qdes.models import MmQfa
 from qdes.serialize import SerializationError, from_document, load, save, to_document
-from qdes.supervisory import REDUCTION_PRECONDITIONS, ControllabilityResult
+from qdes.supervisory import ControllabilityResult
 
 from helpers import (
     assert_decoders_agree,
@@ -262,7 +262,7 @@ class TestControllabilityCommands:
         )
         assert code == 1 and not doc["holds"] and doc["symbol"] == "1"
         assert doc["lhs"] > doc["rhs"] + 1e-9 and doc["witness_confirmed"] is True
-        assert doc["assumes"] == list(REDUCTION_PRECONDITIONS)
+        assert doc["assumes"] == []
 
     def test_restriction_at_eg1_n6_holds_and_assumes_nothing(self, capsys, tmp_path):
         plant = build_eg1(6, 0.5, seed=0)
@@ -706,6 +706,36 @@ class TestExampleCommand:
         code, doc = run(capsys, "example", "eg2", *args, "-o", str(out))
         assert code == 2 and doc == {"error": message}
         assert not out.exists()
+
+
+class TestUsageErrors:
+    """A usage error writes one JSON error document, names the subcommand
+    and the argument, and exits 2; ``-h`` still prints the help."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["example", "eg2", "--N", "2", "--lambda", "-1e-3"], "qdes example: argument --lambda: expected one argument"),
+        (["example", "af-modp", "--N", "5", "--epsilon", "-inf"],
+         "qdes example: argument --epsilon: expected one argument"),
+        (["validate"], "qdes validate: the following arguments are required: file"),
+        (["prob", "a.json", "01", "--strict"], "qdes: unrecognized arguments: --strict"),
+    ], ids=["negative-lambda", "negative-infinite-epsilon", "missing-positional", "unknown-flag"])
+    def test_one_json_document_and_exit_two(self, capsys, tmp_path, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "-o", str(tmp_path / "x.json")] if argv[0] == "example" else argv)
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 2 and json.loads(out) == {"error": f"ArgumentError: {message}"}
+        assert err.startswith("usage: ")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_joined_value_reaches_the_builder(self, capsys, tmp_path):
+        code, doc = run(capsys, "example", "eg2", "--N", "2", "--lambda=-1e-3", "-o", str(tmp_path / "x.json"))
+        assert code == 2 and doc == {"error": "ValueError: cut-point must lie strictly between 0 and 1"}
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["-h"])
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 0 and out.startswith("usage: qdes") and err == ""
 
 
 #: The sizes each example builds at; it is fuzzed up to the largest, since

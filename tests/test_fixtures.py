@@ -146,7 +146,8 @@ class TestAfModpAgainstTheLoop:
     @pytest.mark.parametrize("chunk_bytes", [1, 4096], ids=["one-try", "a-few-tries"])
     def test_documents_byte_identical_in_chunks(self, chunk_bytes, monkeypatch):
         """Certified in chunks of one try, or of as many as 4 KiB of cosines
-        hold (1 to 102 tries, by p and d), the draws give the same automata."""
+        and their means hold (1 to 64 tries, by p and d), the draws give the
+        same automata."""
         monkeypatch.setattr(fixtures, "_AF_MODP_CHUNK_BYTES", chunk_bytes)
         for p in (5, 17, 41):
             for eps in [eps for eps in AF_MODP_EPS if eps > 1.0 / (p - 1) ** 2]:
@@ -168,6 +169,36 @@ class TestAfModpAgainstTheLoop:
             tracemalloc.stop()
         assert m.dim == 18
         assert peak < 2.5 * fixtures._AF_MODP_CHUNK_BYTES < 2 * 499 * 4098 * 9 * 8
+
+    def test_one_table_per_chunk(self, monkeypatch):
+        """At p = 1031 and eps = 0.5 the search fills 4 MiB chunks at every
+        block count; the cosine and the square are taken in place, so the
+        peak is one chunk's table and means, not two tables."""
+        monkeypatch.setattr(fixtures, "_AF_MODP_CHUNK_BYTES", 4 << 20)
+        tracemalloc.start()
+        try:
+            m = build_af_modp(1031, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.dim == 14 and peak < 1.25 * (4 << 20)
+
+    @pytest.mark.parametrize("p,eps", [(2, 0.9), (3, 0.25), (5, 1 / 16), (7, 0.01)])
+    def test_infeasible_bound_refused_before_drawing(self, p, eps, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew multipliers")
+
+        monkeypatch.setattr(fixtures, "_af_modp_candidates", refuse)
+        for accept_multiples in (True, False):
+            with pytest.raises(FixtureSearchError) as err:
+                build_af_modp(p, eps, accept_multiples=accept_multiples)
+            assert str(err.value) == f"no multiplier set certified eps={eps} for p={p} within 64 blocks"
+
+    @pytest.mark.parametrize("p,eps", [(3, 0.2501), (5, 0.0626)])
+    def test_bound_just_above_the_floor_builds(self, p, eps):
+        for accept_multiples in (True, False):
+            got = af_modp_outcome(build_af_modp, p, eps, accept_multiples, 0)
+            assert got.startswith("{") and got == af_modp_outcome(ref_build_af_modp, p, eps, accept_multiples, 0)
 
     def test_failure_at_the_full_limits(self):
         got = af_modp_outcome(build_af_modp, 3, 0.2, True, 0)

@@ -50,6 +50,7 @@ from helpers import (
     random_mo,
     random_qfac,
     ref_accessible_pairs,
+    ref_leaves_mm_restriction,
     ref_leaves_restriction,
     ref_live_states,
     ref_minimal_dfa_size,
@@ -816,8 +817,11 @@ class TestReachable:
                 assert got is ref_leaves_restriction(t, p, unc), name
                 seen.add(got)
         eg2 = build_eg2(2, 0.5)
-        assert supervisory._leaves_restriction(build_eg2_spec(eg2), eg2, unc) is None
-        assert ref_leaves_restriction(build_eg2_spec(eg2), eg2, unc) is None
+        leaves = "1" in unc
+        assert supervisory._leaves_restriction(build_eg2_spec(eg2), eg2, unc) is leaves
+        assert ref_leaves_mm_restriction(build_eg2_spec(eg2), eg2, unc) is leaves
+        assert supervisory._leaves_restriction(eg2, build_eg2_spec(eg2), unc) is None
+        assert ref_leaves_mm_restriction(eg2, build_eg2_spec(eg2), unc) is None
         assert None in seen and False in seen and (True in seen) == bool(unc & {"0", "2"})
 
     def test_leaves_restriction_on_random_restrictions(self):

@@ -38,7 +38,15 @@ from qdes.supervisory import (
     synthesize_supervisor,
 )
 
-from helpers import ref_closed_loop_value, ref_decide_controllability, to_rblm, words_up_to
+from helpers import (
+    count_reductions,
+    random_mm_restriction,
+    ref_closed_loop_value,
+    ref_decide_controllability,
+    ref_leaves_mm_restriction,
+    to_rblm,
+    words_up_to,
+)
 
 
 ALPHABET3 = ("0", "1", "2")
@@ -559,22 +567,6 @@ class TestWitnessOrder:
         assert self.cut_against_oracle([("s1", "0")], spec) == (("1",), "0")
 
 
-def count_reductions(monkeypatch) -> list[str]:
-    """Record every ``minimize`` and ``explore_span`` call the decision makes, by name."""
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(supervisory, "minimize", counted("minimize", supervisory.minimize))
-    for module in (equivalence, supervisory):
-        monkeypatch.setattr(module, "explore_span", counted("explore_span", equivalence.explore_span))
-    return calls
-
-
 def restriction_cases():
     for family, sizes, epsilons in (("eg1", (2, 3), (0.95, 0.5)), ("egadd", (4, 6), (0.95, 0.5))):
         for n_param in sizes:
@@ -624,24 +616,122 @@ class TestRestrictionShortcut:
         phased_unitary = {**target.unitaries, ("s0", "0"): 1j * target.unitaries[("s0", "0")]}
         phased_start = -np.asarray(target.initial_quantum)
         eg2 = build_eg2(2, 0.5)
+        eg2_spec = build_eg2_spec(eg2)
+        # The kill of 1 sends 1e-3 of amplitude from the going state into the accepting one.
+        amp = 1e-3
+        leak = np.array([[0, 1, 0], [np.sqrt(1 - amp**2), 0, -amp], [amp, 0, np.sqrt(1 - amp**2)]], dtype=complex)
+        # The target's accepting state swapped with its rejecting one.
+        flipped = {"accepting": eg2.rejecting, "rejecting": eg2.accepting}
+        # Killed b clears the going columns only; the initial state reaches
+        # outside them, and the oracle fails at (b, a).
+        full_plant, full_target, _ = random_mm_restriction(35, full_support=True)
         return {
             "redirect-accepts": (accepting_sink, accepting_plant, spec3()),
             "redirect-leaks": (leaky_sink, leaky_plant, spec3()),
             "one-unitary": (dataclasses.replace(target, unitaries=phased_unitary), plant, spec3()),
             "initial-state": (dataclasses.replace(target, initial_quantum=phased_start), plant, spec3()),
-            "mm-qfa": (build_eg2_spec(eg2), eg2, spec2()),
+            "mm-leaky-kill": (dataclasses.replace(eg2_spec, unitaries={**eg2.unitaries, "1": leak}), eg2, spec2()),
+            "mm-kill-misses-the-initial-support": (full_target, full_plant, ControlSpec(("a", "b"), {"b"}, {"a"})),
+            "mm-end-marker": (dataclasses.replace(eg2_spec, unitaries={**eg2_spec.unitaries, "$": -eg2.unitaries["$"]}),
+                              eg2, spec2()),
+            "mm-initial-state": (dataclasses.replace(eg2_spec, initial=-eg2.initial), eg2, spec2()),
+            "mm-accepting-set": (dataclasses.replace(eg2_spec, **flipped), eg2, spec2()),
         }
 
-    @pytest.mark.parametrize("case", ["redirect-accepts", "redirect-leaks", "one-unitary", "initial-state", "mm-qfa"])
+    @pytest.mark.parametrize("case", ["redirect-accepts", "redirect-leaks", "one-unitary", "initial-state",
+                                      "mm-leaky-kill", "mm-kill-misses-the-initial-support", "mm-end-marker",
+                                      "mm-initial-state", "mm-accepting-set"])
     def test_near_misses_take_the_product_route(self, case, monkeypatch):
         target_aut, plant_aut, spec = self.near_misses()[case]
         assert supervisory._leaves_restriction(target_aut, plant_aut, spec.uncontrollable) is None
+        if case.startswith("mm-"):
+            assert ref_leaves_mm_restriction(target_aut, plant_aut, spec.uncontrollable) is None
         want = supervisory._decide_on_product(target_aut, plant_aut, spec)
         calls = count_reductions(monkeypatch)
         got = decide_controllability(target_aut, plant_aut, spec)
         assert "explore_span" in calls
         assert got == want and (got.confirmed, got.assumes) == (want.confirmed, REDUCTION_PRECONDITIONS)
         assert got == ref_decide_controllability(target_aut, plant_aut, spec)
+
+    def test_a_measure_many_restriction(self, monkeypatch):
+        """``build_eg2_spec`` kills 1: with 0 uncontrollable it holds with no
+        reduction, with 1 uncontrollable the product route finds the
+        violation; both assume nothing."""
+        eg2 = build_eg2(2, 0.5)
+        target_aut = build_eg2_spec(eg2)
+        calls = count_reductions(monkeypatch)
+        for unc, leaves in (("0", False), ("1", True)):
+            spec = spec2(uncontrollable=(unc,))
+            assert supervisory._leaves_restriction(target_aut, eg2, spec.uncontrollable) is leaves
+            want = supervisory._decide_on_product(target_aut, eg2, spec)
+            calls.clear()
+            got = decide_controllability(target_aut, eg2, spec)
+            assert ("explore_span" in calls) is leaves and (calls == []) is not leaves
+            assert got == want == ref_decide_controllability(target_aut, eg2, spec)
+            assert got.holds is not leaves and (got.confirmed, got.assumes) == (want.confirmed, ())
+
+    @pytest.mark.parametrize("n_param", [1, 2, 3, 4, 5])
+    def test_eg2_against_the_oracle(self, n_param, monkeypatch):
+        """eg2's spec and eg2 itself as targets of eg2, at three cut-points
+        and under every nonempty uncontrollable set, decided as the oracle
+        sweeps them to horizon 7; a holding restriction reduces nothing."""
+        lang = QuantumLanguage.from_automaton
+        calls = count_reductions(monkeypatch)
+        for lam in (0.3, 0.5, 0.7):
+            plant = build_eg2(n_param, lam)
+            for target in (build_eg2_spec(plant), plant):
+                for unc in (("0",), ("1",), ("0", "1")):
+                    spec = spec2(uncontrollable=unc)
+                    leaves = supervisory._leaves_restriction(target, plant, spec.uncontrollable)
+                    assert leaves is ref_leaves_mm_restriction(target, plant, spec.uncontrollable)
+                    assert leaves is (target is not plant and "1" in unc)
+                    calls.clear()
+                    decided = decide_controllability(target, plant, spec)
+                    assert (calls == []) is not leaves, (lam, unc)
+                    oracle = check_controllability_exhaustive(lang(target), lang(plant), spec, horizon=7)
+                    assert decided == oracle and decided.assumes == (), (lam, unc)
+                    assert decided.confirmed is (None if decided.holds else True)
+
+    def test_random_measure_many_restrictions_against_the_oracle(self, monkeypatch):
+        """Random plants whose initial state lies in the going subspace, each
+        with one symbol killed, under every nonempty uncontrollable set."""
+        lang = QuantumLanguage.from_automaton
+        calls = count_reductions(monkeypatch)
+        seen = set()
+        for seed in range(60):
+            plant, target, killed = random_mm_restriction(seed)
+            for unc in ({"a"}, {"b"}, {"a", "b"}):
+                spec = ControlSpec(("a", "b"), {"a", "b"} - unc, unc)
+                leaves = supervisory._leaves_restriction(target, plant, spec.uncontrollable)
+                assert leaves is ref_leaves_mm_restriction(target, plant, spec.uncontrollable) is (killed in unc)
+                calls.clear()
+                decided = decide_controllability(target, plant, spec)
+                assert (calls == []) is not leaves, (seed, unc)
+                oracle = check_controllability_exhaustive(lang(target), lang(plant), spec, horizon=7)
+                assert decided == oracle and decided.assumes == (), (seed, unc)
+                assert decided.confirmed is (None if decided.holds else True)
+                seen.add((leaves, decided.holds))
+        assert seen == {(False, True), (True, True), (True, False)}
+
+    def test_a_kill_that_misses_the_initial_support_takes_the_product_route(self):
+        """The same plants and kills with a full-support initial state: the
+        first symbol acts on the whole initial vector, so the target is no
+        restriction and keeps the product route and its preconditions."""
+        lang = QuantumLanguage.from_automaton
+        unsound = 0
+        for seed in range(60):
+            plant, target, killed = random_mm_restriction(seed, full_support=True)
+            for unc in ({"a"}, {"b"}, {"a", "b"}):
+                spec = ControlSpec(("a", "b"), {"a", "b"} - unc, unc)
+                assert supervisory._leaves_restriction(target, plant, spec.uncontrollable) is None
+                assert ref_leaves_mm_restriction(target, plant, spec.uncontrollable) is None
+                decided = decide_controllability(target, plant, spec)
+                assert decided == supervisory._decide_on_product(target, plant, spec)
+                assert decided.assumes == REDUCTION_PRECONDITIONS
+                if killed not in unc and seed < 40:
+                    unsound += not check_controllability_exhaustive(lang(target), lang(plant), spec, 7).holds
+        # Clearing only the going columns would have answered "holds" here.
+        assert unsound == 4
 
     def test_a_restriction_of_a_dfa(self):
         plant = dfa_bounded_zeros(2)
